@@ -6,10 +6,12 @@ sorted by that order so output stays reproducible. Latent nodes take part in
 path and blocking logic like any other node, they are only barred from
 adjustment sets (enforced in `identify`).
 
-d-separation is implemented twice, once by enumerating skeleton paths and
-checking each against the blocking rules and once with a linear-time
-ancestral-reachability traversal. The public `d_separated` asserts agreement
-of the two on small graphs in debug builds.
+Every d-separation question is answered by one linear-time ball-passing
+traversal (`d_connected`), which can also cut the out-edges of chosen nodes so
+that identification asks its questions of the mutilated graph without
+building it. Path enumeration (`all_paths`, `is_blocked`, `d_separated_paths`)
+remains for results that are themselves paths and as a slow reference that the
+tests compare the traversal against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import AbstractSet, Iterable, Literal, Mapping, Sequence
 
 from .errors import (
     CycleError,
@@ -232,21 +234,7 @@ class CausalGraph:
 
     @cached_property
     def _topo(self) -> tuple[str, ...]:
-        indeg = {n.name: len(self._parents[n.name]) for n in self.nodes}
-        ready = sorted(
-            (name for name, d in indeg.items() if d == 0), key=self._order.__getitem__
-        )
-        queue = deque(ready)
-        out: list[str] = []
-        while queue:
-            # the ready set stays declaration-sorted because children are
-            # appended in declaration order and the graph was cycle-checked
-            name = queue.popleft()
-            out.append(name)
-            for c in self._children[name]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
+        out, _ = kahn(self.names, self._children)
         assert len(out) == len(self.nodes), "cycle slipped past construction"
         return tuple(out)
 
@@ -328,22 +316,37 @@ def build_graph(
     return CausalGraph(tuple(normalized), tuple(unique_edges))
 
 
-def _check_acyclic(nodes: Sequence[Node], edges: Sequence[tuple[str, str]]) -> None:
-    children: dict[str, list[str]] = {n.name: [] for n in nodes}
-    indeg = {n.name: 0 for n in nodes}
-    for a, b in edges:
-        children[a].append(b)
-        indeg[b] += 1
-    queue = deque(name for name, d in indeg.items() if d == 0)
-    visited = 0
+def kahn(
+    names: Sequence[str], children: Mapping[str, Sequence[str]]
+) -> tuple[list[str], dict[str, int]]:
+    """Kahn's topological sort; ties follow the order of `names` and `children`.
+
+    Returns the nodes it could order and the in-degrees left over. On a cycle
+    the order comes out short, and the nodes left with a positive in-degree
+    lie on or below a cycle.
+    """
+    indeg = {name: 0 for name in names}
+    for name in names:
+        for c in children[name]:
+            indeg[c] += 1
+    queue = deque(name for name in names if indeg[name] == 0)
+    out: list[str] = []
     while queue:
         name = queue.popleft()
-        visited += 1
+        out.append(name)
         for c in children[name]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
-    if visited == len(nodes):
+    return out, indeg
+
+
+def _check_acyclic(nodes: Sequence[Node], edges: Sequence[tuple[str, str]]) -> None:
+    children: dict[str, list[str]] = {n.name: [] for n in nodes}
+    for a, b in edges:
+        children[a].append(b)
+    ordered, indeg = kahn([n.name for n in nodes], children)
+    if len(ordered) == len(nodes):
         return
     # walk forward through the leftover subgraph until a node repeats
     stuck = [name for name, d in indeg.items() if d > 0]
@@ -373,6 +376,13 @@ def descendants(g: CausalGraph, x: str) -> set[str]:
     return set(g._descendants[x])
 
 
+def between(g: CausalGraph, x: str, y: str) -> frozenset[str]:
+    """The nodes strictly inside some directed path from `x` to `y`: De(x) ∩ An(y)."""
+    g.require(x)
+    g.require(y)
+    return g._descendants[x] & g._ancestors[y]
+
+
 # -- path enumeration ------------------------------------------------------
 
 
@@ -394,19 +404,31 @@ def all_paths(
     g.require(y)
     if x == y:
         raise OverlapError("path endpoints must differ")
+    first = (
+        tuple((c, FORWARD) for c in g._children[x]) if directed else g._neighbors[x]
+    )
+    return simple_paths(g, x, y, first, directed, limit)
 
+
+def simple_paths(
+    g: CausalGraph,
+    x: str,
+    y: str,
+    first: Iterable[tuple[str, Direction]],
+    directed: bool = False,
+    limit: int = DEFAULT_PATH_LIMIT,
+) -> list[Path]:
+    """The paths of `all_paths` whose first step out of `x` is in `first`.
+
+    `first` holds (neighbour, direction) pairs; paths that start otherwise are
+    never walked. The endpoints must be distinct known nodes.
+    """
     out: list[Path] = []
     nodes_on_stack = {x}
     stack_nodes = [x]
     stack_dirs: list[Direction] = []
 
-    def step(current: str) -> None:
-        if directed:
-            moves: Iterable[tuple[str, Direction]] = (
-                (c, FORWARD) for c in g.children(current)
-            )
-        else:
-            moves = g._neighbors[current]
+    def step(moves: Iterable[tuple[str, Direction]]) -> None:
         for nxt, direction in moves:
             if nxt == y:
                 if len(out) >= limit:
@@ -422,12 +444,15 @@ def all_paths(
             nodes_on_stack.add(nxt)
             stack_nodes.append(nxt)
             stack_dirs.append(direction)
-            step(nxt)
+            if directed:
+                step((c, FORWARD) for c in g._children[nxt])
+            else:
+                step(g._neighbors[nxt])
             stack_dirs.pop()
             stack_nodes.pop()
             nodes_on_stack.remove(nxt)
 
-    step(x)
+    step(first)
     return out
 
 
@@ -492,41 +517,61 @@ def d_separated_paths(
 def d_separated_reachable(
     g: CausalGraph, x: Iterable[str], y: Iterable[str], z: Iterable[str]
 ) -> bool:
-    """d-separation by ancestral reachability (ball-passing traversal).
-
-    Linear in the size of the graph. Phase one collects z and its ancestors,
-    phase two walks (node, approach direction) states along active trails
-    starting upward out of x; separation holds when no node of y is reached.
-    """
+    """d-separation by ancestral reachability (ball-passing traversal)."""
     xs, ys, zs = _check_query_sets(g, x, y, z)
-    z_closure = set(zs)
-    for name in zs:
+    return not d_connected(g, xs, ys, zs)
+
+
+def d_connected(
+    g: CausalGraph,
+    sources: Iterable[str],
+    targets: AbstractSet[str],
+    z: AbstractSet[str],
+    cut: AbstractSet[str] = frozenset(),
+) -> bool:
+    """True when an active trail given `z` joins `sources` to `targets`.
+
+    Trails run in `g` with the out-edges of the sources in `cut` removed.
+    Bayes-ball (Shachter 1998), linear in the size of the graph: phase one
+    collects z and its ancestors, phase two walks (node, approach direction)
+    states along active trails starting upward out of the sources. Arguments
+    are not validated: the three sets must be disjoint, and no node of `z` may
+    descend from a node of `cut`, so that z's ancestors stay those of `g`.
+    """
+    z_closure = set(z)
+    for name in z:
         z_closure |= g._ancestors[name]
 
+    parents, children = g._parents, g._children
     up, down = 0, 1
-    queue: deque[tuple[str, int]] = deque((name, up) for name in xs)
-    visited: set[tuple[str, int]] = set()
+    queue: deque[tuple[str, int]] = deque(
+        (name, up) for name in sources if name not in cut
+    )
+    queue.extend((p, up) for name in cut for p in parents[name])
+    # a cut source reached again could only leave by a removed out-edge: it
+    # is not in z, and by the condition above it is no ancestor of z either
+    visited = {(name, how) for name in cut for how in (up, down)}
     while queue:
         state = queue.popleft()
         if state in visited:
             continue
         visited.add(state)
         name, how = state
-        if name in ys and name not in zs:
-            return False
-        if how == up and name not in zs:
-            for p in g._parents[name]:
+        if name in targets and name not in z:
+            return True
+        if how == up and name not in z:
+            for p in parents[name]:
                 queue.append((p, up))
-            for c in g._children[name]:
+            for c in children[name]:
                 queue.append((c, down))
         elif how == down:
-            if name not in zs:
-                for c in g._children[name]:
+            if name not in z:
+                for c in children[name]:
                     queue.append((c, down))
             if name in z_closure:  # collider with (an ancestor of) z below it
-                for p in g._parents[name]:
+                for p in parents[name]:
                     queue.append((p, up))
-    return True
+    return False
 
 
 def d_separated(
@@ -535,18 +580,6 @@ def d_separated(
     """True when `z` blocks every skeleton path between `x` and `y`.
 
     The sets must be pairwise disjoint (OverlapError) and name known nodes
-    (UnknownNode). Debug builds cross-check the reachability answer against
-    path enumeration on small graphs.
+    (UnknownNode).
     """
-    xs, ys, zs = _check_query_sets(g, x, y, z)
-    answer = d_separated_reachable(g, xs, ys, zs)
-    if __debug__ and len(g.nodes) <= 12:
-        try:
-            slow = d_separated_paths(g, xs, ys, zs)
-        except EnumerationLimit:
-            slow = answer  # too many paths to verify, trust the fast answer
-        assert slow == answer, (
-            f"d-separation implementations disagree on x={sorted(xs)} "
-            f"y={sorted(ys)} z={sorted(zs)}"
-        )
-    return answer
+    return d_separated_reachable(g, x, y, z)

@@ -6,6 +6,12 @@ reaches Y. A set Z satisfies the front-door criterion when Z intercepts all
 directed X to Y paths, every back-door path from X into Z is blocked by the
 empty set, and every back-door path from Z to Y is blocked by {X}.
 
+"Every back-door path from A to B is blocked by W" is tested as d-separation
+of A and B given W with A's out-edges removed, by one reachability traversal;
+paths are listed only where they are the output. Back-door candidates come from
+An({X, Y}), since Z ∩ An({X, Y}) is admissible whenever Z is (van der Zander,
+Liśkiewicz & Textor, 2019); front-door candidates come from De(X) ∩ An(Y).
+
 Adjustment sets draw only from observable nodes: the point of the analysis is
 deciding what to log, and latent variables cannot be logged. When the two
 criteria both fail the effect may still be identifiable by other means; the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EnumerationLimit, NotIdentifiable, OverlapError
-from .graph import CausalGraph, Path, all_paths, is_blocked
+from .graph import BACKWARD, CausalGraph, Path, between, d_connected, simple_paths
 from .limits import (
     DEFAULT_POOL_CAP,
     ENV_VAR,
@@ -63,19 +69,29 @@ class LoggingRecommendation:
 
 
 def backdoor_paths(g: CausalGraph, x: str, y: str) -> list[Path]:
-    """All skeleton paths from `x` to `y` whose first edge points into `x`."""
-    return [p for p in all_paths(g, x, y) if p.directions[0] == "backward"]
+    """All skeleton paths from `x` to `y` whose first edge points into `x`.
+
+    They come in the order `all_paths` lists them; only the steps out of `x`
+    along its in-edges are walked.
+    """
+    g.require(x)
+    g.require(y)
+    if x == y:
+        raise OverlapError("path endpoints must differ")
+    return simple_paths(g, x, y, tuple((p, BACKWARD) for p in g._parents[x]))
 
 
-def _effective_blockers(g: CausalGraph, z: frozenset[str], trust_proxies: bool) -> frozenset[str]:
-    if not trust_proxies:
-        return z
-    extra = {
-        g.node(name).proxy_for
-        for name in z
-        if g.node(name).proxy_for is not None
-    }
-    return z | frozenset(extra)  # type: ignore[arg-type]
+def _blocks_backdoor(
+    g: CausalGraph, z: frozenset[str], x: str, y: str, trust_proxies: bool
+) -> bool:
+    # x ⫫ y | z with x's out-edges removed; z must hold no descendant of x.
+    # A trusted proxy's principal is a root, so it descends from nothing. It
+    # may be y itself, which no path passes through, so y is left out.
+    blockers = set(z)
+    if trust_proxies:
+        blockers |= {g._by_name[name].proxy_for for name in z}
+    blockers -= {None, y}
+    return not d_connected(g, (x,), {y}, blockers, cut={x})
 
 
 def satisfies_backdoor(
@@ -101,8 +117,9 @@ def satisfies_backdoor(
         return False
     if zset & g._descendants[x]:
         return False
-    blockers = _effective_blockers(g, zset, trust_proxies)
-    return all(is_blocked(g, p, blockers) for p in backdoor_paths(g, x, y))
+    if x == y:
+        raise OverlapError("path endpoints must differ")
+    return _blocks_backdoor(g, zset, x, y, trust_proxies)
 
 
 def minimal_backdoor_sets(
@@ -113,18 +130,28 @@ def minimal_backdoor_sets(
 ) -> list[frozenset[str]]:
     """All inclusion-minimal observable adjustment sets, smallest first.
 
-    Candidates are observable non-descendants of `x` (excluding the endpoints);
-    subsets are enumerated by size, then lexicographically by declaration
-    order. Supersets of an admissible set are skipped, which both prunes the
-    search and guarantees inclusion-minimality of the output.
+    Candidates are the observable non-descendants of `x` in An({x, y})
+    (excluding the endpoints); with trust_proxies, also the proxies whose
+    principal is in An({x, y}). A proxy's only parent is a root, so it can only
+    block paths. Subsets are enumerated by size, then lexicographically by
+    declaration order. Supersets of an admissible set are skipped, which both
+    prunes the search and guarantees inclusion-minimality of the output.
     """
     g.require(x)
     g.require(y)
+    if x == y:
+        raise OverlapError("path endpoints must differ")
     descendants_of_x = g._descendants[x]
+    relevant = g._ancestors[x] | g._ancestors[y] | {x, y}
     pool = [
         name
         for name in g.observable_names()
-        if name not in (x, y) and name not in descendants_of_x
+        if name not in (x, y)
+        and name not in descendants_of_x
+        and (
+            name in relevant
+            or (trust_proxies and g._by_name[name].proxy_for in relevant)
+        )
     ]
     cap = enumeration_cap(DEFAULT_POOL_CAP)
     if len(pool) > cap:
@@ -132,15 +159,15 @@ def minimal_backdoor_sets(
             f"{len(pool)} adjustment candidates exceed the cap of {cap} "
             f"(override with {ENV_VAR})"
         )
-    paths = backdoor_paths(g, x, y)
     found: list[frozenset[str]] = []
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
             zset = frozenset(combo)
             if any(prior <= zset for prior in found):
                 continue
-            blockers = _effective_blockers(g, zset, trust_proxies)
-            if all(is_blocked(g, p, blockers) for p in paths):
+            if _blocks_backdoor(g, zset, x, y, trust_proxies):
+                if not zset:
+                    return [zset]  # every other candidate is a superset
                 found.append(zset)
     return found
 
@@ -156,31 +183,31 @@ def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> boo
         raise OverlapError("the mediator set must exclude the treatment and outcome")
     if any(not g.kind(name).observable for name in zset):
         return False
-    # Z intercepts all directed paths from X to Y
-    for p in all_paths(g, x, y, directed=True):
-        if not zset & set(p.nodes[1:-1]):
-            return False
+    if x == y:
+        raise OverlapError("path endpoints must differ")
+    # Z intercepts all directed paths from X to Y: Y is unreachable in G - Z
+    stack, seen = [x], {x}
+    while stack:
+        for c in g._children[stack.pop()]:
+            if c == y:
+                return False
+            if c not in zset and c not in seen:
+                seen.add(c)
+                stack.append(c)
     # no open back-door path from X into Z
-    for member in g.sort_names(zset):
-        for p in backdoor_paths(g, x, member):
-            if not is_blocked(g, p, frozenset()):
-                return False
-    # every back-door path from Z to Y is blocked by {X}
-    for member in g.sort_names(zset):
-        for p in backdoor_paths(g, member, y):
-            if not is_blocked(g, p, frozenset({x})):
-                return False
-    return True
+    if d_connected(g, (x,), zset, frozenset(), cut={x}):
+        return False
+    # every back-door path from a member of Z to Y is blocked by {X}; the
+    # check above keeps X out of each member's descendants
+    return not any(
+        d_connected(g, (member,), {y}, {x}, cut={member}) for member in zset
+    )
 
 
 def _frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
     """Inclusion-minimal front-door sets among observable directed-path nodes."""
-    candidate_pool: list[str] = []
-    for p in all_paths(g, x, y, directed=True):
-        for name in p.nodes[1:-1]:
-            if g.kind(name).observable and name not in candidate_pool:
-                candidate_pool.append(name)
-    candidate_pool = list(g.sort_names(candidate_pool))
+    inside = between(g, x, y)
+    candidate_pool = [name for name in g.observable_names() if name in inside]
     found: list[frozenset[str]] = []
     for size in range(min(FRONTDOOR_MAX_SIZE, len(candidate_pool)) + 1):
         for combo in itertools.combinations(candidate_pool, size):
@@ -253,14 +280,7 @@ def confounded(g: CausalGraph, x: str, y: str) -> bool:
     g.require(y)
     if x == y:
         raise OverlapError("treatment and outcome must differ")
-    return any(not is_blocked(g, p, frozenset()) for p in backdoor_paths(g, x, y))
-
-
-def _directed_path_nodes(g: CausalGraph, x: str, y: str) -> set[str]:
-    nodes: set[str] = set()
-    for p in all_paths(g, x, y, directed=True):
-        nodes.update(p.nodes)
-    return nodes
+    return d_connected(g, (x,), {y}, frozenset(), cut={x})
 
 
 def logging_set(
@@ -304,9 +324,7 @@ def logging_set(
     chosen = candidates[0]  # enumeration order is already size then lexicographic
 
     on_path = {
-        name
-        for name in _directed_path_nodes(g, x, y)
-        if g.kind(name).observable
+        name for name in between(g, x, y) | {x, y} if g.kind(name).observable
     }
     must_log = frozenset({x, y} | on_path | chosen)
 

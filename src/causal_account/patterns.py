@@ -33,7 +33,7 @@ from .errors import (
     PatternArityError,
     SemanticError,
 )
-from .graph import FORWARD, CausalGraph, Path, all_paths
+from .graph import FORWARD, CausalGraph, Path, between, kahn
 from .identify import (
     IdentificationReport,
     IdentificationStatus,
@@ -127,15 +127,11 @@ def build_pattern(
         if (a, b) not in edges:
             edges.append((a, b))
 
-    # cycle check by repeated sink removal
-    remaining = set(names)
-    live = list(edges)
-    while remaining:
-        sinks = [n for n in remaining if not any(a == n for a, _ in live)]
-        if not sinks:
-            raise SemanticError(f"pattern {name!r} template contains a cycle")
-        remaining -= set(sinks)
-        live = [(a, b) for a, b in live if b in remaining]
+    children: dict[str, list[str]] = {n: [] for n in names}
+    for a, b in edges:
+        children[a].append(b)
+    if len(kahn(names, children)[0]) < len(names):
+        raise SemanticError(f"pattern {name!r} template contains a cycle")
 
     constraints = frozenset({"unique-accountable"} if accountables else set())
     return Pattern(name, tuple(normalized), tuple(edges), constraints)
@@ -403,9 +399,7 @@ def check_accountability(
     agent = m.binding[agent_roles[0].name]
     effect = m.binding[effect_role.name]
 
-    on_path: set[str] = set()
-    for path in all_paths(g, agent, effect, directed=True):
-        on_path.update(path.nodes)
+    on_path = between(g, agent, effect)
     admissible = frozenset(
         node
         for node in m.binding.values()

@@ -25,31 +25,71 @@ def nx_d_separated(g: CausalGraph, xs, ys, zs) -> bool:
     return nx.is_d_separator(to_networkx(g), set(xs), set(ys), set(zs))
 
 
-def nx_satisfies_backdoor(g: CausalGraph, z, x: str, y: str) -> bool:
+def nx_satisfies_backdoor(
+    g: CausalGraph, z, x: str, y: str, trust_proxies: bool = False
+) -> bool:
     """Back-door check via the mutilated-graph formulation.
 
     Z satisfies the criterion iff no Z-node descends from x and x is
     d-separated from y by Z in the graph with x's outgoing edges removed.
     The two formulations agree because removing x's out-edges leaves exactly
     the paths that start with an arrow into x, and no admissible Z-node can
-    sit below x to re-open a collider through the removed edges.
+    sit below x to re-open a collider through the removed edges. With
+    trust_proxies, the latent principal of every proxy in Z blocks as well.
     """
     zset = set(z)
     dg = to_networkx(g)
     if zset & set(nx.descendants(dg, x)):
         return False
+    blockers = set(zset)
+    if trust_proxies:
+        principals = {g.node(name).proxy_for for name in zset}
+        blockers |= principals - {None, x, y}
     mutilated = dg.copy()
     mutilated.remove_edges_from(list(dg.out_edges(x)))
-    return nx.is_d_separator(mutilated, {x}, {y}, zset)
+    return nx.is_d_separator(mutilated, {x}, {y}, blockers)
 
 
-def brute_minimal_backdoor_sets(g: CausalGraph, x: str, y: str) -> set[frozenset[str]]:
+def nx_satisfies_frontdoor(g: CausalGraph, z, x: str, y: str) -> bool:
+    """Front-door check, each condition asked of networkx directly.
+
+    1. Every directed x to y path meets Z: y is unreachable once Z is removed.
+    2. No back-door path from x into Z is open: x is d-separated from Z by
+       nothing once x's out-edges are removed.
+    3. Every back-door path from a member m of Z to y is blocked by {x}: m is
+       d-separated from y by {x} once m's out-edges are removed.
+    Latent members make the set inadmissible.
+    """
+    zset = set(z)
+    if any(not g.node(name).kind.observable for name in zset):
+        return False
+    dg = to_networkx(g)
+    rest = dg.copy()
+    rest.remove_nodes_from(zset)
+    if nx.has_path(rest, x, y):
+        return False
+
+    def without_out_edges(name: str) -> nx.DiGraph:
+        mutilated = dg.copy()
+        mutilated.remove_edges_from(list(dg.out_edges(name)))
+        return mutilated
+
+    if zset and not nx.is_d_separator(without_out_edges(x), {x}, zset, set()):
+        return False
+    return all(
+        nx.is_d_separator(without_out_edges(m), {m}, {y}, {x}) for m in zset
+    )
+
+
+def brute_minimal_backdoor_sets(
+    g: CausalGraph, x: str, y: str, trust_proxies: bool = False
+) -> set[frozenset[str]]:
     """All inclusion-minimal observable back-door sets, by exhaustive search."""
     pool = [n for n in g.observable_names() if n not in (x, y)]
     satisfying: list[frozenset[str]] = []
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            if nx_satisfies_backdoor(g, combo, x, y):
+            if nx_satisfies_backdoor(g, combo, x, y, trust_proxies):
                 satisfying.append(frozenset(combo))
     return {
         z

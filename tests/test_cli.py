@@ -1,14 +1,20 @@
 """End-to-end tests for the command line interface.
 
-Every assertion here goes through click's CliRunner, so stdout, stderr,
-and exit codes are checked exactly as a shell user would see them.
+Every assertion here but one goes through click's CliRunner, so stdout,
+stderr, and exit codes are checked exactly as a shell user would see them.
+The exception launches `python -m causal_account` in a fresh process.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import causal_account
 from causal_account import (
     AccountabilityReport,
     IdentificationReport,
@@ -62,6 +68,20 @@ class TestVersionAndHelp:
     def test_no_args_shows_usage(self, runner):
         res = invoke(runner)
         assert res.exit_code == 2
+
+    def test_runs_as_a_module(self):
+        src = str(Path(causal_account.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run(
+            [sys.executable, "-m", "causal_account", "validate", "titus"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "ok: model titus (4 node(s), 3 edge(s))\n"
 
 
 class TestValidate:

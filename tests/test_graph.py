@@ -101,6 +101,16 @@ class TestBuildGraph:
             )
         assert "A -> B -> A" in str(err.value) or "B -> A -> B" in str(err.value)
 
+    def test_cycle_is_walked_from_the_first_stuck_node(self):
+        # D hangs below the cycle and is stuck too, but the walk starts at B,
+        # the first stuck node in declaration order
+        with pytest.raises(CycleError) as err:
+            build_graph(
+                [("A", "exogenous")] + [(n, "endogenous") for n in "BCD"],
+                [("A", "B"), ("B", "C"), ("C", "B"), ("C", "D")],
+            )
+        assert err.value.cycle == ["B", "C", "B"]
+
     def test_duplicate_edges_collapse(self):
         g = build_graph(
             [("A", "exogenous"), ("B", "endogenous")],

@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_account import (
     EnumerationLimit,
@@ -20,7 +21,28 @@ from causal_account import (
     satisfies_frontdoor,
 )
 
-from oracles import nx_satisfies_backdoor, random_dag
+from oracles import (
+    brute_minimal_backdoor_sets,
+    nx_satisfies_backdoor,
+    nx_satisfies_frontdoor,
+    random_dag,
+)
+
+
+@st.composite
+def dags_with_pair(draw):
+    """A random DAG of at most 10 nodes, some latent, and two distinct nodes."""
+    seed = draw(st.integers(0, 100_000))
+    rng = random.Random(seed)
+    g = random_dag(
+        rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), latent_probability=0.3
+    )
+    x, y = rng.sample(g.names, 2)
+    return g, x, y, rng
+
+
+def declaration_order(g):
+    return lambda z: (len(z), sorted(g.index(name) for name in z))
 
 
 def hidden_confounder():
@@ -117,6 +139,30 @@ class TestMinimalBackdoorSets:
         with pytest.raises(EnumerationLimit):
             minimal_backdoor_sets(uber.graph, "Driver", "Accident")
 
+    def test_pool_cap_counts_only_ancestors(self, uber, monkeypatch):
+        # Police descends from Driver and Manuals is no ancestor of either
+        # endpoint; the three candidates left fit under a cap of 3
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
+        assert len(minimal_backdoor_sets(uber.graph, "Driver", "Accident")) == 3
+
+    @settings(max_examples=60)
+    @given(dags_with_pair())
+    def test_agrees_with_brute_force(self, case):
+        g, x, y, _ = case
+        found = minimal_backdoor_sets(g, x, y)
+        brute = brute_minimal_backdoor_sets(g, x, y)
+        assert found == sorted(brute, key=declaration_order(g))
+
+    def test_trusted_proxies_agree_with_brute_force(self, uav_attacker_ids):
+        g = uav_attacker_ids.graph
+        for x in g.observable_names():
+            for y in g.observable_names():
+                if x == y:
+                    continue
+                found = minimal_backdoor_sets(g, x, y, trust_proxies=True)
+                brute = brute_minimal_backdoor_sets(g, x, y, trust_proxies=True)
+                assert found == sorted(brute, key=declaration_order(g)), (x, y)
+
 
 class TestSatisfiesFrontdoor:
     def test_uav_attacker_mediator(self, uav_attacker):
@@ -135,6 +181,18 @@ class TestSatisfiesFrontdoor:
         g = uav_attacker_ids.graph
         assert not satisfies_backdoor(g, {"IDS"}, "Pilot", "UAV")
         assert satisfies_backdoor(g, {"IDS"}, "Pilot", "UAV", trust_proxies=True)
+
+    def test_same_endpoint_rejected(self, uav_attacker):
+        with pytest.raises(OverlapError):
+            satisfies_frontdoor(uav_attacker.graph, set(), "Pilot", "Pilot")
+
+    @settings(max_examples=200)
+    @given(dags_with_pair())
+    def test_agrees_with_networkx_conditions(self, case):
+        g, x, y, rng = case
+        rest = [name for name in g.names if name not in (x, y)]
+        z = rng.sample(rest, min(len(rest), rng.randint(0, 3)))
+        assert satisfies_frontdoor(g, z, x, y) == nx_satisfies_frontdoor(g, z, x, y)
 
 
 class TestIdentify:
@@ -161,6 +219,19 @@ class TestIdentify:
     def test_same_endpoint_rejected(self, uber):
         with pytest.raises(OverlapError):
             identify(uber.graph, "Driver", "Driver")
+
+    @pytest.mark.parametrize("y", ["n3", "n2"])
+    def test_root_treatment_in_a_dense_dag(self, y):
+        # 18 nodes and 0.3 edge density: far too many skeleton paths to list,
+        # yet a root treatment needs no adjustment at all
+        g = random_dag(random.Random(18), 18, 0.3)
+        start = time.perf_counter()
+        report = identify(g, "n1", y)
+        assert time.perf_counter() - start < 1.0
+        assert report.status is IdentificationStatus.BACKDOOR
+        assert report.minimal_backdoor_sets[0] == frozenset()
+        for zset in report.minimal_backdoor_sets:
+            assert nx_satisfies_backdoor(g, zset, "n1", y)
 
     def test_proxy_ignored_by_strict_analysis(self, uav_attacker_ids):
         report = identify(uav_attacker_ids.graph, "Pilot", "UAV")
@@ -189,6 +260,12 @@ class TestConfounded:
 
     def test_chain_is_clean(self, titus):
         assert not confounded(titus.graph, "TM", "ED")
+
+    @settings(max_examples=200)
+    @given(dags_with_pair())
+    def test_agrees_with_networkx(self, case):
+        g, x, y, _ = case
+        assert confounded(g, x, y) == (not nx_satisfies_backdoor(g, set(), x, y))
 
 
 class TestLoggingSet:
