@@ -10,7 +10,6 @@ Exit codes: 0 on success, 1 on analysis errors and negative check verdicts,
 from __future__ import annotations
 
 import functools
-import itertools
 from pathlib import Path
 
 import click
@@ -18,7 +17,6 @@ import click
 from . import __version__, models
 from .errors import (
     CausalAccountError,
-    EnumerationLimit,
     GraphError,
     InterveneOnExogenous,
     MissingExogenous,
@@ -30,7 +28,6 @@ from .errors import (
 )
 from .graph import CausalGraph, d_separated
 from .identify import identify, logging_set, minimal_backdoor_sets, satisfies_backdoor, satisfies_frontdoor
-from .limits import DEFAULT_WORLD_CAP, ENV_VAR, enumeration_cap
 from .modelio import from_json, parse_model, parse_pattern, to_dot, to_json
 from .patterns import (
     Pattern,
@@ -39,7 +36,15 @@ from .patterns import (
     check_accountability,
     match_pattern,
 )
-from .scm import Assignment, Scm, consistent_worlds, counterfactual, evaluate, intervene
+from .scm import (
+    Assignment,
+    Scm,
+    consistent_worlds,
+    counterfactual,
+    evaluate,
+    intervene,
+    world_count,
+)
 
 _USAGE_ERRORS = (
     ParseError,
@@ -246,20 +251,9 @@ def do(model: str, sets: tuple[str, ...], then: str) -> None:
     if then == "export":
         click.echo(to_dot(mutilated.graph, name=mutilated.name), nl=False)
         return
-    roots = mutilated.root_names
-    combinations = 1
-    for name in roots:
-        combinations *= len(mutilated.domains[name].values)
-    cap = enumeration_cap(DEFAULT_WORLD_CAP)
-    if combinations > 2**cap:
-        raise EnumerationLimit(
-            f"{combinations} root combinations exceed the cap of 2^{cap} "
-            f"(override with {ENV_VAR})"
-        )
-    for values in itertools.product(
-        *(mutilated.domains[name].values for name in roots)
-    ):
-        world = evaluate(mutilated, dict(zip(roots, values)))
+    # checked before the functions, so the cap wins over a structure-only one
+    world_count(mutilated)
+    for world in consistent_worlds(mutilated, {}):
         click.echo(_render_assignment(mutilated, world))
 
 

@@ -355,12 +355,11 @@ def _restrict_report(
 ) -> IdentificationReport:
     # a minimal set over the restricted pool is exactly a minimal set over the
     # full pool that happens to fit inside it, so filtering is sound
+    # front-door sets lie on directed agent-to-effect paths, outside
+    # `admissible`, so none survives the restriction
     backdoor = tuple(z for z in report.minimal_backdoor_sets if z <= admissible)
-    frontdoor = tuple(z for z in report.frontdoor_sets if z <= admissible)
     if backdoor:
         status = IdentificationStatus.BACKDOOR
-    elif frontdoor:
-        status = IdentificationStatus.FRONTDOOR
     else:
         status = IdentificationStatus.NOT_IDENTIFIABLE
     notes = report.notes + (
@@ -371,7 +370,7 @@ def _restrict_report(
         outcome=report.outcome,
         backdoor_paths=report.backdoor_paths,
         minimal_backdoor_sets=backdoor,
-        frontdoor_sets=frontdoor,
+        frontdoor_sets=(),
         status=status,
         notes=notes,
     )
@@ -384,9 +383,12 @@ def check_accountability(
 
     The agent is the unique Agent-kind role (Responsible in raci), the effect
     the unique Effect role. Admissible controls are the other bound nodes off
-    every directed agent-to-effect path. The verdict is Accountable exactly
-    when identification succeeds using only admissible controls, and the
-    logging recommendation is then computed under the same restriction.
+    every directed agent-to-effect path. Verdicts rest on back-door
+    adjustment by bound roles only: the verdict is Accountable exactly when
+    some minimal back-door set lies inside the admissible controls, and the
+    logging recommendation is then computed under the same restriction. A
+    front-door set lies on a directed agent-to-effect path, so it is never
+    admissible, and the restricted report lists none.
     """
     validate_match(g, p, m)
     agent_roles = [r for r in p.roles if r.kind is RoleKind.AGENT]
@@ -417,12 +419,11 @@ def check_accountability(
             verdict=Verdict.NOT_ATTRIBUTABLE,
             logging=None,
         )
-    logging: LoggingRecommendation | None = None
-    if report.minimal_backdoor_sets:
-        try:
-            logging = logging_set(g, agent, effect, allowed=admissible)
-        except NotIdentifiable:  # pragma: no cover - defensive, filter agrees
-            logging = None
+    logging: LoggingRecommendation | None
+    try:
+        logging = logging_set(g, agent, effect, allowed=admissible)
+    except NotIdentifiable:  # pragma: no cover - defensive, filter agrees
+        logging = None
     return AccountabilityReport(
         pattern=p.name,
         match=m,

@@ -8,7 +8,21 @@ every other variable. That gives three query levels:
   * association: enumerate the root assignments consistent with evidence,
   * intervention: cut the incoming edges of a variable and pin its value,
   * counterfactuals: abduction (consistent worlds), action (intervention),
-    prediction (re-evaluation of the mutilated model per world).
+    prediction (re-evaluation of the mutilated model in every kept world).
+
+`evaluate` computes one world from one root assignment. Association and
+counterfactual queries instead work on all worlds at once. World i is the
+i-th root combination of `itertools.product` over the root domains in
+declaration order, so the last root varies fastest, and bit i of a Python
+int stands for world i. Each variable gets a value-mask map `{value: int}`
+whose masks partition the worlds by the value the variable takes there.
+Root masks are periodic runs of bits built by shift-and-OR doubling. Each
+structural function is then compiled once, in topological order, into
+bitwise operations on its parents' masks (`Expr.masks`,
+`StructuralFunction.masks`). Evidence is the AND of one value mask per
+observed variable. A counterfactual compiles the mutilated model over the
+same root masks and reports each query value whose mask meets the kept
+worlds. A mask over the default cap of 2^20 worlds takes 128 KiB.
 
 Functions may also be declared structure-only (body None); such models still
 answer graph-level queries but refuse evaluation.
@@ -36,6 +50,8 @@ from .limits import DEFAULT_WORLD_CAP, ENV_VAR, enumeration_cap
 
 Value = bool | str
 Assignment = dict[str, Value]
+# value -> the worlds, as bits of an int, in which a variable takes that value
+Masks = dict[Value, int]
 
 
 @dataclass(frozen=True)
@@ -98,8 +114,27 @@ class Expr:
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         raise NotImplementedError
 
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        """Bit-parallel `evaluate`: the worlds (bits of `full`) giving each value.
+
+        `env` maps every referenced variable to its value masks.
+        """
+        raise NotImplementedError
+
+    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+        """The worlds where this boolean expression holds."""
+        return self.masks(env, full).get(True, 0)
+
     def children(self) -> tuple["Expr", ...]:
         return ()
+
+
+class _Boolean(Expr):
+    """An operator whose value is always a bool; it compiles to its truth mask."""
+
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        truth = self.truth(env, full)
+        return {False: full ^ truth, True: truth}
 
 
 @dataclass(frozen=True)
@@ -109,6 +144,9 @@ class Lit(Expr):
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return self.value
 
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        return {self.value: full}
+
 
 @dataclass(frozen=True)
 class Ref(Expr):
@@ -117,49 +155,68 @@ class Ref(Expr):
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return env[self.name]
 
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        return env[self.name]
+
 
 @dataclass(frozen=True)
-class Not(Expr):
+class Not(_Boolean):
     a: Expr
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return not self.a.evaluate(env)
+
+    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+        return full ^ self.a.truth(env, full)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a,)
 
 
 @dataclass(frozen=True)
-class And(Expr):
+class And(_Boolean):
     a: Expr
     b: Expr
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return bool(self.a.evaluate(env)) and bool(self.b.evaluate(env))
 
+    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+        return self.a.truth(env, full) & self.b.truth(env, full)
+
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class Or(Expr):
+class Or(_Boolean):
     a: Expr
     b: Expr
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return bool(self.a.evaluate(env)) or bool(self.b.evaluate(env))
 
+    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+        return self.a.truth(env, full) | self.b.truth(env, full)
+
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class Eq(Expr):
+class Eq(_Boolean):
     a: Expr
     b: Expr
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return self.a.evaluate(env) == self.b.evaluate(env)
+
+    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+        a, b = self.a.masks(env, full), self.b.masks(env, full)
+        same = 0
+        for value, mask in a.items():
+            same |= mask & b.get(value, 0)
+        return same
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
@@ -173,6 +230,14 @@ class IfThenElse(Expr):
 
     def evaluate(self, env: Mapping[str, Value]) -> Value:
         return self.then.evaluate(env) if self.cond.evaluate(env) else self.orelse.evaluate(env)
+
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        cond = self.cond.truth(env, full)
+        other = full ^ cond
+        out = {v: mask & cond for v, mask in self.then.masks(env, full).items()}
+        for value, mask in self.orelse.masks(env, full).items():
+            out[value] = out.get(value, 0) | (mask & other)
+        return out
 
     def children(self) -> tuple[Expr, ...]:
         return (self.cond, self.then, self.orelse)
@@ -302,6 +367,22 @@ class StructuralFunction:
             key = tuple(env[p] for p in self.parents)
             return self.body._lookup[key]
         return self.body.evaluate(env)
+
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        """Bit-parallel `evaluate`; a table row is the AND of its inputs' masks."""
+        if self.body is None:
+            raise UnspecifiedFunction(
+                f"variable {self.target} is declared structure-only"
+            )
+        if not isinstance(self.body, Table):
+            return self.body.masks(env, full)
+        out: Masks = {}
+        for inputs, output in self.body.rows:
+            row = full
+            for p, value in zip(self.parents, inputs):
+                row &= env[p].get(value, 0)
+            out[output] = out.get(output, 0) | row
+        return out
 
 
 @dataclass(frozen=True)
@@ -484,18 +565,14 @@ def evaluate(m: Scm, u: Mapping[str, Value]) -> Assignment:
     return {name: env[name] for name in m.graph.names}
 
 
-def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]:
-    """All total assignments whose evaluation extends `evidence`.
+def world_count(m: Scm) -> int:
+    """Number of root combinations of `m`.
 
-    Enumerates every combination of root values in declaration order (domain
-    order per variable), so the result order is deterministic. Raises
-    EnumerationLimit when the root space exceeds the configured cap.
+    Raises EnumerationLimit when it exceeds the configured cap, before any
+    world is built.
     """
-    _check_assignment(m, evidence, "evidence")
-    _require_specified(m)
-    roots = m.root_names
     combinations = 1
-    for name in roots:
+    for name in m.root_names:
         combinations *= len(m.domains[name].values)
     cap = enumeration_cap(DEFAULT_WORLD_CAP)
     if combinations > 2**cap:
@@ -503,12 +580,91 @@ def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]
             f"{combinations} root combinations exceed the cap of 2^{cap} "
             f"(override with {ENV_VAR})"
         )
-    worlds: list[Assignment] = []
-    for values in itertools.product(*(m.domains[name].values for name in roots)):
-        world = evaluate(m, dict(zip(roots, values)))
-        if all(world[k] == v for k, v in evidence.items()):
-            worlds.append(world)
-    return worlds
+    return combinations
+
+
+def _root_masks(m: Scm, count: int) -> dict[str, Masks]:
+    """Value masks of the roots over `count` worlds in product order.
+
+    A root whose later roots span `stride` worlds holds each value for a run
+    of `stride` worlds, and the runs of all its values repeat every
+    `len(values) * stride` worlds. One run is repeated by doubling its
+    period, then shifted into place per value.
+    """
+    full = (1 << count) - 1
+    out: dict[str, Masks] = {}
+    stride = count
+    for name in m.root_names:
+        values = m.domains[name].values
+        period = stride
+        stride //= len(values)
+        runs, width = (1 << stride) - 1, period
+        while width < count:
+            runs |= runs << width
+            width *= 2
+        out[name] = {
+            value: (runs << (k * stride)) & full for k, value in enumerate(values)
+        }
+    return out
+
+
+def _propagate(m: Scm, roots: Mapping[str, Masks], full: int) -> dict[str, Masks]:
+    """Value masks of every variable: each function compiled once, in topological order."""
+    env = dict(roots)
+    for name in m.graph.topological_order():
+        if name not in roots:
+            env[name] = m.functions[name].masks(env, full)
+    return env
+
+
+def _abduce(
+    m: Scm, evidence: Mapping[str, Value]
+) -> tuple[dict[str, Masks], int, int]:
+    """Every variable's value masks, the mask of worlds that extend
+    `evidence`, and the number of worlds."""
+    _check_assignment(m, evidence, "evidence")
+    _require_specified(m)
+    count = world_count(m)
+    full = (1 << count) - 1
+    env = _propagate(m, _root_masks(m, count), full)
+    kept = full
+    for name, value in evidence.items():
+        kept &= env[name].get(value, 0)
+    return env, kept, count
+
+
+# byte 0 or 1 for each character of an int's binary form
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lanes(mask: int, count: int) -> int:
+    """Spread bit i of `mask` into byte i of the result."""
+    bits = format(mask, f"0{count}b").encode().translate(_BITS)
+    return int.from_bytes(bits, "big")
+
+
+def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]:
+    """All total assignments whose evaluation extends `evidence`.
+
+    Enumerates every combination of root values in declaration order (domain
+    order per variable), so the result order is deterministic. Raises
+    EnumerationLimit when the root space exceeds the configured cap.
+    """
+    env, kept, count = _abduce(m, evidence)
+    if not kept:
+        return []
+    keep = _lanes(kept, count).to_bytes(count, "little")
+    names = m.graph.names
+    columns = []
+    for name in names:
+        values, masks = m.domains[name].values, env[name]
+        # byte i is the index in `values` of the value world i gives `name`
+        codes = sum(
+            k * _lanes(masks.get(v, 0), count) for k, v in enumerate(values) if k
+        )
+        kept_codes = itertools.compress(codes.to_bytes(count, "little"), keep)
+        columns.append(map(values.__getitem__, kept_codes))
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
@@ -553,23 +709,23 @@ def counterfactual(
     """What the query variables would have been under `do`, given `evidence`.
 
     Three steps: abduction (root assignments consistent with the evidence),
-    action (intervention), prediction (evaluate the mutilated model per
-    abduced world). Each query variable maps to the set of values it takes
-    across predictions; a singleton means the answer is determined.
+    action (intervention), prediction (evaluate the mutilated model in every
+    abduced world, all at once on the same root masks). Each query variable
+    maps to the set of values it takes across predictions; a singleton means
+    the answer is determined.
     """
     query_names = list(query)
     for name in query_names:
         m.graph.require(name)
-    worlds = consistent_worlds(m, evidence)
-    if not worlds:
+    env, kept, count = _abduce(m, evidence)
+    if not kept:
         raise InconsistentEvidence(
             "no root assignment is consistent with the evidence"
         )
     mutilated = intervene(m, do)
-    roots = m.root_names
-    results: dict[str, set[Value]] = {name: set() for name in query_names}
-    for world in worlds:
-        prediction = evaluate(mutilated, {name: world[name] for name in roots})
-        for name in query_names:
-            results[name].add(prediction[name])
-    return {name: frozenset(values) for name, values in results.items()}
+    roots = {name: env[name] for name in m.root_names}
+    predicted = _propagate(mutilated, roots, (1 << count) - 1)
+    return {
+        name: frozenset(v for v, mask in predicted[name].items() if mask & kept)
+        for name in query_names
+    }

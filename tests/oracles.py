@@ -1,7 +1,10 @@
 """Independent reference implementations used to validate analysis results.
 
 Everything here is deliberately written against networkx or plain Python,
-not against the library under test, so agreement is meaningful.
+not against the library under test, so agreement is meaningful. The one
+exception is the world oracles: they visit one root combination at a time
+through `evaluate`, the per-world reference that the bit-parallel
+enumeration in `scm` must agree with.
 """
 
 from __future__ import annotations
@@ -11,7 +14,15 @@ import random
 
 import networkx as nx
 
-from causal_account import CausalGraph, Node, NodeKind, build_graph
+from causal_account import (
+    CausalGraph,
+    InconsistentEvidence,
+    Node,
+    NodeKind,
+    build_graph,
+    evaluate,
+    intervene,
+)
 
 
 def to_networkx(g: CausalGraph) -> nx.DiGraph:
@@ -149,3 +160,28 @@ def all_dags(n_nodes: int):
             for name in names
         ]
         yield build_graph(nodes, edges)
+
+
+def brute_consistent_worlds(m, evidence) -> list[dict]:
+    """`consistent_worlds` by evaluating every root combination in product order."""
+    roots = m.root_names
+    worlds = []
+    for values in itertools.product(*(m.domains[name].values for name in roots)):
+        world = evaluate(m, dict(zip(roots, values)))
+        if all(world[k] == v for k, v in evidence.items()):
+            worlds.append(world)
+    return worlds
+
+
+def brute_counterfactual(m, evidence, do, query) -> dict[str, frozenset]:
+    """`counterfactual` by evaluating the mutilated model once per abduced world."""
+    worlds = brute_consistent_worlds(m, evidence)
+    if not worlds:
+        raise InconsistentEvidence("no root assignment is consistent with the evidence")
+    mutilated = intervene(m, do)
+    results: dict[str, set] = {name: set() for name in query}
+    for world in worlds:
+        prediction = evaluate(mutilated, {name: world[name] for name in m.root_names})
+        for name in results:
+            results[name].add(prediction[name])
+    return {name: frozenset(values) for name, values in results.items()}

@@ -244,6 +244,26 @@ class TestDo:
         res = invoke(runner, "do", "titus", "--then", "eval")
         assert res.exit_code == 2
 
+    def test_cap_outranks_structure_only_function(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "skeleton.txt"
+        path.write_text(
+            "model skeleton\n"
+            "exo A : bool\n"
+            "exo B : bool\n"
+            "var C : bool <- A, B\n"
+            "var D : bool = A\n"
+        )
+        res = invoke(runner, "do", str(path), "--set", "D=true")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == "Error: variable C is declared structure-only\n"
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "1")
+        res = invoke(runner, "do", str(path), "--set", "D=true")
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == (
+            "Error: 4 root combinations exceed the cap of 2^1 "
+            "(override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
+        )
+
 
 class TestCf:
     def test_worked_example(self, runner):
@@ -650,6 +670,34 @@ class TestCheck:
             "verdict: NotAttributable\n"
             "status: NotIdentifiableByCriteria\n"
             "note: 2 back-door path(s) from Driver to Accident\n"
+            "note: controls restricted to {}\n"
+        )
+
+    def test_frontdoor_identifiable_effect_is_still_not_attributable(self, runner):
+        # RC identifies Pilot -> UAV by the front door, but it lies on the
+        # directed path, so it is no admissible control and the verdict stands
+        res = invoke(runner, "identify", "uav_attacker", "--x", "Pilot", "--y", "UAV")
+        assert "status: IdentifiableFrontdoor" in res.stdout
+        res = invoke(
+            runner,
+            "check",
+            "uav_attacker",
+            "--pattern",
+            "lindberg",
+            "--hint",
+            "Agent=Pilot",
+            "--hint",
+            "Effect=UAV",
+        )
+        assert res.exit_code == 1
+        assert res.stdout == (
+            "pattern: lindberg\n"
+            "match: Agent=Pilot Mediator=RC Effect=UAV\n"
+            "agent: Pilot\n"
+            "effect: UAV\n"
+            "verdict: NotAttributable\n"
+            "status: NotIdentifiableByCriteria\n"
+            "note: 1 back-door path(s) from Pilot to UAV\n"
             "note: controls restricted to {}\n"
         )
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_account import (
     BOOL,
@@ -32,9 +32,11 @@ from causal_account import (
     evaluate,
     intervene,
 )
+from causal_account import scm
 from causal_account.scm import check_expr, expr_refs, infer_domain
 
 from generators import random_scm
+from oracles import brute_consistent_worlds, brute_counterfactual
 
 SPEED = Domain("speed", ("low", "high"))
 
@@ -49,6 +51,31 @@ def tiny_model(body=None, parents=("A",)):
         {"A": BOOL, "B": BOOL},
         {"B": StructuralFunction("B", parents, body)},
     )
+
+
+def four_roots(body=And(Or(Ref("R1"), Ref("R2")), Or(Ref("R3"), Ref("R4")))):
+    """Four boolean roots feeding E; body None makes E structure-only."""
+    roots = ("R1", "R2", "R3", "R4")
+    graph = build_graph(
+        [(r, "exogenous") for r in roots] + [("E", "endogenous")],
+        [(r, "E") for r in roots],
+    )
+    return build_scm(
+        graph,
+        {name: BOOL for name in graph.names},
+        {"E": StructuralFunction("E", roots, body)},
+    )
+
+
+def random_evidence(rng: random.Random, m) -> dict:
+    """Up to three observations, read off one world half of the time."""
+    names = rng.sample(m.graph.names, rng.randint(0, min(3, len(m.graph.names))))
+    if m.fully_specified() and rng.random() < 0.5:
+        world = evaluate(
+            m, {r: rng.choice(m.domains[r].values) for r in m.root_names}
+        )
+        return {name: world[name] for name in names}
+    return {name: rng.choice(m.domains[name].values) for name in names}
 
 
 class TestDomain:
@@ -264,6 +291,57 @@ class TestConsistentWorlds:
         assert len(worlds) == 3
         assert {w["Attacker"] for w in worlds} == {False, True}
 
+    def test_no_roots_yields_one_world(self):
+        graph = build_graph(
+            [("A", "endogenous"), ("B", "endogenous")], [("A", "B")]
+        )
+        m = build_scm(
+            graph,
+            {"A": SPEED, "B": BOOL},
+            {
+                "A": StructuralFunction("A", (), Lit("high")),
+                "B": StructuralFunction("B", ("A",), Eq(Ref("A"), Lit("low"))),
+            },
+        )
+        assert consistent_worlds(m, {}) == [{"A": "high", "B": False}]
+        assert consistent_worlds(m, {"B": True}) == []
+        assert counterfactual(m, {}, {"A": "low"}, ["B"]) == {"B": frozenset({True})}
+
+    def test_cap_refuses_before_building_masks(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
+        monkeypatch.setattr(scm, "_root_masks", fail)
+        m = four_roots()
+        with pytest.raises(EnumerationLimit, match=r"16 root combinations .* 2\^3 "):
+            consistent_worlds(m, {})
+        with pytest.raises(EnumerationLimit):
+            counterfactual(m, {}, {}, ["E"])
+
+    def test_every_domain_value_order_is_kept(self):
+        # three- and two-valued roots: the last root varies fastest
+        graph = build_graph([("S", "exogenous"), ("A", "exogenous")], [])
+        level = Domain("level", ("lo", "mid", "hi"))
+        m = build_scm(graph, {"S": level, "A": BOOL}, {})
+        assert [(w["S"], w["A"]) for w in consistent_worlds(m, {})] == [
+            (s, a) for s in ("lo", "mid", "hi") for a in (False, True)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_agrees_with_per_world_oracle(self, seed):
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=8)
+        evidence = random_evidence(rng, m)
+        if not m.fully_specified():
+            with pytest.raises(UnspecifiedFunction):
+                consistent_worlds(m, evidence)
+            return
+        expected = brute_consistent_worlds(m, evidence)
+        got = consistent_worlds(m, evidence)
+        assert [list(w.items()) for w in got] == [list(w.items()) for w in expected]
+
 
 class TestIntervene:
     def test_graph_surgery(self, titus):
@@ -310,6 +388,46 @@ class TestCounterfactual:
     def test_determined_under_do(self, uav_attacker):
         result = counterfactual(uav_attacker, {"UAV": True}, {"RC": False}, ["RC"])
         assert result == {"RC": frozenset({False})}
+
+    def test_error_order(self, monkeypatch):
+        # each step mends the fault that won the step before it
+        shapeless, m = four_roots(body=None), four_roots()
+        contradiction = {"E": True, "R1": False, "R2": False}
+        root_do = {"R1": True}
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
+        with pytest.raises(UnknownNode):
+            counterfactual(shapeless, {"E": "high"}, root_do, ["E", "Zz"])
+        with pytest.raises(ValueOutOfDomain):
+            counterfactual(shapeless, {"E": "high"}, root_do, ["E"])
+        with pytest.raises(UnspecifiedFunction):
+            counterfactual(shapeless, contradiction, root_do, ["E"])
+        with pytest.raises(EnumerationLimit):
+            counterfactual(m, contradiction, root_do, ["E"])
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        with pytest.raises(InconsistentEvidence):
+            counterfactual(m, contradiction, root_do, ["E"])
+        with pytest.raises(InterveneOnExogenous):
+            counterfactual(m, {"E": True}, root_do, ["E"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_agrees_with_per_world_oracle(self, seed):
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=8)
+        if not m.fully_specified():
+            return
+        evidence = random_evidence(rng, m)
+        endo = list(m.endogenous_names)
+        targets = rng.sample(endo, rng.randint(0, min(2, len(endo))))
+        do = {name: rng.choice(m.domains[name].values) for name in targets}
+        query = rng.sample(m.graph.names, rng.randint(1, len(m.graph.names)))
+        try:
+            expected = brute_counterfactual(m, evidence, do, query)
+        except InconsistentEvidence:
+            with pytest.raises(InconsistentEvidence):
+                counterfactual(m, evidence, do, query)
+            return
+        assert counterfactual(m, evidence, do, query) == expected
 
     @given(st.integers(0, 10_000))
     def test_full_evidence_matches_intervened_evaluation(self, seed):
