@@ -43,6 +43,7 @@ from .scm import (
     counterfactual,
     evaluate,
     intervene,
+    iter_worlds,
     world_count,
 )
 
@@ -253,7 +254,7 @@ def do(model: str, sets: tuple[str, ...], then: str) -> None:
         return
     # checked before the functions, so the cap wins over a structure-only one
     world_count(mutilated)
-    for world in consistent_worlds(mutilated, {}):
+    for world in iter_worlds(mutilated, {}):
         click.echo(_render_assignment(mutilated, world))
 
 

@@ -11,18 +11,22 @@ every other variable. That gives three query levels:
     prediction (re-evaluation of the mutilated model in every kept world).
 
 `evaluate` computes one world from one root assignment. Association and
-counterfactual queries instead work on all worlds at once. World i is the
+counterfactual queries instead work on many worlds at once. World i is the
 i-th root combination of `itertools.product` over the root domains in
-declaration order, so the last root varies fastest, and bit i of a Python
-int stands for world i. Each variable gets a value-mask map `{value: int}`
-whose masks partition the worlds by the value the variable takes there.
-Root masks are periodic runs of bits built by shift-and-OR doubling. Each
-structural function is then compiled once, in topological order, into
-bitwise operations on its parents' masks (`Expr.masks`,
-`StructuralFunction.masks`). Evidence is the AND of one value mask per
-observed variable. A counterfactual compiles the mutilated model over the
-same root masks and reports each query value whose mask meets the kept
-worlds. A mask over the default cap of 2^20 worlds takes 128 KiB.
+declaration order, so the last root varies fastest. The worlds are taken in
+blocks of consecutive worlds, and bit i of a Python int stands for world i
+of its block. Per block, each variable gets a value-mask map `{value: int}`
+whose masks partition the block's worlds by the value the variable takes
+there; a value absent from the block may have no mask. Root masks are
+periodic runs of bits built by shift-and-OR doubling. Each structural
+function is then compiled once per block, in topological order, into bitwise
+operations on its parents' masks (`Expr.masks`, `StructuralFunction.masks`).
+Evidence is the AND of one value mask per observed variable. A
+counterfactual compiles the mutilated model over the same root masks and
+reports each query value whose mask meets the kept worlds. A block holds
+2^23 worlds divided by the size of the widest domain, so the masks of one
+variable over one block take at most 1 MiB. Under the default cap of 2^20
+worlds, a model whose domains have at most eight values is one block.
 
 Functions may also be declared structure-only (body None); such models still
 answer graph-level queries but refuse evaluation.
@@ -31,9 +35,11 @@ answer graph-level queries but refuse evaluation.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EnumerationLimit,
@@ -88,6 +94,11 @@ class Domain:
             f"{text!r} is not a value of domain {self.name} "
             f"({', '.join(self.render(v) for v in self.values)})"
         )
+
+    @cached_property
+    def index(self) -> dict[Value, int]:
+        """Position of each value in `values`."""
+        return {v: k for k, v in enumerate(self.values)}
 
     def render(self, value: Value) -> str:
         if isinstance(value, bool):
@@ -583,28 +594,52 @@ def world_count(m: Scm) -> int:
     return combinations
 
 
-def _root_masks(m: Scm, count: int) -> dict[str, Masks]:
-    """Value masks of the roots over `count` worlds in product order.
+# bits in the masks of one variable over one block: a block holds this many
+# worlds divided by the widest domain, so a wide domain costs memory linear
+# in its size, not in its size times the world count
+_MASK_BITS = 1 << 23
+
+
+def _block_size(m: Scm, count: int) -> int:
+    """Worlds per block for `m`, whose root space holds `count` worlds."""
+    widest = max((len(d.values) for d in m.domains.values()), default=2)
+    return max(1, min(count, _MASK_BITS // widest))
+
+
+def _root_masks(m: Scm, count: int, start: int, size: int) -> dict[str, Masks]:
+    """Value masks of the roots over the worlds `start` to `start + size - 1`
+    of `count` worlds in product order.
 
     A root whose later roots span `stride` worlds holds each value for a run
     of `stride` worlds, and the runs of all its values repeat every
-    `len(values) * stride` worlds. One run is repeated by doubling its
-    period, then shifted into place per value.
+    `period = len(values) * stride` worlds. When a period fits in the block,
+    one run is repeated by doubling its period, then shifted into place per
+    value. A longer period leaves each value at most two runs in the block,
+    and only the values present get a mask.
     """
-    full = (1 << count) - 1
+    full = (1 << size) - 1
     out: dict[str, Masks] = {}
     stride = count
     for name in m.root_names:
         values = m.domains[name].values
         period = stride
         stride //= len(values)
-        runs, width = (1 << stride) - 1, period
-        while width < count:
-            runs |= runs << width
-            width *= 2
-        out[name] = {
-            value: (runs << (k * stride)) & full for k, value in enumerate(values)
-        }
+        phase = start % period
+        masks: Masks = {}
+        if period <= size:
+            runs, width = (1 << stride) - 1, period
+            while width < phase + size:
+                runs |= runs << width
+                width *= 2
+            for k, value in enumerate(values):
+                masks[value] = (runs << (k * stride) >> phase) & full
+        else:
+            for j in range(start // stride, (start + size - 1) // stride + 1):
+                lo = max(j * stride - start, 0)
+                hi = min((j + 1) * stride - start, size)
+                value = values[j % len(values)]
+                masks[value] = masks.get(value, 0) | ((1 << hi) - (1 << lo))
+        out[name] = masks
     return out
 
 
@@ -619,28 +654,97 @@ def _propagate(m: Scm, roots: Mapping[str, Masks], full: int) -> dict[str, Masks
 
 def _abduce(
     m: Scm, evidence: Mapping[str, Value]
-) -> tuple[dict[str, Masks], int, int]:
-    """Every variable's value masks, the mask of worlds that extend
-    `evidence`, and the number of worlds."""
+) -> Iterator[tuple[dict[str, Masks], int, int]]:
+    """For each block of worlds in order: every variable's value masks, the
+    mask of the block's worlds that extend `evidence`, and the block's size.
+
+    The checks run before the first block is built.
+    """
     _check_assignment(m, evidence, "evidence")
     _require_specified(m)
     count = world_count(m)
-    full = (1 << count) - 1
-    env = _propagate(m, _root_masks(m, count), full)
-    kept = full
-    for name, value in evidence.items():
-        kept &= env[name].get(value, 0)
-    return env, kept, count
+    block = _block_size(m, count)
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        full = (1 << size) - 1
+        env = _propagate(m, _root_masks(m, count, start, size), full)
+        kept = full
+        for name, value in evidence.items():
+            kept &= env[name].get(value, 0)
+        yield env, kept, size
 
 
 # byte 0 or 1 for each character of an int's binary form
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _lanes(mask: int, count: int) -> int:
-    """Spread bit i of `mask` into byte i of the result."""
-    bits = format(mask, f"0{count}b").encode().translate(_BITS)
+def _lanes(mask: int, size: int, width: int) -> int:
+    """Spread bit i of `mask` into the lowest byte of lane i, each lane
+    `width` bytes wide."""
+    bits = format(mask, f"0{size}b").encode().translate(_BITS)
+    if width > 1:
+        spread = bytearray(size * width)
+        spread[width - 1 :: width] = bits
+        bits = spread
     return int.from_bytes(bits, "big")
+
+
+def _codes(domain: Domain, masks: Masks, size: int) -> array:
+    """Item i is the index in `domain.values` of the value world i takes.
+
+    Items are the smallest array items that hold every index. Bit b of every
+    item comes from one mask, the worlds whose value index has bit b set.
+    """
+    typecode = next(
+        t for t in "BHILQ" if 256 ** array(t).itemsize >= len(domain.values)
+    )
+    width = array(typecode).itemsize
+    planes = [0] * (len(domain.values) - 1).bit_length()
+    for value, mask in masks.items():
+        k, b = domain.index[value], 0
+        while k:
+            if k & 1:
+                planes[b] |= mask
+            k >>= 1
+            b += 1
+    codes = 0
+    for b, plane in enumerate(planes):
+        if plane:
+            codes |= _lanes(plane, size, width) << b
+    out = array(typecode, codes.to_bytes(size * width, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _world_blocks(
+    m: Scm, evidence: Mapping[str, Value]
+) -> Iterator[Iterable[Assignment]]:
+    """The worlds of `consistent_worlds`, one iterable per block."""
+    names = m.graph.names
+    for env, kept, size in _abduce(m, evidence):
+        if not kept:
+            continue
+        if not names:
+            # the empty product has one combination, the empty world
+            yield [{}]
+            continue
+        keep = _lanes(kept, size, 1).to_bytes(size, "little")
+        columns = []
+        for name in names:
+            domain = m.domains[name]
+            kept_codes = itertools.compress(_codes(domain, env[name], size), keep)
+            columns.append(map(domain.values.__getitem__, kept_codes))
+        yield map(dict, map(zip, itertools.repeat(names), zip(*columns)))
+
+
+def iter_worlds(m: Scm, evidence: Mapping[str, Value]) -> Iterator[Assignment]:
+    """Yield the worlds of `consistent_worlds` in the same order, one at a
+    time, so a caller that streams them never holds them all.
+
+    The checks run when the first world is asked for.
+    """
+    return itertools.chain.from_iterable(_world_blocks(m, evidence))
 
 
 def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]:
@@ -650,21 +754,7 @@ def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]
     order per variable), so the result order is deterministic. Raises
     EnumerationLimit when the root space exceeds the configured cap.
     """
-    env, kept, count = _abduce(m, evidence)
-    if not kept:
-        return []
-    keep = _lanes(kept, count).to_bytes(count, "little")
-    names = m.graph.names
-    columns = []
-    for name in names:
-        values, masks = m.domains[name].values, env[name]
-        # byte i is the index in `values` of the value world i gives `name`
-        codes = sum(
-            k * _lanes(masks.get(v, 0), count) for k, v in enumerate(values) if k
-        )
-        kept_codes = itertools.compress(codes.to_bytes(count, "little"), keep)
-        columns.append(map(values.__getitem__, kept_codes))
-    return [dict(zip(names, row)) for row in zip(*columns)]
+    return list(iter_worlds(m, evidence))
 
 
 def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
@@ -710,22 +800,27 @@ def counterfactual(
 
     Three steps: abduction (root assignments consistent with the evidence),
     action (intervention), prediction (evaluate the mutilated model in every
-    abduced world, all at once on the same root masks). Each query variable
-    maps to the set of values it takes across predictions; a singleton means
-    the answer is determined.
+    abduced world, a block at a time on the same root masks). Each query
+    variable maps to the set of values it takes across predictions; a
+    singleton means the answer is determined.
     """
     query_names = list(query)
     for name in query_names:
         m.graph.require(name)
-    env, kept, count = _abduce(m, evidence)
-    if not kept:
+    found: dict[str, set[Value]] = {name: set() for name in query_names}
+    mutilated = None
+    for env, kept, size in _abduce(m, evidence):
+        if not kept:
+            continue
+        if mutilated is None:
+            # the evidence is consistent, so an intervention error comes next
+            mutilated = intervene(m, do)
+        roots = {name: env[name] for name in m.root_names}
+        predicted = _propagate(mutilated, roots, (1 << size) - 1)
+        for name in query_names:
+            found[name].update(v for v, mask in predicted[name].items() if mask & kept)
+    if mutilated is None:
         raise InconsistentEvidence(
             "no root assignment is consistent with the evidence"
         )
-    mutilated = intervene(m, do)
-    roots = {name: env[name] for name in m.root_names}
-    predicted = _propagate(mutilated, roots, (1 << count) - 1)
-    return {
-        name: frozenset(v for v, mask in predicted[name].items() if mask & kept)
-        for name in query_names
-    }
+    return {name: frozenset(found[name]) for name in query_names}

@@ -1,4 +1,6 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +308,36 @@ class TestConsistentWorlds:
         assert consistent_worlds(m, {}) == [{"A": "high", "B": False}]
         assert consistent_worlds(m, {"B": True}) == []
         assert counterfactual(m, {}, {"A": "low"}, ["B"]) == {"B": frozenset({True})}
+        empty = build_scm(build_graph([], []), {}, {})
+        assert consistent_worlds(empty, {}) == [{}]
+
+    @pytest.mark.parametrize("size", [3, 300, 70_000])
+    def test_wide_domains_keep_every_value(self, size):
+        # value indices past one and two bytes, in worlds that span blocks
+        values = tuple(f"v{i}" for i in range(size))
+        graph = build_graph(
+            [("R", "exogenous"), ("A", "exogenous"), ("Z", "endogenous")],
+            [("R", "Z"), ("A", "Z")],
+        )
+        wide = Domain("wide", values)
+        last = values[-1]
+        m = build_scm(
+            graph,
+            {"R": wide, "A": BOOL, "Z": wide},
+            {"Z": StructuralFunction("Z", ("R", "A"), IfThenElse(Ref("A"), Ref("R"), Lit(last)))},
+        )
+        expected = [
+            {"R": r, "A": a, "Z": r if a else last} for r in values for a in (False, True)
+        ]
+        assert consistent_worlds(m, {}) == expected
+        assert consistent_worlds(m, {"Z": last}) == [w for w in expected if w["Z"] == last]
+        assert counterfactual(m, {"Z": values[1]}, {}, ["R", "A"]) == {
+            "R": frozenset({values[1]}),
+            "A": frozenset({True}),
+        }
+        if size <= 300:
+            evidence = {"A": True, "Z": values[size // 2]}
+            assert consistent_worlds(m, evidence) == brute_consistent_worlds(m, evidence)
 
     def test_cap_refuses_before_building_masks(self, monkeypatch):
         def fail(*args):
@@ -318,6 +350,28 @@ class TestConsistentWorlds:
             consistent_worlds(m, {})
         with pytest.raises(EnumerationLimit):
             counterfactual(m, {}, {}, ["E"])
+
+    @pytest.mark.parametrize("sizes", [(3, 2, 3), (2, 5), (4, 3, 2)])
+    def test_root_masks_of_every_block(self, sizes):
+        # every block size and start, against the product order world by world
+        roots = [f"R{i}" for i in range(len(sizes))]
+        graph = build_graph([(r, "exogenous") for r in roots], [])
+        domains = {
+            r: Domain(f"d{n}", tuple(f"x{k}" for k in range(n)))
+            for r, n in zip(roots, sizes)
+        }
+        m = build_scm(graph, domains, {})
+        worlds = list(itertools.product(*(domains[r].values for r in roots)))
+        count = len(worlds)
+        for size in range(1, count + 1):
+            for start in range(0, count - size + 1):
+                got = scm._root_masks(m, count, start, size)
+                for j, r in enumerate(roots):
+                    expected = {}
+                    for i in range(size):
+                        value = worlds[start + i][j]
+                        expected[value] = expected.get(value, 0) | 1 << i
+                    assert {v: x for v, x in got[r].items() if x} == expected
 
     def test_every_domain_value_order_is_kept(self):
         # three- and two-valued roots: the last root varies fastest
@@ -341,6 +395,32 @@ class TestConsistentWorlds:
         expected = brute_consistent_worlds(m, evidence)
         got = consistent_worlds(m, evidence)
         assert [list(w.items()) for w in got] == [list(w.items()) for w in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3, 5, 8, 13]))
+    def test_blocks_split_anywhere(self, seed, block):
+        # blocks shorter than a root's run, its period, or both
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=8)
+        if not m.fully_specified():
+            return
+        evidence = random_evidence(rng, m)
+        endo = list(m.endogenous_names)
+        do = {
+            name: rng.choice(m.domains[name].values)
+            for name in rng.sample(endo, rng.randint(0, min(2, len(endo))))
+        }
+        expected = brute_consistent_worlds(m, evidence)
+        with mock.patch.object(scm, "_block_size", lambda m, count: block):
+            got = consistent_worlds(m, evidence)
+            assert [list(w.items()) for w in got] == [list(w.items()) for w in expected]
+            if expected:
+                assert counterfactual(m, evidence, do, m.graph.names) == (
+                    brute_counterfactual(m, evidence, do, m.graph.names)
+                )
+            else:
+                with pytest.raises(InconsistentEvidence):
+                    counterfactual(m, evidence, do, m.graph.names)
 
 
 class TestIntervene:
