@@ -670,6 +670,143 @@ class TestJsonSchemaErrors:
         assert err.path.startswith("$.match.witness_paths")
 
 
+def _payload(source, uber, titus, raci, uav_weather):
+    if source == "scm":
+        return json.loads(to_json(titus))
+    if source == "pattern":
+        return json.loads(to_json(raci))
+    if source == "identification":
+        return json.loads(to_json(identify(uber.graph, "Driver", "Accident")))
+    if source == "logging":
+        return json.loads(to_json(logging_set(uav_weather.graph, "Pilot", "UAVCrash")))
+    match = match_pattern(uber.graph, raci, hints={"Accountable": "Uber"})[0]
+    return json.loads(to_json(check_accountability(uber.graph, raci, match)))
+
+
+def _dig(payload, keys):
+    for key in keys:
+        payload = payload[key]
+    return payload
+
+
+TABLE_WITHOUT_OUTPUT = {"op": "table", "rows": [{"inputs": [True]}]}
+NOT_WITHOUT_OPERAND = {"op": "not"}
+
+# (source, action, keys of the container, key, value, error path, message)
+DECODER_FAULTS = [
+    ("identification", "set", (), "status", "Maybe",
+     "$.status", "unknown status 'Maybe'"),
+    ("accountability", "set", (), "verdict", "Guilty",
+     "$.verdict", "unknown verdict 'Guilty'"),
+    ("pattern", "set", ("roles", 1), "kind", "Boss",
+     "$.roles[1].kind", "unknown role kind 'Boss'"),
+    ("scm", "set", ("nodes", 1), "kind", "hidden",
+     "$.nodes[1].kind", "unknown node kind 'hidden'"),
+    ("accountability", "set", (), "logging", 5,
+     "$.logging", "expected an object"),
+    ("accountability", "set", (), "logging", [],
+     "$.logging", "expected an object"),
+    ("accountability", "set", (), "identification", "x",
+     "$.identification", "expected an object"),
+    ("accountability", "set", ("match", "binding"), "Accountable", 3,
+     "$.match.binding.Accountable", "expected a string"),
+    ("accountability", "set", ("match",), "binding", [],
+     "$.match.binding", "expected an object"),
+    ("identification", "pop", ("backdoor_paths", 0, "directions"), 0, None,
+     "$.backdoor_paths[0]", "needs 4 direction tag(s), got 3"),
+    ("accountability", "pop", ("match", "witness_paths", 1, "path", "directions"), 0,
+     None, "$.match.witness_paths[1].path", "needs 1 direction tag(s), got 0"),
+    ("identification", "set", ("backdoor_paths", 1, "nodes"), 2, 7,
+     "$.backdoor_paths[1].nodes[2]", "expected a string"),
+    ("scm", "set", ("functions", 1), "body", TABLE_WITHOUT_OUTPUT,
+     "$.functions[1].body.rows[0]", "missing key 'output'"),
+    ("scm", "set", ("functions", 1), "body", NOT_WITHOUT_OPERAND,
+     "$.functions[1].body", "missing key 'a'"),
+    ("scm", "set", ("functions", 1, "body"), "op", 1,
+     "$.functions[1].body.op", "expected a string"),
+    ("scm", "set", ("functions", 1, "body"), "name", False,
+     "$.functions[1].body.name", "expected a string"),
+    ("scm", "set", ("functions", 1, "body"), "extra", 1,
+     "$.functions[1].body", "unexpected key 'extra'"),
+    ("scm", "set", ("functions", 1, "parents"), 0, None,
+     "$.functions[1].parents[0]", "expected a string"),
+    ("scm", "pop", ("functions", 1), "body", None,
+     "$.functions[1]", "missing key 'body'"),
+    ("scm", "append", ("functions",), None, {"target": "TM", "parents": [], "body": None},
+     "$.functions[3]", "function for 'TM' declared twice"),
+    ("scm", "append", ("domains",), None, {"name": "bool", "values": [False, True]},
+     "$.domains[1]", "domain 'bool' declared twice"),
+    ("scm", "append", ("domains",), None, {"name": "d", "values": ["a", "a"]},
+     "$.domains[1]", "repeats a value"),
+    ("scm", "set", ("domains", 0, "values"), 1, 1.5,
+     "$.domains[0].values[1]", "expected a boolean or string value"),
+    ("scm", "set", ("domains",), 0, "bool",
+     "$.domains[0]", "expected an object"),
+    ("scm", "set", (), "nodes", {},
+     "$.nodes", "expected an array"),
+    ("scm", "set", ("nodes", 0), "label", 3,
+     "$.nodes[0].label", "expected a string"),
+    ("scm", "set", ("nodes", 0), "proxy_for", ["I"],
+     "$.nodes[0].proxy_for", "expected a string"),
+    ("scm", "set", ("edges", 0), 1, None,
+     "$.edges[0][1]", "expected a string"),
+    ("pattern", "set", ("constraints",), 0, 3,
+     "$.constraints[0]", "expected a string"),
+    ("pattern", "set", ("roles", 0), "extra", 1,
+     "$.roles[0]", "unexpected key 'extra'"),
+    ("accountability", "pop", ("identification",), "notes", None,
+     "$.identification", "missing key 'notes'"),
+    ("accountability", "set", ("identification",), "extra", 1,
+     "$.identification", "unexpected key 'extra'"),
+    ("accountability", "pop", ("logging",), "rationale", None,
+     "$.logging", "missing key 'rationale'"),
+    ("accountability", "set", ("identification", "minimal_backdoor_sets", 0), 0, 1,
+     "$.identification.minimal_backdoor_sets[0][0]", "expected a string"),
+    ("accountability", "set", ("match", "witness_paths", 0), "extra", 1,
+     "$.match.witness_paths[0]", "unexpected key 'extra'"),
+    ("accountability", "pop", ("match", "witness_paths", 0, "edge"), 1, None,
+     "$.match.witness_paths[0].edge", "expected a two-element array"),
+    ("accountability", "pop", ("match", "witness_paths", 0), "path", None,
+     "$.match.witness_paths[0]", "missing key 'path'"),
+    ("accountability", "set", ("match",), "extra", 1,
+     "$.match", "unexpected key 'extra'"),
+    ("logging", "set", (), "must_log", "Pilot",
+     "$.must_log", "expected an array"),
+    ("logging", "set", ("rationale",), 0, None,
+     "$.rationale[0]", "expected a string"),
+    ("logging", "pop", (), "adjustment_set_used", None,
+     "$", "missing key 'adjustment_set_used'"),
+    ("identification", "set", ("notes",), 0, False,
+     "$.notes[0]", "expected a string"),
+    ("identification", "set", (), "treatment", None,
+     "$.treatment", "expected a string"),
+    ("identification", "set", (), "format", 1,
+     "$.format", "expected a string"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, action, keys, key, value, path, message",
+    DECODER_FAULTS,
+    ids=[f"{c[0]}-{c[5]}-{c[6]}" for c in DECODER_FAULTS],
+)
+def test_decoder_fault_is_reported_at_its_path(
+    source, action, keys, key, value, path, message, uber, titus, raci, uav_weather
+):
+    payload = _payload(source, uber, titus, raci, uav_weather)
+    container = _dig(payload, keys)
+    if action == "set":
+        container[key] = value
+    elif action == "pop":
+        container.pop(key)
+    else:
+        container.append(value)
+    with pytest.raises(SchemaError) as err:
+        from_json(json.dumps(payload))
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
 class TestDot:
     def test_empty_graph(self):
         assert to_dot(build_graph([], [])) == "digraph m { }\n"
