@@ -427,6 +427,10 @@ def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
 #   unary   := '!' unary | atom
 #   atom    := '(' expr ')' | literal | name
 
+# the binary operators from loosest to tightest binding, all left-associative;
+# this one table drives both the parser and `to_dsl`
+_BINARY = (("|", Or), ("&", And), ("==", Eq))
+
 
 def _parse_expr(cur: _Cursor, builder: _ModelBuilder) -> Expr:
     if cur.match_keyword("if"):
@@ -440,30 +444,18 @@ def _parse_expr(cur: _Cursor, builder: _ModelBuilder) -> Expr:
             raise ParseError("expected 'else'", tok.span)
         orelse = _parse_expr(cur, builder)
         return IfThenElse(cond, then, orelse)
-    return _parse_or(cur, builder)
+    return _parse_binary(cur, builder, 0)
 
 
-def _parse_or(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    left = _parse_and(cur, builder)
-    while cur.peek().kind == "punct" and cur.peek().text == "|":
+def _parse_binary(cur: _Cursor, builder: _ModelBuilder, level: int) -> Expr:
+    """One level of `_BINARY` and everything that binds tighter."""
+    if level == len(_BINARY):
+        return _parse_unary(cur, builder)
+    op, cls = _BINARY[level]
+    left = _parse_binary(cur, builder, level + 1)
+    while cur.peek().kind == "punct" and cur.peek().text == op:
         cur.advance()
-        left = Or(left, _parse_and(cur, builder))
-    return left
-
-
-def _parse_and(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    left = _parse_eq(cur, builder)
-    while cur.peek().kind == "punct" and cur.peek().text == "&":
-        cur.advance()
-        left = And(left, _parse_eq(cur, builder))
-    return left
-
-
-def _parse_eq(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    left = _parse_unary(cur, builder)
-    while cur.peek().kind == "punct" and cur.peek().text == "==":
-        cur.advance()
-        left = Eq(left, _parse_unary(cur, builder))
+        left = cls(left, _parse_binary(cur, builder, level + 1))
     return left
 
 
@@ -593,14 +585,10 @@ def parse_pattern(text: str) -> Pattern:
 
 # -- serialization back to DSL --------------------------------------------
 
-_PREC_IF = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_EQ = 3
-_PREC_UNARY = 4
-
 
 def _render_expr(e: Expr, ctx: int) -> str:
+    """Render `e` inside a context of binding level `ctx`: 0 for if-then-else,
+    i for entry i of `_BINARY` counting from 1, and one more for `!`."""
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "true" if e.value else "false"
@@ -608,26 +596,17 @@ def _render_expr(e: Expr, ctx: int) -> str:
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, Not):
-        return "!" + _render_expr(e.a, _PREC_UNARY)
-    if isinstance(e, Eq):
-        text = _render_expr(e.a, _PREC_EQ) + " == " + _render_expr(e.b, _PREC_EQ + 1)
-        return f"({text})" if ctx > _PREC_EQ else text
-    if isinstance(e, And):
-        text = _render_expr(e.a, _PREC_AND) + " & " + _render_expr(e.b, _PREC_AND + 1)
-        return f"({text})" if ctx > _PREC_AND else text
-    if isinstance(e, Or):
-        text = _render_expr(e.a, _PREC_OR) + " | " + _render_expr(e.b, _PREC_OR + 1)
-        return f"({text})" if ctx > _PREC_OR else text
+        return "!" + _render_expr(e.a, len(_BINARY) + 1)
     if isinstance(e, IfThenElse):
         text = (
-            "if "
-            + _render_expr(e.cond, _PREC_IF)
-            + " then "
-            + _render_expr(e.then, _PREC_IF)
-            + " else "
-            + _render_expr(e.orelse, _PREC_IF)
+            f"if {_render_expr(e.cond, 0)} then {_render_expr(e.then, 0)} "
+            f"else {_render_expr(e.orelse, 0)}"
         )
-        return f"({text})" if ctx > _PREC_IF else text
+        return f"({text})" if ctx > 0 else text
+    for level, (op, cls) in enumerate(_BINARY, start=1):
+        if isinstance(e, cls):
+            text = f"{_render_expr(e.a, level)} {op} {_render_expr(e.b, level + 1)}"
+            return f"({text})" if ctx > level else text
     raise SemanticError(f"cannot render expression node {type(e).__name__}")
 
 
@@ -725,5 +704,5 @@ def to_dsl(m: Scm) -> str:
                     body = _table_to_expr(
                         f.parents, dict(body.rows), m.domains
                     )
-                out.append(head + " = " + _render_expr(body, _PREC_IF))
+                out.append(head + " = " + _render_expr(body, 0))
     return "\n".join(out) + "\n"

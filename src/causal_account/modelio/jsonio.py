@@ -8,12 +8,19 @@ field:
 
     scm | pattern | identification-report | logging-recommendation
     | accountability-report
+
+Each format is stated once, as a codec: a pair of an encoder, from object to
+JSON data, and a decoder, from JSON data at a path back to the object. Codecs
+are built from a few combinators (strings, values, optionals, arrays, name
+sets, enums, objects and records), so one declaration drives both directions.
+Only models and patterns add hand-written checks, for the cross-references
+between their parts.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import CausalAccountError, SchemaError
 from ..graph import Node, NodeKind, Path, build_graph
@@ -45,188 +52,18 @@ from ..scm import (
     Scm,
     StructuralFunction,
     Table,
-    Value,
     build_scm,
 )
 
-FORMATS = (
-    "scm",
-    "pattern",
-    "identification-report",
-    "logging-recommendation",
-    "accountability-report",
-)
+# (encode, decode): encode maps an object to JSON data; decode(raw, path)
+# maps JSON data back, raising SchemaError at `path` or below it
+Codec = tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
 
 
-# -- encoding --------------------------------------------------------------
-
-
-def _value_payload(v: Value) -> Any:
-    return v  # bool and str are JSON scalars already
-
-
-def _expr_payload(e: Expr | Table) -> dict[str, Any]:
-    if isinstance(e, Table):
-        return {
-            "op": "table",
-            "rows": [
-                {"inputs": [_value_payload(v) for v in inputs], "output": output}
-                for inputs, output in e.rows
-            ],
-        }
-    if isinstance(e, Lit):
-        return {"op": "lit", "value": _value_payload(e.value)}
-    if isinstance(e, Ref):
-        return {"op": "ref", "name": e.name}
-    if isinstance(e, Not):
-        return {"op": "not", "a": _expr_payload(e.a)}
-    if isinstance(e, And):
-        return {"op": "and", "a": _expr_payload(e.a), "b": _expr_payload(e.b)}
-    if isinstance(e, Or):
-        return {"op": "or", "a": _expr_payload(e.a), "b": _expr_payload(e.b)}
-    if isinstance(e, Eq):
-        return {"op": "eq", "a": _expr_payload(e.a), "b": _expr_payload(e.b)}
-    if isinstance(e, IfThenElse):
-        return {
-            "op": "if",
-            "cond": _expr_payload(e.cond),
-            "then": _expr_payload(e.then),
-            "else": _expr_payload(e.orelse),
-        }
-    raise SchemaError(f"cannot serialize expression node {type(e).__name__}")
-
-
-def _scm_payload(m: Scm) -> dict[str, Any]:
-    domains: list[Domain] = []
-    for node in m.graph.nodes:
-        d = m.domains[node.name]
-        if d not in domains:
-            domains.append(d)
-    return {
-        "format": "scm",
-        "name": m.name,
-        "domains": [
-            {"name": d.name, "values": [_value_payload(v) for v in d.values]}
-            for d in domains
-        ],
-        "nodes": [
-            {
-                "name": n.name,
-                "kind": n.kind.value,
-                "domain": m.domains[n.name].name,
-                "label": n.label,
-                "proxy_for": n.proxy_for,
-            }
-            for n in m.graph.nodes
-        ],
-        "edges": [[a, b] for a, b in m.graph.edges],
-        "functions": [
-            {
-                "target": name,
-                "parents": list(m.functions[name].parents),
-                "body": None
-                if m.functions[name].body is None
-                else _expr_payload(m.functions[name].body),
-            }
-            for name in m.endogenous_names
-        ],
-    }
-
-
-def _pattern_payload(p: Pattern) -> dict[str, Any]:
-    return {
-        "format": "pattern",
-        "name": p.name,
-        "roles": [{"name": r.name, "kind": r.kind.value} for r in p.roles],
-        "edges": [[a, b] for a, b in p.template_edges],
-        "constraints": sorted(p.constraints),
-    }
-
-
-def _path_payload(path: Path) -> dict[str, Any]:
-    return {"nodes": list(path.nodes), "directions": list(path.directions)}
-
-
-def _identification_payload(r: IdentificationReport) -> dict[str, Any]:
-    return {
-        "format": "identification-report",
-        "treatment": r.treatment,
-        "outcome": r.outcome,
-        "backdoor_paths": [_path_payload(p) for p in r.backdoor_paths],
-        "minimal_backdoor_sets": [sorted(z) for z in r.minimal_backdoor_sets],
-        "frontdoor_sets": [sorted(z) for z in r.frontdoor_sets],
-        "status": r.status.value,
-        "notes": list(r.notes),
-    }
-
-
-def _logging_payload(r: LoggingRecommendation) -> dict[str, Any]:
-    return {
-        "format": "logging-recommendation",
-        "must_log": sorted(r.must_log),
-        "adjustment_set_used": sorted(r.adjustment_set_used),
-        "rationale": list(r.rationale),
-    }
-
-
-def _match_payload(m: PatternMatch) -> dict[str, Any]:
-    return {
-        "binding": dict(m.binding),
-        "witness_paths": [
-            {"edge": [a, b], "path": _path_payload(path)}
-            for (a, b), path in m.witness_paths.items()
-        ],
-    }
-
-
-def _accountability_payload(r: AccountabilityReport) -> dict[str, Any]:
-    return {
-        "format": "accountability-report",
-        "pattern": r.pattern,
-        "agent": r.agent,
-        "effect": r.effect,
-        "verdict": r.verdict.value,
-        "match": _match_payload(r.match),
-        "identification": _identification_payload(r.identification),
-        "logging": None if r.logging is None else _logging_payload(r.logging),
-    }
-
-
-def to_json(obj: object) -> str:
-    """Serialize a supported object to canonical JSON text."""
-    if isinstance(obj, Scm):
-        payload = _scm_payload(obj)
-    elif isinstance(obj, Pattern):
-        payload = _pattern_payload(obj)
-    elif isinstance(obj, IdentificationReport):
-        payload = _identification_payload(obj)
-    elif isinstance(obj, LoggingRecommendation):
-        payload = _logging_payload(obj)
-    elif isinstance(obj, AccountabilityReport):
-        payload = _accountability_payload(obj)
-    else:
-        raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# -- decoding --------------------------------------------------------------
-
-
-def _expect(value: Any, kind: type, what: str, path: str) -> Any:
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"expected {what}", path)
-    elif not isinstance(value, kind) or isinstance(value, bool):
+def _expect(value: Any, kind: type | tuple[type, ...], what: str, path: str) -> Any:
+    if not isinstance(value, kind):
         raise SchemaError(f"expected {what}", path)
     return value
-
-
-def _obj(value: Any, path: str, keys: tuple[str, ...]) -> dict[str, Any]:
-    out = _expect(value, dict, "an object", path)
-    for key in out:
-        if key not in keys:
-            raise SchemaError(f"unexpected key {key!r}", path)
-    return out
 
 
 def _get(obj: dict[str, Any], key: str, path: str) -> Any:
@@ -235,360 +72,393 @@ def _get(obj: dict[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
-def _str(value: Any, path: str) -> str:
-    return _expect(value, str, "a string", path)
+def _same(value: Any) -> Any:
+    return value
 
 
-def _list(value: Any, path: str) -> list:
-    return _expect(value, list, "an array", path)
+def _scalar(kind: type | tuple[type, ...], what: str) -> Codec:
+    return _same, lambda raw, path: _expect(raw, kind, what, path)
 
 
-def _opt_str(obj: dict[str, Any], key: str, path: str) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    return _str(value, f"{path}.{key}")
+_ANY: Codec = (_same, lambda raw, path: raw)
+_STR = _scalar(str, "a string")
+_VALUE = _scalar((bool, str), "a boolean or string value")
 
 
-def _decode_value(value: Any, path: str) -> Value:
-    if isinstance(value, (bool, str)):
-        return value
-    raise SchemaError("expected a boolean or string value", path)
-
-
-def _decode_expr(value: Any, path: str) -> Expr | Table:
-    keys = (
-        "op",
-        "value",
-        "name",
-        "a",
-        "b",
-        "cond",
-        "then",
-        "else",
-        "rows",
+def _optional(codec: Codec) -> Codec:
+    """`codec`, or null."""
+    encode, decode = codec
+    return (
+        lambda obj: None if obj is None else encode(obj),
+        lambda raw, path: None if raw is None else decode(raw, path),
     )
-    obj = _obj(value, path, keys)
-    op = _str(_get(obj, "op", path), f"{path}.op")
-    if op == "lit":
-        return Lit(_decode_value(_get(obj, "value", path), f"{path}.value"))
-    if op == "ref":
-        return Ref(_str(_get(obj, "name", path), f"{path}.name"))
-    if op == "not":
-        return Not(_decode_subexpr(obj, "a", path))
-    if op == "and":
-        return And(_decode_subexpr(obj, "a", path), _decode_subexpr(obj, "b", path))
-    if op == "or":
-        return Or(_decode_subexpr(obj, "a", path), _decode_subexpr(obj, "b", path))
-    if op == "eq":
-        return Eq(_decode_subexpr(obj, "a", path), _decode_subexpr(obj, "b", path))
-    if op == "if":
-        return IfThenElse(
-            _decode_subexpr(obj, "cond", path),
-            _decode_subexpr(obj, "then", path),
-            _decode_subexpr(obj, "else", path),
+
+
+def _tuple_of(codec: Codec) -> Codec:
+    """A tuple, as an array of `codec` items."""
+    encode, decode = codec
+
+    def decode_items(raw: Any, path: str) -> tuple:
+        items = _expect(raw, list, "an array", path)
+        return tuple(decode(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+    return lambda items: [encode(item) for item in items], decode_items
+
+
+_STRS = _tuple_of(_STR)
+_NAME_SET: Codec = (sorted, lambda raw, path: frozenset(_STRS[1](raw, path)))
+
+
+def _enum(cls: type, what: str) -> Codec:
+    """An enum member, as its value."""
+
+    def decode(raw: Any, path: str) -> Any:
+        text = _STR[1](raw, path)
+        try:
+            return cls(text)
+        except ValueError:
+            raise SchemaError(f"unknown {what} {text!r}", path) from None
+
+    return lambda member: member.value, decode
+
+
+def _object(optional: tuple[str, ...] = (), **codecs: Codec) -> Codec:
+    """A dict, as an object with exactly the keys of `codecs`, decoded in
+    their order; a key in `optional` may be absent and is then left out."""
+
+    def encode(fields: dict[str, Any]) -> dict[str, Any]:
+        return {key: codecs[key][0](value) for key, value in fields.items()}
+
+    def decode(raw: Any, path: str) -> dict[str, Any]:
+        obj = _expect(raw, dict, "an object", path)
+        for key in obj:
+            if key not in codecs:
+                raise SchemaError(f"unexpected key {key!r}", path)
+        return {
+            key: dec(_get(obj, key, path), f"{path}.{key}")
+            for key, (_, dec) in codecs.items()
+            if key in obj or key not in optional
+        }
+
+    return encode, decode
+
+
+def _record(cls: type, fmt: str | None = None, **codecs: Codec) -> Codec:
+    """A dataclass, as an object whose keys are its attribute names. A report
+    also writes its `format`, which the decoder accepts but does not require.
+    The constructor's errors become SchemaErrors at the record's path."""
+    decode_fields = _object(("format",), **codecs, **({"format": _ANY} if fmt else {}))[1]
+
+    def encode(obj: Any) -> dict[str, Any]:
+        out = {key: enc(getattr(obj, key)) for key, (enc, _) in codecs.items()}
+        return {**out, "format": fmt} if fmt else out
+
+    def decode(raw: Any, path: str) -> Any:
+        fields = decode_fields(raw, path)
+        fields.pop("format", None)
+        try:
+            return cls(**fields)
+        except (CausalAccountError, ValueError) as err:
+            raise SchemaError(str(err), path) from None
+
+    return encode, decode
+
+
+def _decode_pair(raw: Any, path: str) -> tuple[str, ...]:
+    if len(_expect(raw, list, "an array", path)) != 2:
+        raise SchemaError("expected a two-element array", path)
+    return _STRS[1](raw, path)
+
+
+def _decode_direction(raw: Any, path: str) -> str:
+    text = _STR[1](raw, path)
+    if text not in ("forward", "backward"):
+        raise SchemaError(
+            f"direction must be 'forward' or 'backward', got {text!r}", path
         )
+    return text
+
+
+_PAIR: Codec = (list, _decode_pair)
+_EDGES = _tuple_of(_PAIR)
+_PATH = _record(Path, nodes=_STRS, directions=_tuple_of((_same, _decode_direction)))
+
+
+# -- expressions -----------------------------------------------------------
+
+# op -> (class, {JSON key: attribute}), for encoding and decoding alike;
+# `else` is a Python keyword, so IfThenElse keeps that branch in `orelse`
+_EXPRS: dict[str, tuple[type, dict[str, str]]] = {
+    "lit": (Lit, {"value": "value"}),
+    "ref": (Ref, {"name": "name"}),
+    "not": (Not, {"a": "a"}),
+    "and": (And, {"a": "a", "b": "b"}),
+    "or": (Or, {"a": "a", "b": "b"}),
+    "eq": (Eq, {"a": "a", "b": "b"}),
+    "if": (IfThenElse, {"cond": "cond", "then": "then", "else": "orelse"}),
+}
+# every other key holds an operand
+_LEAVES = {"value": _VALUE, "name": _STR}
+_EXPR_KEYS = {"op", "rows"}.union(*(keys for _, keys in _EXPRS.values()))
+
+
+def _encode_row(row: tuple[tuple, Any]) -> dict[str, Any]:
+    return _ROW[0]({"inputs": row[0], "output": row[1]})
+
+
+def _decode_row(raw: Any, path: str) -> tuple[tuple, Any]:
+    row = _ROW[1](raw, path)
+    return row["inputs"], row["output"]
+
+
+_ROW = _object(inputs=_tuple_of(_VALUE), output=_VALUE)
+_ROWS = _tuple_of((_encode_row, _decode_row))
+
+
+def _encode_expr(e: Expr | Table) -> dict[str, Any]:
+    # a table is a function body of its own; it cannot nest
+    if isinstance(e, Table):
+        return {"op": "table", "rows": _ROWS[0](e.rows)}
+    for op, (cls, keys) in _EXPRS.items():
+        if isinstance(e, cls):
+            out = {"op": op}
+            for key, attr in keys.items():
+                out[key] = _LEAVES.get(key, _OPERAND)[0](getattr(e, attr))
+            return out
+    raise SchemaError(f"cannot serialize expression node {type(e).__name__}")
+
+
+def _decode_expr(raw: Any, path: str) -> Expr | Table:
+    obj = _expect(raw, dict, "an object", path)
+    for key in obj:
+        if key not in _EXPR_KEYS:
+            raise SchemaError(f"unexpected key {key!r}", path)
+    op = _STR[1](_get(obj, "op", path), f"{path}.op")
     if op == "table":
-        rows = []
-        for i, row in enumerate(_list(_get(obj, "rows", path), f"{path}.rows")):
-            row_path = f"{path}.rows[{i}]"
-            row_obj = _obj(row, row_path, ("inputs", "output"))
-            inputs = tuple(
-                _decode_value(v, f"{row_path}.inputs[{j}]")
-                for j, v in enumerate(
-                    _list(_get(row_obj, "inputs", row_path), f"{row_path}.inputs")
-                )
-            )
-            output = _decode_value(_get(row_obj, "output", row_path), f"{row_path}.output")
-            rows.append((inputs, output))
-        return Table(tuple(rows))
-    raise SchemaError(f"unknown expression op {op!r}", f"{path}.op")
+        return Table(_ROWS[1](_get(obj, "rows", path), f"{path}.rows"))
+    if op not in _EXPRS:
+        raise SchemaError(f"unknown expression op {op!r}", f"{path}.op")
+    cls, keys = _EXPRS[op]
+    return cls(
+        **{
+            attr: _LEAVES.get(key, _OPERAND)[1](_get(obj, key, path), f"{path}.{key}")
+            for key, attr in keys.items()
+        }
+    )
 
 
-def _decode_subexpr(obj: dict[str, Any], key: str, path: str) -> Expr:
-    sub = _decode_expr(_get(obj, key, path), f"{path}.{key}")
-    if isinstance(sub, Table):
-        raise SchemaError("a table cannot nest inside an expression", f"{path}.{key}")
-    return sub
+def _decode_operand(raw: Any, path: str) -> Expr:
+    e = _decode_expr(raw, path)
+    if isinstance(e, Table):
+        raise SchemaError("a table cannot nest inside an expression", path)
+    return e
 
 
-def _decode_edges(value: Any, path: str) -> list[tuple[str, str]]:
-    edges = []
-    for i, pair in enumerate(_list(value, path)):
-        pair_path = f"{path}[{i}]"
-        items = _list(pair, pair_path)
-        if len(items) != 2:
-            raise SchemaError("expected a two-element array", pair_path)
-        edges.append(
-            (_str(items[0], f"{pair_path}[0]"), _str(items[1], f"{pair_path}[1]"))
+_OPERAND: Codec = (_encode_expr, _decode_operand)
+_EXPR: Codec = (_encode_expr, _decode_expr)
+
+
+# -- models and patterns ---------------------------------------------------
+
+_SCM = _object(
+    ("format",),
+    format=_ANY,
+    name=_STR,
+    domains=_tuple_of(_object(name=_STR, values=_tuple_of(_VALUE))),
+    nodes=_tuple_of(
+        _object(
+            ("label", "proxy_for"),
+            name=_STR,
+            kind=_enum(NodeKind, "node kind"),
+            domain=_STR,
+            label=_optional(_STR),
+            proxy_for=_optional(_STR),
         )
-    return edges
+    ),
+    edges=_EDGES,
+    functions=_tuple_of(
+        _record(StructuralFunction, target=_STR, parents=_STRS, body=_optional(_EXPR))
+    ),
+)
 
 
-def _decode_scm(obj: dict[str, Any]) -> Scm:
-    _obj(obj, "$", ("format", "name", "domains", "nodes", "edges", "functions"))
-    name = _str(_get(obj, "name", "$"), "$.name")
+def _encode_scm(m: Scm) -> dict[str, Any]:
+    domains: list[Domain] = []
+    for node in m.graph.nodes:
+        if m.domains[node.name] not in domains:
+            domains.append(m.domains[node.name])
+    return _SCM[0](
+        {
+            "format": "scm",
+            "name": m.name,
+            "domains": [{"name": d.name, "values": d.values} for d in domains],
+            "nodes": [
+                {
+                    "name": n.name,
+                    "kind": n.kind,
+                    "domain": m.domains[n.name].name,
+                    "label": n.label,
+                    "proxy_for": n.proxy_for,
+                }
+                for n in m.graph.nodes
+            ],
+            "edges": m.graph.edges,
+            "functions": [m.functions[name] for name in m.endogenous_names],
+        }
+    )
 
+
+def _decode_scm(raw: Any, path: str) -> Scm:
+    fields = _SCM[1](raw, path)
     domains: dict[str, Domain] = {}
-    for i, item in enumerate(_list(_get(obj, "domains", "$"), "$.domains")):
-        path = f"$.domains[{i}]"
-        d_obj = _obj(item, path, ("name", "values"))
-        d_name = _str(_get(d_obj, "name", path), f"{path}.name")
-        values = tuple(
-            _decode_value(v, f"{path}.values[{j}]")
-            for j, v in enumerate(_list(_get(d_obj, "values", path), f"{path}.values"))
-        )
-        if d_name in domains:
-            raise SchemaError(f"domain {d_name!r} declared twice", path)
-        if d_name == "bool" and values != BOOL.values:
+    for i, d in enumerate(fields["domains"]):
+        d_path = f"{path}.domains[{i}]"
+        if d["name"] in domains:
+            raise SchemaError(f"domain {d['name']!r} declared twice", d_path)
+        if d["name"] == "bool" and d["values"] != BOOL.values:
             raise SchemaError(
-                "domain 'bool' is predefined as [false, true]", f"{path}.values"
+                "domain 'bool' is predefined as [false, true]", f"{d_path}.values"
             )
         try:
-            domains[d_name] = Domain(d_name, values)
+            domains[d["name"]] = Domain(d["name"], d["values"])
         except ValueError as err:
-            raise SchemaError(str(err), path) from None
+            raise SchemaError(str(err), d_path) from None
 
     nodes: list[Node] = []
     node_domains: dict[str, Domain] = {}
-    for i, item in enumerate(_list(_get(obj, "nodes", "$"), "$.nodes")):
-        path = f"$.nodes[{i}]"
-        n_obj = _obj(item, path, ("name", "kind", "domain", "label", "proxy_for"))
-        n_name = _str(_get(n_obj, "name", path), f"{path}.name")
-        kind_text = _str(_get(n_obj, "kind", path), f"{path}.kind")
-        try:
-            kind = NodeKind(kind_text)
-        except ValueError:
-            raise SchemaError(
-                f"unknown node kind {kind_text!r}", f"{path}.kind"
-            ) from None
-        d_name = _str(_get(n_obj, "domain", path), f"{path}.domain")
-        if d_name not in domains:
-            raise SchemaError(f"unknown domain {d_name!r}", f"{path}.domain")
-        if n_name in node_domains:
-            raise SchemaError(f"node {n_name!r} declared twice", path)
-        nodes.append(
-            Node(
-                n_name,
-                kind,
-                _opt_str(n_obj, "label", path),
-                _opt_str(n_obj, "proxy_for", path),
-            )
-        )
-        node_domains[n_name] = domains[d_name]
-
-    edges = _decode_edges(_get(obj, "edges", "$"), "$.edges")
+    for i, n in enumerate(fields["nodes"]):
+        n_path = f"{path}.nodes[{i}]"
+        if n["domain"] not in domains:
+            raise SchemaError(f"unknown domain {n['domain']!r}", f"{n_path}.domain")
+        if n["name"] in node_domains:
+            raise SchemaError(f"node {n['name']!r} declared twice", n_path)
+        nodes.append(Node(n["name"], n["kind"], n.get("label"), n.get("proxy_for")))
+        node_domains[n["name"]] = domains[n["domain"]]
 
     functions: dict[str, StructuralFunction] = {}
-    for i, item in enumerate(_list(_get(obj, "functions", "$"), "$.functions")):
-        path = f"$.functions[{i}]"
-        f_obj = _obj(item, path, ("target", "parents", "body"))
-        target = _str(_get(f_obj, "target", path), f"{path}.target")
-        parents = tuple(
-            _str(p, f"{path}.parents[{j}]")
-            for j, p in enumerate(_list(_get(f_obj, "parents", path), f"{path}.parents"))
-        )
-        body_raw = _get(f_obj, "body", path)
-        body = None if body_raw is None else _decode_expr(body_raw, f"{path}.body")
-        if target in functions:
-            raise SchemaError(f"function for {target!r} declared twice", path)
-        functions[target] = StructuralFunction(target, parents, body)
-
-    try:
-        graph = build_graph(nodes, edges)
-        return build_scm(graph, node_domains, functions, name)
-    except SchemaError:
-        raise
-    except CausalAccountError as err:
-        raise SchemaError(str(err)) from None
-
-
-def _decode_pattern(obj: dict[str, Any]) -> Pattern:
-    _obj(obj, "$", ("format", "name", "roles", "edges", "constraints"))
-    name = _str(_get(obj, "name", "$"), "$.name")
-    roles: list[Role] = []
-    for i, item in enumerate(_list(_get(obj, "roles", "$"), "$.roles")):
-        path = f"$.roles[{i}]"
-        r_obj = _obj(item, path, ("name", "kind"))
-        r_name = _str(_get(r_obj, "name", path), f"{path}.name")
-        kind_text = _str(_get(r_obj, "kind", path), f"{path}.kind")
-        try:
-            roles.append(Role(r_name, RoleKind(kind_text)))
-        except ValueError:
+    for i, f in enumerate(fields["functions"]):
+        if f.target in functions:
             raise SchemaError(
-                f"unknown role kind {kind_text!r}", f"{path}.kind"
-            ) from None
-    edges = _decode_edges(_get(obj, "edges", "$"), "$.edges")
-    if "constraints" in obj:
-        for i, c in enumerate(_list(obj["constraints"], "$.constraints")):
-            _str(c, f"$.constraints[{i}]")
-    try:
-        return build_pattern(name, roles, edges)
-    except CausalAccountError as err:
-        raise SchemaError(str(err)) from None
-
-
-def _decode_path(value: Any, path: str) -> Path:
-    obj = _obj(value, path, ("nodes", "directions"))
-    nodes = tuple(
-        _str(n, f"{path}.nodes[{i}]")
-        for i, n in enumerate(_list(_get(obj, "nodes", path), f"{path}.nodes"))
-    )
-    directions = []
-    for i, d in enumerate(
-        _list(_get(obj, "directions", path), f"{path}.directions")
-    ):
-        text = _str(d, f"{path}.directions[{i}]")
-        if text not in ("forward", "backward"):
-            raise SchemaError(
-                f"direction must be 'forward' or 'backward', got {text!r}",
-                f"{path}.directions[{i}]",
+                f"function for {f.target!r} declared twice", f"{path}.functions[{i}]"
             )
-        directions.append(text)
+        functions[f.target] = f
+
     try:
-        return Path(nodes, tuple(directions))
+        graph = build_graph(nodes, fields["edges"])
+        return build_scm(graph, node_domains, functions, fields["name"])
     except CausalAccountError as err:
         raise SchemaError(str(err), path) from None
 
 
-def _decode_name_set(value: Any, path: str) -> frozenset[str]:
-    return frozenset(
-        _str(n, f"{path}[{i}]") for i, n in enumerate(_list(value, path))
+_PATTERN = _object(
+    ("format", "constraints"),
+    format=_ANY,
+    name=_STR,
+    roles=_tuple_of(_record(Role, name=_STR, kind=_enum(RoleKind, "role kind"))),
+    edges=_EDGES,
+    constraints=_NAME_SET,
+)
+
+
+def _encode_pattern(p: Pattern) -> dict[str, Any]:
+    return _PATTERN[0](
+        {
+            "format": "pattern",
+            "name": p.name,
+            "roles": p.roles,
+            "edges": p.template_edges,
+            "constraints": p.constraints,
+        }
     )
 
 
-def _decode_str_list(value: Any, path: str) -> tuple[str, ...]:
-    return tuple(_str(n, f"{path}[{i}]") for i, n in enumerate(_list(value, path)))
-
-
-def _decode_identification(obj: dict[str, Any], root: str = "$") -> IdentificationReport:
-    _obj(
-        obj,
-        root,
-        (
-            "format",
-            "treatment",
-            "outcome",
-            "backdoor_paths",
-            "minimal_backdoor_sets",
-            "frontdoor_sets",
-            "status",
-            "notes",
-        ),
-    )
-    status_text = _str(_get(obj, "status", root), f"{root}.status")
+def _decode_pattern(raw: Any, path: str) -> Pattern:
+    # the constraints follow from the roles, so they are checked, not read
+    fields = _PATTERN[1](raw, path)
     try:
-        status = IdentificationStatus(status_text)
-    except ValueError:
-        raise SchemaError(
-            f"unknown status {status_text!r}", f"{root}.status"
-        ) from None
-    return IdentificationReport(
-        treatment=_str(_get(obj, "treatment", root), f"{root}.treatment"),
-        outcome=_str(_get(obj, "outcome", root), f"{root}.outcome"),
-        backdoor_paths=tuple(
-            _decode_path(p, f"{root}.backdoor_paths[{i}]")
-            for i, p in enumerate(
-                _list(_get(obj, "backdoor_paths", root), f"{root}.backdoor_paths")
+        return build_pattern(fields["name"], fields["roles"], fields["edges"])
+    except CausalAccountError as err:
+        raise SchemaError(str(err), path) from None
+
+
+# -- reports ---------------------------------------------------------------
+
+
+def _decode_binding(raw: Any, path: str) -> dict[str, str]:
+    obj = _expect(raw, dict, "an object", path)
+    return {role: _STR[1](node, f"{path}.{role}") for role, node in obj.items()}
+
+
+_WITNESS = _object(edge=_PAIR, path=_PATH)
+
+
+def _encode_witnesses(paths: dict[tuple[str, str], Path]) -> list[dict[str, Any]]:
+    return [_WITNESS[0]({"edge": edge, "path": path}) for edge, path in paths.items()]
+
+
+def _decode_witnesses(raw: Any, path: str) -> dict[tuple[str, str], Path]:
+    out: dict[tuple[str, str], Path] = {}
+    for i, item in enumerate(_expect(raw, list, "an array", path)):
+        witness = _WITNESS[1](item, f"{path}[{i}]")
+        if witness["edge"] in out:
+            raise SchemaError(
+                f"witness for edge {witness['edge']} declared twice", f"{path}[{i}]"
             )
-        ),
-        minimal_backdoor_sets=tuple(
-            _decode_name_set(z, f"{root}.minimal_backdoor_sets[{i}]")
-            for i, z in enumerate(
-                _list(
-                    _get(obj, "minimal_backdoor_sets", root),
-                    f"{root}.minimal_backdoor_sets",
-                )
-            )
-        ),
-        frontdoor_sets=tuple(
-            _decode_name_set(z, f"{root}.frontdoor_sets[{i}]")
-            for i, z in enumerate(
-                _list(_get(obj, "frontdoor_sets", root), f"{root}.frontdoor_sets")
-            )
-        ),
-        status=status,
-        notes=_decode_str_list(_get(obj, "notes", root), f"{root}.notes"),
-    )
+        out[witness["edge"]] = witness["path"]
+    return out
 
 
-def _decode_logging(obj: dict[str, Any], root: str = "$") -> LoggingRecommendation:
-    _obj(obj, root, ("format", "must_log", "adjustment_set_used", "rationale"))
-    return LoggingRecommendation(
-        must_log=_decode_name_set(_get(obj, "must_log", root), f"{root}.must_log"),
-        adjustment_set_used=_decode_name_set(
-            _get(obj, "adjustment_set_used", root), f"{root}.adjustment_set_used"
-        ),
-        rationale=_decode_str_list(_get(obj, "rationale", root), f"{root}.rationale"),
-    )
+_IDENTIFICATION = _record(
+    IdentificationReport,
+    "identification-report",
+    status=_enum(IdentificationStatus, "status"),
+    treatment=_STR,
+    outcome=_STR,
+    backdoor_paths=_tuple_of(_PATH),
+    minimal_backdoor_sets=_tuple_of(_NAME_SET),
+    frontdoor_sets=_tuple_of(_NAME_SET),
+    notes=_STRS,
+)
+_LOGGING = _record(
+    LoggingRecommendation,
+    "logging-recommendation",
+    must_log=_NAME_SET,
+    adjustment_set_used=_NAME_SET,
+    rationale=_STRS,
+)
+_ACCOUNTABILITY = _record(
+    AccountabilityReport,
+    "accountability-report",
+    verdict=_enum(Verdict, "verdict"),
+    logging=_optional(_LOGGING),
+    pattern=_STR,
+    agent=_STR,
+    effect=_STR,
+    match=_record(
+        PatternMatch,
+        binding=(dict, _decode_binding),
+        witness_paths=(_encode_witnesses, _decode_witnesses),
+    ),
+    identification=_IDENTIFICATION,
+)
+
+# format -> (type, encode, decode)
+_FORMATS: dict[str, tuple[type, Callable[[Any], Any], Callable[[Any, str], Any]]] = {
+    "scm": (Scm, _encode_scm, _decode_scm),
+    "pattern": (Pattern, _encode_pattern, _decode_pattern),
+    "identification-report": (IdentificationReport, *_IDENTIFICATION),
+    "logging-recommendation": (LoggingRecommendation, *_LOGGING),
+    "accountability-report": (AccountabilityReport, *_ACCOUNTABILITY),
+}
+FORMATS = tuple(_FORMATS)
 
 
-def _decode_match(value: Any, root: str) -> PatternMatch:
-    obj = _obj(value, root, ("binding", "witness_paths"))
-    binding_obj = _expect(_get(obj, "binding", root), dict, "an object", f"{root}.binding")
-    binding = {
-        _str(k, f"{root}.binding"): _str(v, f"{root}.binding.{k}")
-        for k, v in binding_obj.items()
-    }
-    witness_paths: dict[tuple[str, str], Path] = {}
-    for i, item in enumerate(
-        _list(_get(obj, "witness_paths", root), f"{root}.witness_paths")
-    ):
-        path = f"{root}.witness_paths[{i}]"
-        w_obj = _obj(item, path, ("edge", "path"))
-        edge_items = _list(_get(w_obj, "edge", path), f"{path}.edge")
-        if len(edge_items) != 2:
-            raise SchemaError("expected a two-element array", f"{path}.edge")
-        edge = (
-            _str(edge_items[0], f"{path}.edge[0]"),
-            _str(edge_items[1], f"{path}.edge[1]"),
-        )
-        if edge in witness_paths:
-            raise SchemaError(f"witness for edge {edge} declared twice", path)
-        witness_paths[edge] = _decode_path(_get(w_obj, "path", path), f"{path}.path")
-    return PatternMatch(binding, witness_paths)
-
-
-def _decode_accountability(obj: dict[str, Any]) -> AccountabilityReport:
-    _obj(
-        obj,
-        "$",
-        (
-            "format",
-            "pattern",
-            "agent",
-            "effect",
-            "verdict",
-            "match",
-            "identification",
-            "logging",
-        ),
-    )
-    verdict_text = _str(_get(obj, "verdict", "$"), "$.verdict")
-    try:
-        verdict = Verdict(verdict_text)
-    except ValueError:
-        raise SchemaError(f"unknown verdict {verdict_text!r}", "$.verdict") from None
-    ident_obj = _expect(
-        _get(obj, "identification", "$"), dict, "an object", "$.identification"
-    )
-    logging_raw = _get(obj, "logging", "$")
-    logging = (
-        None
-        if logging_raw is None
-        else _decode_logging(
-            _expect(logging_raw, dict, "an object", "$.logging"), "$.logging"
-        )
-    )
-    return AccountabilityReport(
-        pattern=_str(_get(obj, "pattern", "$"), "$.pattern"),
-        agent=_str(_get(obj, "agent", "$"), "$.agent"),
-        effect=_str(_get(obj, "effect", "$"), "$.effect"),
-        verdict=verdict,
-        match=_decode_match(_get(obj, "match", "$"), "$.match"),
-        identification=_decode_identification(ident_obj, "$.identification"),
-        logging=logging,
-    )
+def to_json(obj: object) -> str:
+    """Serialize a supported object to canonical JSON text."""
+    for cls, encode, _ in _FORMATS.values():
+        if isinstance(obj, cls):
+            return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+    raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def from_json(text: str) -> object:
@@ -597,18 +467,9 @@ def from_json(text: str) -> object:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON: {err}") from None
-    obj = _expect(raw, dict, "an object", "$")
-    fmt = _str(_get(obj, "format", "$"), "$.format")
-    if fmt == "scm":
-        return _decode_scm(obj)
-    if fmt == "pattern":
-        return _decode_pattern(obj)
-    if fmt == "identification-report":
-        return _decode_identification(obj)
-    if fmt == "logging-recommendation":
-        return _decode_logging(obj)
-    if fmt == "accountability-report":
-        return _decode_accountability(obj)
-    raise SchemaError(
-        f"unknown format {fmt!r}, expected one of " + ", ".join(FORMATS), "$.format"
-    )
+    fmt = _STR[1](_get(_expect(raw, dict, "an object", "$"), "format", "$"), "$.format")
+    if fmt not in _FORMATS:
+        raise SchemaError(
+            f"unknown format {fmt!r}, expected one of " + ", ".join(FORMATS), "$.format"
+        )
+    return _FORMATS[fmt][2](raw, "$")
