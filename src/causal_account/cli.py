@@ -39,7 +39,7 @@ from .patterns import (
 from .scm import (
     Assignment,
     Scm,
-    consistent_worlds,
+    consistent_world_count,
     counterfactual,
     evaluate,
     intervene,
@@ -228,9 +228,11 @@ def eval_cmd(model: str, sets: tuple[str, ...]) -> None:
 def worlds(model: str, evidence: tuple[str, ...]) -> None:
     """List the total assignments consistent with the evidence."""
     m = _load_model(model)
-    found = consistent_worlds(m, _parse_bindings(m, evidence, "--evidence"))
-    click.echo(f"worlds: {len(found)}")
-    for world in found:
+    observed = _parse_bindings(m, evidence, "--evidence")
+    # count first, then stream: the checks fail before any output, and no
+    # list of worlds is held
+    click.echo(f"worlds: {consistent_world_count(m, observed)}")
+    for world in iter_worlds(m, observed):
         click.echo(_render_assignment(m, world))
 
 

@@ -79,7 +79,10 @@ class Domain:
             raise ValueError(f"domain {self.name!r} repeats a value")
 
     def __contains__(self, value: object) -> bool:
-        return any(v is value or v == value for v in self.values)
+        try:
+            return value in self.index
+        except TypeError:  # unhashable, so no value of any domain
+            return False
 
     def parse(self, text: str) -> Value:
         """Turn CLI/DSL text into a domain value."""
@@ -745,6 +748,12 @@ def iter_worlds(m: Scm, evidence: Mapping[str, Value]) -> Iterator[Assignment]:
     The checks run when the first world is asked for.
     """
     return itertools.chain.from_iterable(_world_blocks(m, evidence))
+
+
+def consistent_world_count(m: Scm, evidence: Mapping[str, Value]) -> int:
+    """`len(consistent_worlds(m, evidence))`, counted from the kept masks
+    without building a world."""
+    return sum(kept.bit_count() for _, kept, _ in _abduce(m, evidence))
 
 
 def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]:

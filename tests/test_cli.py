@@ -217,6 +217,25 @@ class TestWorlds:
         res = invoke(runner, "worlds", "uav_weather")
         assert res.exit_code == 1
         assert "Error:" in res.stderr
+        assert res.stdout == ""
+
+    def test_worlds_stream_without_a_list(self, runner, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("worlds are listed, not streamed")
+
+        for module in (causal_account, causal_account.scm, causal_account.cli):
+            monkeypatch.setattr(module, "consistent_worlds", refuse, raising=False)
+        res = invoke(runner, "worlds", "titus", "--evidence", "BD=true")
+        assert res.exit_code == 0
+        assert res.stdout == "worlds: 1\nI=true TM=true ED=true BD=true\n"
+
+    def test_structure_only_fails_before_the_count(self, runner, tmp_path):
+        path = tmp_path / "m.scm.txt"
+        path.write_text("model m\nexo A : bool\nvar B : bool <- A\n")
+        res = invoke(runner, "worlds", str(path))
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "structure-only" in res.stderr
 
 
 class TestDo:

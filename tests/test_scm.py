@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -107,6 +108,13 @@ class TestDomain:
     def test_contains_distinguishes_bool_from_str(self):
         assert True in BOOL
         assert "true" not in BOOL
+        assert "low" in SPEED
+        assert False not in SPEED
+
+    def test_contains_refuses_unhashable_values(self):
+        assert ["low"] not in SPEED
+        assert {} not in BOOL
+        assert (True,) not in BOOL
 
 
 class TestExpressions:
@@ -207,6 +215,22 @@ class TestBuildScm:
                 body=Table((((False,), False), ((False,), True)))
             )
         tiny_model(body=Table((((False,), False), ((True,), True))))
+
+    def test_wide_identity_table_validates_in_linear_time(self):
+        # one lookup per value: a scan of the domain per row took 2.1 s of
+        # CPU at 5,000 values and grows with the square of the width
+        wide = Domain("wide", tuple(f"v{i}" for i in range(20_000)))
+        graph = build_graph(
+            [Node("x", NodeKind.EXOGENOUS), Node("y", NodeKind.ENDOGENOUS)],
+            [("x", "y")],
+        )
+        table = Table(tuple(((v,), v) for v in wide.values))
+        start = time.process_time()
+        m = build_scm(
+            graph, {"x": wide, "y": wide}, {"y": StructuralFunction("y", ("x",), table)}
+        )
+        assert time.process_time() - start < 2.0
+        assert evaluate(m, {"x": "v19999"})["y"] == "v19999"
 
     def test_table_values_checked(self):
         with pytest.raises(SemanticError):
