@@ -448,22 +448,19 @@ def _parse_expr(cur: _Cursor, builder: _ModelBuilder) -> Expr:
 
 
 def _parse_binary(cur: _Cursor, builder: _ModelBuilder, level: int) -> Expr:
-    """One level of `_BINARY` and everything that binds tighter."""
+    """Entry `level` of `_BINARY` and all that binds tighter: the later
+    entries, then `!`, then atoms."""
     if level == len(_BINARY):
-        return _parse_unary(cur, builder)
+        if cur.peek().kind == "punct" and cur.peek().text == "!":
+            cur.advance()
+            return Not(_parse_binary(cur, builder, level))
+        return _parse_atom(cur, builder)
     op, cls = _BINARY[level]
     left = _parse_binary(cur, builder, level + 1)
     while cur.peek().kind == "punct" and cur.peek().text == op:
         cur.advance()
         left = cls(left, _parse_binary(cur, builder, level + 1))
     return left
-
-
-def _parse_unary(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    if cur.peek().kind == "punct" and cur.peek().text == "!":
-        cur.advance()
-        return Not(_parse_unary(cur, builder))
-    return _parse_atom(cur, builder)
 
 
 def _parse_atom(cur: _Cursor, builder: _ModelBuilder) -> Expr:

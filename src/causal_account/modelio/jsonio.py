@@ -20,7 +20,7 @@ between their parts.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from ..errors import CausalAccountError, SchemaError
 from ..graph import Node, NodeKind, Path, build_graph
@@ -64,6 +64,14 @@ def _expect(value: Any, kind: type | tuple[type, ...], what: str, path: str) -> 
     if not isinstance(value, kind):
         raise SchemaError(f"expected {what}", path)
     return value
+
+
+def _obj(raw: Any, path: str, keys: Container[str]) -> dict[str, Any]:
+    obj = _expect(raw, dict, "an object", path)
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unexpected key {key!r}", path)
+    return obj
 
 
 def _get(obj: dict[str, Any], key: str, path: str) -> Any:
@@ -130,10 +138,7 @@ def _object(optional: tuple[str, ...] = (), **codecs: Codec) -> Codec:
         return {key: codecs[key][0](value) for key, value in fields.items()}
 
     def decode(raw: Any, path: str) -> dict[str, Any]:
-        obj = _expect(raw, dict, "an object", path)
-        for key in obj:
-            if key not in codecs:
-                raise SchemaError(f"unexpected key {key!r}", path)
+        obj = _obj(raw, path, codecs)
         return {
             key: dec(_get(obj, key, path), f"{path}.{key}")
             for key, (_, dec) in codecs.items()
@@ -221,18 +226,15 @@ def _encode_expr(e: Expr | Table) -> dict[str, Any]:
         return {"op": "table", "rows": _ROWS[0](e.rows)}
     for op, (cls, keys) in _EXPRS.items():
         if isinstance(e, cls):
-            out = {"op": op}
-            for key, attr in keys.items():
-                out[key] = _LEAVES.get(key, _OPERAND)[0](getattr(e, attr))
-            return out
+            return {"op": op} | {
+                key: _LEAVES.get(key, _OPERAND)[0](getattr(e, attr))
+                for key, attr in keys.items()
+            }
     raise SchemaError(f"cannot serialize expression node {type(e).__name__}")
 
 
 def _decode_expr(raw: Any, path: str) -> Expr | Table:
-    obj = _expect(raw, dict, "an object", path)
-    for key in obj:
-        if key not in _EXPR_KEYS:
-            raise SchemaError(f"unexpected key {key!r}", path)
+    obj = _obj(raw, path, _EXPR_KEYS)
     op = _STR[1](_get(obj, "op", path), f"{path}.op")
     if op == "table":
         return Table(_ROWS[1](_get(obj, "rows", path), f"{path}.rows"))
@@ -283,10 +285,7 @@ _SCM = _object(
 
 
 def _encode_scm(m: Scm) -> dict[str, Any]:
-    domains: list[Domain] = []
-    for node in m.graph.nodes:
-        if m.domains[node.name] not in domains:
-            domains.append(m.domains[node.name])
+    domains = dict.fromkeys(m.domains[n.name] for n in m.graph.nodes)
     return _SCM[0](
         {
             "format": "scm",
