@@ -152,7 +152,8 @@ def _record(cls: type, fmt: str | None = None, **codecs: Codec) -> Codec:
     """A dataclass, as an object whose keys are its attribute names. A report
     also writes its `format`, which the decoder accepts but does not require.
     The constructor's errors become SchemaErrors at the record's path."""
-    decode_fields = _object(("format",), **codecs, **({"format": _ANY} if fmt else {}))[1]
+    keys = {**codecs, "format": _ANY} if fmt else codecs
+    decode_fields = _object(("format",), **keys)[1]
 
     def encode(obj: Any) -> dict[str, Any]:
         out = {key: enc(getattr(obj, key)) for key, (enc, _) in codecs.items()}
