@@ -34,6 +34,7 @@ from .patterns import (
     Verdict,
     builtin_pattern,
     check_accountability,
+    iter_matches,
     match_pattern,
 )
 from .scm import (
@@ -409,11 +410,11 @@ def check(model: str, pattern_spec: str, hint_pairs: tuple[str, ...], fmt: str) 
     """Match a pattern and decide accountability; exit 1 when negative."""
     m = _load_model(model)
     p = _load_pattern(pattern_spec)
-    found = match_pattern(m.graph, p, _parse_hints(p, hint_pairs))
-    if not found:
+    first = next(iter_matches(m.graph, p, _parse_hints(p, hint_pairs)), None)
+    if first is None:
         click.echo(f"no match for pattern {p.name}")
         raise SystemExit(1)
-    report = check_accountability(m.graph, p, found[0])
+    report = check_accountability(m.graph, p, first)
     if fmt == "json":
         click.echo(to_json(report), nl=False)
     else:
@@ -458,8 +459,8 @@ def export(model: str, fmt: str, highlight: str | None, hint_pairs: tuple[str, .
     match_to_highlight = None
     if highlight is not None:
         p = _load_pattern(highlight)
-        found = match_pattern(m.graph, p, _parse_hints(p, hint_pairs))
-        if not found:
+        hints = _parse_hints(p, hint_pairs)
+        match_to_highlight = next(iter_matches(m.graph, p, hints), None)
+        if match_to_highlight is None:
             raise click.ClickException(f"no match of pattern {p.name} to highlight")
-        match_to_highlight = found[0]
     click.echo(to_dot(m.graph, match_to_highlight, name=m.name), nl=False)

@@ -189,6 +189,15 @@ class CausalGraph:
             res[name] = frozenset(acc)
         return res
 
+    @cached_property
+    def _reach_bits(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """De and An of each node, then the observable nodes, as int bitmasks
+        with bit i for the i-th declared node; the tuples follow that order."""
+        bit = {name: 1 << i for name, i in self._order.items()}
+        de = tuple(sum(map(bit.get, self._descendants[n.name])) for n in self.nodes)
+        an = tuple(sum(map(bit.get, self._ancestors[n.name])) for n in self.nodes)
+        return de, an, sum(bit[n.name] for n in self.nodes if n.kind.observable)
+
     # -- basic accessors --------------------------------------------------
 
     def __contains__(self, name: object) -> bool:

@@ -88,9 +88,19 @@ def _scalar(kind: type | tuple[type, ...], what: str) -> Codec:
     return _same, lambda raw, path: _expect(raw, kind, what, path)
 
 
-_ANY: Codec = (_same, lambda raw, path: raw)
 _STR = _scalar(str, "a string")
 _VALUE = _scalar((bool, str), "a boolean or string value")
+
+
+def _format(fmt: str) -> Codec:
+    """The `format` key of a payload of format `fmt`: that string and no other."""
+
+    def decode(raw: Any, path: str) -> str:
+        if _STR[1](raw, path) != fmt:
+            raise SchemaError(f"expected format {fmt!r}, got {raw!r}", path)
+        return raw
+
+    return _same, decode
 
 
 def _optional(codec: Codec) -> Codec:
@@ -150,9 +160,10 @@ def _object(optional: tuple[str, ...] = (), **codecs: Codec) -> Codec:
 
 def _record(cls: type, fmt: str | None = None, **codecs: Codec) -> Codec:
     """A dataclass, as an object whose keys are its attribute names. A report
-    also writes its `format`, which the decoder accepts but does not require.
-    The constructor's errors become SchemaErrors at the record's path."""
-    keys = {**codecs, "format": _ANY} if fmt else codecs
+    also writes its `format`, which the decoder does not require but, when
+    present, checks. The constructor's errors become SchemaErrors at the
+    record's path."""
+    keys = {**codecs, "format": _format(fmt)} if fmt else codecs
     decode_fields = _object(("format",), **keys)[1]
 
     def encode(obj: Any) -> dict[str, Any]:
@@ -265,7 +276,7 @@ _EXPR: Codec = (_encode_expr, _decode_expr)
 
 _SCM = _object(
     ("format",),
-    format=_ANY,
+    format=_format("scm"),
     name=_STR,
     domains=_tuple_of(_object(name=_STR, values=_tuple_of(_VALUE))),
     nodes=_tuple_of(
@@ -352,7 +363,7 @@ def _decode_scm(raw: Any, path: str) -> Scm:
 
 _PATTERN = _object(
     ("format", "constraints"),
-    format=_ANY,
+    format=_format("pattern"),
     name=_STR,
     roles=_tuple_of(_record(Role, name=_STR, kind=_enum(RoleKind, "role kind"))),
     edges=_EDGES,

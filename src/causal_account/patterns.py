@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationLimit,
@@ -194,29 +194,32 @@ class PatternMatch:
 def _witness(
     g: CausalGraph, start: str, goal: str, bound_nodes: frozenset[str]
 ) -> Path | None:
-    """First directed path from start to goal whose interior avoids bound nodes."""
+    """First directed path from start to goal whose interior avoids bound nodes.
+
+    Depth-first in child declaration order, so the first path found is the
+    lexicographically first. In a DAG a node that once failed to reach the
+    goal fails again under the same bound set, whatever the path leading to
+    it, so each failed node joins `dead` and is never expanded twice. The
+    search keeps its own stack, so path length is not bounded by Python's
+    recursion limit.
+    """
+    children = g._children
+    dead = set(bound_nodes)
     stack = [start]
-    on_stack = {start}
-
-    def search() -> tuple[str, ...] | None:
-        for child in g.children(stack[-1]):
+    pending = [iter(children[start])]
+    while pending:
+        for child in pending[-1]:
             if child == goal:
-                return tuple(stack) + (goal,)
-            if child in bound_nodes or child in on_stack:
-                continue
-            stack.append(child)
-            on_stack.add(child)
-            found = search()
-            if found is not None:
-                return found
-            on_stack.remove(child)
-            stack.pop()
-        return None
-
-    nodes = search()
-    if nodes is None:
-        return None
-    return Path(nodes, tuple([FORWARD] * (len(nodes) - 1)))
+                stack.append(goal)
+                return Path(tuple(stack), (FORWARD,) * (len(stack) - 1))
+            if child not in dead:
+                stack.append(child)
+                pending.append(iter(children[child]))
+                break
+        else:
+            pending.pop()
+            dead.add(stack.pop())
+    return None
 
 
 def validate_match(g: CausalGraph, p: Pattern, m: PatternMatch) -> None:
@@ -253,83 +256,98 @@ def validate_match(g: CausalGraph, p: Pattern, m: PatternMatch) -> None:
             )
 
 
+def iter_matches(
+    g: CausalGraph,
+    p: Pattern,
+    hints: Mapping[str, str] | None = None,
+    limit: int = DEFAULT_MATCH_CAP,
+) -> Iterator[PatternMatch]:
+    """The matches of `p` in `g` extending `hints`, lazily, in deterministic order.
+
+    Roles are bound in declaration order, candidates in node declaration
+    order, so the output is lexicographic. A role's candidates are an int
+    bitmask (bit i for the i-th declared node): the observable nodes, or the
+    hinted one, minus those already bound, intersected with De of each bound
+    template in-neighbour and An of each bound out-neighbour. So every
+    complete binding reached has each template edge reachable; it counts
+    against `limit` before its witness paths are searched. An unbindable
+    pattern yields nothing rather than an error.
+
+    Raises PatternArityError for hints naming roles the pattern does not
+    have and UnknownNode for hint targets missing from the graph, both at
+    the call; the iterator raises EnumerationLimit past `limit` complete
+    candidate bindings.
+    """
+    hints = dict(hints or {})
+    roles = p.role_names()
+    for role, node in hints.items():
+        if role not in roles:
+            raise PatternArityError(
+                f"hint names role {role!r}, pattern {p.name} has roles "
+                + ", ".join(roles)
+            )
+        g.require(node)
+
+    names = g.names
+    de, an, observable = g._reach_bits
+    position = {role: i for i, role in enumerate(roles)}
+    # per role: its candidates before any binding, and the template
+    # neighbours bound before it, as positions in `roles`
+    initial = [
+        observable & (1 << g._order[hints[role]]) if role in hints else observable
+        for role in roles
+    ]
+    ins: list[list[int]] = [[] for _ in roles]
+    outs: list[list[int]] = [[] for _ in roles]
+    for a, b in p.template_edges:
+        i, j = position[a], position[b]
+        if i < j:
+            ins[j].append(i)
+        else:
+            outs[i].append(j)
+    chosen = [0] * len(roles)
+    examined = 0
+
+    def assign(i: int, used: int) -> Iterator[PatternMatch]:
+        nonlocal examined
+        if i == len(roles):
+            examined += 1
+            if examined > limit:
+                raise EnumerationLimit(
+                    f"more than {limit} candidate bindings for pattern {p.name}"
+                )
+            binding = {role: names[k] for role, k in zip(roles, chosen)}
+            bound = frozenset(binding.values())
+            witnesses: dict[tuple[str, str], Path] = {}
+            for a, b in p.template_edges:
+                path = _witness(g, binding[a], binding[b], bound)
+                if path is None:
+                    return
+                witnesses[(a, b)] = path
+            yield PatternMatch(binding, witnesses)
+            return
+        candidates = initial[i] & ~used
+        for a in ins[i]:
+            candidates &= de[chosen[a]]
+        for b in outs[i]:
+            candidates &= an[chosen[b]]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            chosen[i] = low.bit_length() - 1
+            yield from assign(i + 1, used | low)
+
+    return assign(0, 0)
+
+
 def match_pattern(
     g: CausalGraph,
     p: Pattern,
     hints: Mapping[str, str] | None = None,
     limit: int = DEFAULT_MATCH_CAP,
 ) -> list[PatternMatch]:
-    """All matches of `p` in `g` extending `hints`, in deterministic order.
-
-    Bindings are explored role by role in declaration order, candidates in
-    node declaration order, so the output is lexicographic. An unbindable
-    pattern (too many roles, no valid assignment) yields an empty list rather
-    than an error. Raises PatternArityError for hints naming roles the
-    pattern does not have, UnknownNode for hint targets missing from the
-    graph, and EnumerationLimit past `limit` complete candidate bindings.
-    """
-    hints = dict(hints or {})
-    role_names = set(p.role_names())
-    for role, node in hints.items():
-        if role not in role_names:
-            raise PatternArityError(
-                f"hint names role {role!r}, pattern {p.name} has roles "
-                + ", ".join(p.role_names())
-            )
-        g.require(node)
-
-    candidates = g.observable_names()
-    edges = p.template_edges
-    roles = p.role_names()
-    reach = {name: g._descendants[name] for name in g.names}
-
-    matches: list[PatternMatch] = []
-    binding: dict[str, str] = {}
-    used: set[str] = set()
-    examined = 0
-
-    def feasible() -> bool:
-        # directed reachability is necessary for a future witness path
-        for a, b in edges:
-            if a in binding and b in binding:
-                if binding[b] not in reach[binding[a]]:
-                    return False
-        return True
-
-    def complete() -> None:
-        nonlocal examined
-        examined += 1
-        if examined > limit:
-            raise EnumerationLimit(
-                f"more than {limit} candidate bindings for pattern {p.name}"
-            )
-        bound = frozenset(binding.values())
-        witnesses: dict[tuple[str, str], Path] = {}
-        for a, b in edges:
-            path = _witness(g, binding[a], binding[b], bound)
-            if path is None:
-                return
-            witnesses[(a, b)] = path
-        matches.append(PatternMatch(dict(binding), witnesses))
-
-    def assign(i: int) -> None:
-        if i == len(roles):
-            complete()
-            return
-        role = roles[i]
-        options = (hints[role],) if role in hints else candidates
-        for node in options:
-            if node in used or not g.kind(node).observable:
-                continue
-            binding[role] = node
-            used.add(node)
-            if feasible():
-                assign(i + 1)
-            used.remove(node)
-            del binding[role]
-
-    assign(0)
-    return matches
+    """All matches of `p` in `g` extending `hints`: `iter_matches` as a list."""
+    return list(iter_matches(g, p, hints, limit))
 
 
 class Verdict(enum.Enum):

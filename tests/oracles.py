@@ -15,14 +15,20 @@ import random
 import networkx as nx
 
 from causal_account import (
+    FORWARD,
     CausalGraph,
+    EnumerationLimit,
     InconsistentEvidence,
     Node,
     NodeKind,
+    Path,
+    PatternArityError,
+    PatternMatch,
     build_graph,
     evaluate,
     intervene,
 )
+from causal_account.limits import DEFAULT_MATCH_CAP
 
 
 def to_networkx(g: CausalGraph) -> nx.DiGraph:
@@ -107,6 +113,107 @@ def brute_minimal_backdoor_sets(
         for z in satisfying
         if not any(other < z for other in satisfying)
     }
+
+
+def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str]):
+    """First directed start-to-goal path avoiding bound nodes, by plain backtracking."""
+    stack = [start]
+    on_stack = {start}
+
+    def search() -> tuple[str, ...] | None:
+        for child in g.children(stack[-1]):
+            if child == goal:
+                return tuple(stack) + (goal,)
+            if child in bound or child in on_stack:
+                continue
+            stack.append(child)
+            on_stack.add(child)
+            found = search()
+            if found is not None:
+                return found
+            on_stack.remove(child)
+            stack.pop()
+        return None
+
+    nodes = search()
+    if nodes is None:
+        return None
+    return Path(nodes, tuple([FORWARD] * (len(nodes) - 1)))
+
+
+def brute_match_pattern(
+    g: CausalGraph, p, hints=None, limit: int = DEFAULT_MATCH_CAP, out=None
+):
+    """`match_pattern` by backtracking over role bindings with set lookups.
+
+    Roles are bound in declaration order, candidates tried in node
+    declaration order. Every partial binding is checked against every
+    template edge whose endpoints are both bound (directed reachability),
+    and each complete binding that passes counts against `limit` before its
+    witness paths are searched. Matches are appended to `out` when given,
+    so a caller still sees those found before an EnumerationLimit.
+    """
+    hints = dict(hints or {})
+    role_names = set(p.role_names())
+    for role, node in hints.items():
+        if role not in role_names:
+            raise PatternArityError(
+                f"hint names role {role!r}, pattern {p.name} has roles "
+                + ", ".join(p.role_names())
+            )
+        g.require(node)
+
+    candidates = g.observable_names()
+    edges = p.template_edges
+    roles = p.role_names()
+    reach = {name: g._descendants[name] for name in g.names}
+
+    matches: list = [] if out is None else out
+    binding: dict[str, str] = {}
+    used: set[str] = set()
+    examined = 0
+
+    def feasible() -> bool:
+        for a, b in edges:
+            if a in binding and b in binding:
+                if binding[b] not in reach[binding[a]]:
+                    return False
+        return True
+
+    def complete() -> None:
+        nonlocal examined
+        examined += 1
+        if examined > limit:
+            raise EnumerationLimit(
+                f"more than {limit} candidate bindings for pattern {p.name}"
+            )
+        bound = frozenset(binding.values())
+        witnesses = {}
+        for a, b in edges:
+            path = _brute_witness(g, binding[a], binding[b], bound)
+            if path is None:
+                return
+            witnesses[(a, b)] = path
+        matches.append(PatternMatch(dict(binding), witnesses))
+
+    def assign(i: int) -> None:
+        if i == len(roles):
+            complete()
+            return
+        role = roles[i]
+        options = (hints[role],) if role in hints else candidates
+        for node in options:
+            if node in used or not g.kind(node).observable:
+                continue
+            binding[role] = node
+            used.add(node)
+            if feasible():
+                assign(i + 1)
+            used.remove(node)
+            del binding[role]
+
+    assign(0)
+    return matches
 
 
 def random_dag(

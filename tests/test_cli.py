@@ -676,6 +676,41 @@ class TestCheck:
             "note: controls restricted to {Uber, Developers, Manuals, Police}\n"
         )
 
+    def test_judges_the_first_match_where_listing_refuses(self, runner, tmp_path):
+        # a complete DAG of 45 nodes has C(45, 3) = 14,190 lindberg bindings,
+        # past the default cap of 10,000; the first match needs none of them
+        path = tmp_path / "dense.scm.txt"
+        path.write_text(
+            "model dense\nexo n1 : bool\n"
+            + "".join(
+                f"var n{k} : bool <- " + ", ".join(f"n{i}" for i in range(1, k)) + "\n"
+                for k in range(2, 46)
+            )
+        )
+        res = invoke(runner, "match", str(path), "--pattern", "lindberg")
+        assert res.exit_code == 1
+        assert res.stderr == "Error: more than 10000 candidate bindings for pattern lindberg\n"
+        res = invoke(runner, "check", str(path), "--pattern", "lindberg")
+        assert res.exit_code == 0
+        assert res.stdout.startswith(
+            "pattern: lindberg\n"
+            "match: Agent=n1 Mediator=n2 Effect=n3\n"
+            "agent: n1\n"
+            "effect: n3\n"
+            "verdict: Accountable\n"
+        )
+        res = invoke(
+            runner, "export", str(path), "--highlight-match", "lindberg"
+        )
+        assert res.exit_code == 0
+        assert res.stdout.startswith(
+            "digraph dense {\n"
+            "  n1 [style=filled, fillcolor=gray];\n"
+            "  n2 [style=filled, fillcolor=gray];\n"
+            "  n3 [style=filled, fillcolor=gray];\n"
+            "  n4;\n"
+        )
+
     def test_not_attributable_exits_one(self, runner):
         res = invoke(
             runner, "check", "uber", "--pattern", "lindberg", "--hint", "Agent=Driver"

@@ -782,6 +782,14 @@ DECODER_FAULTS = [
      "$.treatment", "expected a string"),
     ("identification", "set", (), "format", 1,
      "$.format", "expected a string"),
+    ("accountability", "set", ("identification",), "format", "scm",
+     "$.identification.format",
+     "expected format 'identification-report', got 'scm'"),
+    ("accountability", "set", ("logging",), "format", 7,
+     "$.logging.format", "expected a string"),
+    ("accountability", "set", ("logging",), "format", "identification-report",
+     "$.logging.format",
+     "expected format 'logging-recommendation', got 'identification-report'"),
 ]
 
 
@@ -805,6 +813,13 @@ def test_decoder_fault_is_reported_at_its_path(
         from_json(json.dumps(payload))
     assert err.value.path == path
     assert message in str(err.value)
+
+
+def test_nested_reports_may_omit_their_format(uber, titus, raci, uav_weather):
+    payload = _payload("accountability", uber, titus, raci, uav_weather)
+    report = from_json(json.dumps(payload))
+    del payload["identification"]["format"], payload["logging"]["format"]
+    assert from_json(json.dumps(payload)) == report
 
 
 class TestDot:

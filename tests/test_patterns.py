@@ -1,4 +1,8 @@
+import random
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causal_account import (
     BACKWARD,
@@ -19,9 +23,12 @@ from causal_account import (
     builtin_pattern,
     builtin_patterns,
     check_accountability,
+    iter_matches,
     match_pattern,
     validate_match,
 )
+
+from oracles import brute_match_pattern, random_dag
 
 RACI_BINDING_UBER = {
     "Accountable": "Uber",
@@ -236,6 +243,112 @@ class TestMatchPattern:
     def test_binding_cap(self, titus, lindberg):
         with pytest.raises(EnumerationLimit):
             match_pattern(titus.graph, lindberg, limit=1)
+
+    def test_iter_matches_is_lazy(self, titus, lindberg):
+        # the first match comes out before the cap is reached
+        first = next(iter_matches(titus.graph, lindberg, limit=1))
+        assert first == match_pattern(titus.graph, lindberg)[0]
+
+    def test_iter_matches_checks_hints_at_the_call(self, titus, lindberg):
+        with pytest.raises(PatternArityError):
+            iter_matches(titus.graph, lindberg, hints={"Responsible": "TM"})
+        with pytest.raises(UnknownNode):
+            iter_matches(titus.graph, lindberg, hints={"Agent": "Zz"})
+
+    def test_witness_dead_ends_are_not_revisited(self):
+        # a ladder of 2 x 26 nodes has 2^25 paths from a0 to its top rung, and
+        # every one of them must pass the bound node x on its way to e
+        k = 26
+        names = [f"{side}{i}" for i in range(k) for side in "ab"] + ["x", "e"]
+        edges = []
+        for i in range(k - 1):
+            for u in "ab":
+                edges += [(f"{u}{i}", f"a{i + 1}"), (f"{u}{i}", f"b{i + 1}")]
+        edges += [(f"a{k - 1}", "x"), (f"b{k - 1}", "x"), ("x", "e")]
+        skip = build_pattern(
+            "skip",
+            [("A", "Generic"), ("B", "Generic"), ("E", RoleKind.EFFECT)],
+            [("A", "E"), ("A", "B")],
+        )
+        g = quick_graph(names, edges)
+        start = time.process_time()
+        assert match_pattern(g, skip, hints={"A": "a0", "B": "x", "E": "e"}) == []
+        assert time.process_time() - start < 1.0
+
+
+    def test_witness_longer_than_the_recursion_limit(self, lindberg):
+        n = 1500
+        names = [f"n{i}" for i in range(1, n + 1)]
+        g = quick_graph(names, list(zip(names, names[1:])))
+        (m,) = match_pattern(
+            g, lindberg, hints={"Agent": "n1", "Mediator": "n2", "Effect": f"n{n}"}
+        )
+        assert m.witness_paths[("Mediator", "Effect")].nodes == tuple(names[1:])
+
+def generic_pattern():
+    # the effect is declared first, so its template neighbours are bound
+    # after it and constrain their candidates by ancestry
+    return build_pattern(
+        "fork",
+        [
+            ("E", RoleKind.EFFECT),
+            ("A", "Generic"),
+            ("B", "Generic"),
+            ("C", "Generic"),
+        ],
+        [("A", "E"), ("B", "A"), ("B", "C"), ("C", "E")],
+    )
+
+
+def shuffled(rng, g):
+    """`g` with its nodes declared in a random order."""
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    return build_graph(nodes, g.edges)
+
+
+def outcome(run):
+    """The matches found and the EnumerationLimit message, if one was raised."""
+    found: list = []
+    try:
+        run(found)
+    except EnumerationLimit as err:
+        return found, str(err)
+    return found, None
+
+
+class TestMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_agrees_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        g = shuffled(
+            rng,
+            random_dag(
+                rng, rng.randint(3, 12), rng.uniform(0.25, 0.7), latent_probability=0.2
+            ),
+        )
+        p = rng.choice(builtin_patterns() + (generic_pattern(),))
+        roles = p.role_names()
+        hints = {
+            role: rng.choice(g.names)
+            for role in rng.sample(roles, rng.choice((0, 0, 1, 2)))
+        }
+        limit = rng.choice((1, 5, 20, 200))
+
+        def ours(found):
+            found.extend(iter_matches(g, p, hints, limit))
+
+        def brute(found):
+            brute_match_pattern(g, p, hints, limit, out=found)
+
+        mine, theirs = outcome(ours), outcome(brute)
+        assert mine == theirs
+        for m, b in zip(mine[0], theirs[0]):
+            assert list(m.binding.items()) == list(b.binding.items())
+            assert list(m.witness_paths.items()) == list(b.witness_paths.items())
+        if mine[1] is None:
+            assert match_pattern(g, p, hints, limit) == mine[0]
 
 
 class TestValidateMatch:
