@@ -19,7 +19,9 @@ from .errors import (
     CausalAccountError,
     GraphError,
     InterveneOnExogenous,
+    InvalidSetting,
     MissingExogenous,
+    NonRootAssignment,
     ParseError,
     PatternError,
     SchemaError,
@@ -55,8 +57,10 @@ _USAGE_ERRORS = (
     GraphError,
     ValueOutOfDomain,
     MissingExogenous,
+    NonRootAssignment,
     InterveneOnExogenous,
     PatternError,
+    InvalidSetting,
 )
 
 

@@ -40,6 +40,10 @@ class UnknownNode(GraphError):
     """An operation referenced a node that is not in the graph."""
 
 
+class InvalidNodeName(GraphError, ValueError):
+    """A node name is empty or not a string."""
+
+
 class InvalidPath(GraphError):
     """A path object does not describe a simple path of this graph."""
 
@@ -52,12 +56,20 @@ class EnumerationLimit(CausalAccountError):
     """An enumeration would exceed its configured cap."""
 
 
+class InvalidSetting(CausalAccountError, ValueError):
+    """An environment variable holds a value the package cannot use."""
+
+
 class ScmError(CausalAccountError):
     """Problem with a structural causal model or a model query."""
 
 
 class MissingExogenous(ScmError):
     """An evaluation was started without values for all root variables."""
+
+
+class NonRootAssignment(ScmError, ValueError):
+    """A root assignment sets a variable that is not a root."""
 
 
 class UnspecifiedFunction(ScmError):

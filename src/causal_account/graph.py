@@ -20,13 +20,14 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Literal, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .errors import (
     CycleError,
     DuplicateNode,
     EdgeIntoExogenous,
     EnumerationLimit,
+    InvalidNodeName,
     InvalidPath,
     OverlapError,
     SemanticError,
@@ -261,7 +262,7 @@ def _normalize_node(spec: NodeSpec) -> Node:
         label = rest[0] if rest else None
         node = Node(name, kind, label)
     if not node.name or not isinstance(node.name, str):
-        raise ValueError(f"invalid node name {node.name!r}")
+        raise InvalidNodeName(f"invalid node name {node.name!r}")
     return node
 
 
@@ -436,9 +437,11 @@ def simple_paths(
     nodes_on_stack = {x}
     stack_nodes = [x]
     stack_dirs: list[Direction] = []
-
-    def step(moves: Iterable[tuple[str, Direction]]) -> None:
-        for nxt, direction in moves:
+    # one iterator of untried moves per node on the stack, so path length is
+    # not bounded by Python's recursion limit
+    pending: list[Iterator[tuple[str, Direction]]] = [iter(first)]
+    while pending:
+        for nxt, direction in pending[-1]:
             if nxt == y:
                 if len(out) >= limit:
                     raise EnumerationLimit(
@@ -454,14 +457,15 @@ def simple_paths(
             stack_nodes.append(nxt)
             stack_dirs.append(direction)
             if directed:
-                step((c, FORWARD) for c in g._children[nxt])
+                pending.append((c, FORWARD) for c in g._children[nxt])
             else:
-                step(g._neighbors[nxt])
-            stack_dirs.pop()
-            stack_nodes.pop()
-            nodes_on_stack.remove(nxt)
-
-    step(first)
+                pending.append(iter(g._neighbors[nxt]))
+            break
+        else:
+            pending.pop()
+            if pending:
+                stack_dirs.pop()
+                nodes_on_stack.remove(stack_nodes.pop())
     return out
 
 

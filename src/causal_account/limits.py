@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import InvalidSetting
+
 ENV_VAR = "CAUSAL_ACCOUNT_MAX_ENUM"
 
 # log2 of the number of root-variable combinations consistent_worlds will visit
@@ -33,7 +35,7 @@ def enumeration_cap(default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+        raise InvalidSetting(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{ENV_VAR} must be non-negative, got {value}")
+        raise InvalidSetting(f"{ENV_VAR} must be non-negative, got {value}")
     return value

@@ -10,8 +10,8 @@ every other variable. That gives three query levels:
   * counterfactuals: abduction (consistent worlds), action (intervention),
     prediction (re-evaluation of the mutilated model in every kept world).
 
-`evaluate` computes one world from one root assignment. Association and
-counterfactual queries instead work on many worlds at once. World i is the
+Every query, `evaluate` included, works on a block of worlds at once;
+`evaluate` takes a block of exactly one world. World i is the
 i-th root combination of `itertools.product` over the root domains in
 declaration order, so the last root varies fastest. The worlds are taken in
 blocks of consecutive worlds, and bit i of a Python int stands for world i
@@ -46,6 +46,7 @@ from .errors import (
     InconsistentEvidence,
     InterveneOnExogenous,
     MissingExogenous,
+    NonRootAssignment,
     SemanticError,
     UnknownNode,
     UnspecifiedFunction,
@@ -125,11 +126,8 @@ def _show(value: Value) -> str:
 class Expr:
     """Base class for structural-function expression trees."""
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        raise NotImplementedError
-
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        """Bit-parallel `evaluate`: the worlds (bits of `full`) giving each value.
+        """The worlds (bits of `full`) in which this expression takes each value.
 
         `env` maps every referenced variable to its value masks.
         """
@@ -155,9 +153,6 @@ class _Boolean(Expr):
 class Lit(Expr):
     value: Value
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return self.value
-
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
         return {self.value: full}
 
@@ -166,9 +161,6 @@ class Lit(Expr):
 class Ref(Expr):
     name: str
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return env[self.name]
-
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
         return env[self.name]
 
@@ -176,9 +168,6 @@ class Ref(Expr):
 @dataclass(frozen=True)
 class Not(_Boolean):
     a: Expr
-
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return not self.a.evaluate(env)
 
     def truth(self, env: Mapping[str, Masks], full: int) -> int:
         return full ^ self.a.truth(env, full)
@@ -192,9 +181,6 @@ class And(_Boolean):
     a: Expr
     b: Expr
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return bool(self.a.evaluate(env)) and bool(self.b.evaluate(env))
-
     def truth(self, env: Mapping[str, Masks], full: int) -> int:
         return self.a.truth(env, full) & self.b.truth(env, full)
 
@@ -207,9 +193,6 @@ class Or(_Boolean):
     a: Expr
     b: Expr
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return bool(self.a.evaluate(env)) or bool(self.b.evaluate(env))
-
     def truth(self, env: Mapping[str, Masks], full: int) -> int:
         return self.a.truth(env, full) | self.b.truth(env, full)
 
@@ -221,9 +204,6 @@ class Or(_Boolean):
 class Eq(_Boolean):
     a: Expr
     b: Expr
-
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return self.a.evaluate(env) == self.b.evaluate(env)
 
     def truth(self, env: Mapping[str, Masks], full: int) -> int:
         a, b = self.a.masks(env, full), self.b.masks(env, full)
@@ -241,9 +221,6 @@ class IfThenElse(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        return self.then.evaluate(env) if self.cond.evaluate(env) else self.orelse.evaluate(env)
 
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
         cond = self.cond.truth(env, full)
@@ -355,10 +332,6 @@ class Table:
 
     rows: tuple[tuple[tuple[Value, ...], Value], ...]
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[Value, ...], Value]:
-        return {inputs: output for inputs, output in self.rows}
-
 
 @dataclass(frozen=True)
 class StructuralFunction:
@@ -372,18 +345,9 @@ class StructuralFunction:
     def specified(self) -> bool:
         return self.body is not None
 
-    def evaluate(self, env: Mapping[str, Value]) -> Value:
-        if self.body is None:
-            raise UnspecifiedFunction(
-                f"variable {self.target} is declared structure-only"
-            )
-        if isinstance(self.body, Table):
-            key = tuple(env[p] for p in self.parents)
-            return self.body._lookup[key]
-        return self.body.evaluate(env)
-
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        """Bit-parallel `evaluate`; a table row is the AND of its inputs' masks."""
+        """The worlds (bits of `full`) in which the target takes each value;
+        a table row is the AND of its inputs' masks."""
         if self.body is None:
             raise UnspecifiedFunction(
                 f"variable {self.target} is declared structure-only"
@@ -555,13 +519,15 @@ def evaluate(m: Scm, u: Mapping[str, Value]) -> Assignment:
     """Compute the unique total assignment fixed by the root assignment `u`.
 
     `u` must cover exactly the exogenous and latent variables; all functions
-    must be specified. Variables come out in declaration order.
+    must be specified. Variables come out in declaration order. The model is
+    compiled over a block of one world, so each variable's value is the one
+    value whose mask is 1.
     """
     _check_assignment(m, u, "root assignment")
     roots = set(m.root_names)
     extra = set(u) - roots
     if extra:
-        raise ValueError(
+        raise NonRootAssignment(
             "root assignment sets non-root variable(s): "
             + ", ".join(m.graph.sort_names(extra))
         )
@@ -570,13 +536,11 @@ def evaluate(m: Scm, u: Mapping[str, Value]) -> Assignment:
         raise MissingExogenous(
             "missing value(s) for " + ", ".join(m.graph.sort_names(missing))
         )
-    env: Assignment = {}
-    for name in m.graph.topological_order():
-        if name in roots:
-            env[name] = u[name]
-        else:
-            env[name] = m.functions[name].evaluate(env)
-    return {name: env[name] for name in m.graph.names}
+    env = _propagate(m, {name: {value: 1} for name, value in u.items()}, 1)
+    return {
+        name: next(value for value, mask in env[name].items() if mask)
+        for name in m.graph.names
+    }
 
 
 def world_count(m: Scm) -> int:

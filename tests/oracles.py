@@ -1,10 +1,10 @@
 """Independent reference implementations used to validate analysis results.
 
 Everything here is deliberately written against networkx or plain Python,
-not against the library under test, so agreement is meaningful. The one
-exception is the world oracles: they visit one root combination at a time
-through `evaluate`, the per-world reference that the bit-parallel
-enumeration in `scm` must agree with.
+not against the library under test, so agreement is meaningful. The world
+oracles visit one root combination at a time through `brute_evaluate`, a
+plain walk of each expression tree, which the bit-parallel evaluation in
+`scm` must agree with.
 """
 
 from __future__ import annotations
@@ -16,16 +16,24 @@ import networkx as nx
 
 from causal_account import (
     FORWARD,
+    And,
     CausalGraph,
     EnumerationLimit,
+    Eq,
+    IfThenElse,
     InconsistentEvidence,
+    Lit,
     Node,
     NodeKind,
+    Not,
+    Or,
     Path,
     PatternArityError,
     PatternMatch,
+    Ref,
+    Table,
+    UnspecifiedFunction,
     build_graph,
-    evaluate,
     intervene,
 )
 from causal_account.limits import DEFAULT_MATCH_CAP
@@ -269,12 +277,55 @@ def all_dags(n_nodes: int):
         yield build_graph(nodes, edges)
 
 
+def _brute_value(e, env):
+    """The value of expression `e` where each variable takes its `env` value."""
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Ref):
+        return env[e.name]
+    if isinstance(e, Not):
+        return not _brute_value(e.a, env)
+    if isinstance(e, And):
+        return _brute_value(e.a, env) and _brute_value(e.b, env)
+    if isinstance(e, Or):
+        return _brute_value(e.a, env) or _brute_value(e.b, env)
+    if isinstance(e, Eq):
+        return _brute_value(e.a, env) == _brute_value(e.b, env)
+    if isinstance(e, IfThenElse):
+        branch = e.then if _brute_value(e.cond, env) else e.orelse
+        return _brute_value(branch, env)
+    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def brute_evaluate(m, u) -> dict:
+    """`evaluate` for a complete root assignment `u`, one variable at a time.
+
+    A variable's parents are evaluated before it, by recursion, so no
+    topological order is needed. A table body is looked up by its row.
+    """
+    env = dict(u)
+
+    def value(name):
+        if name not in env:
+            f = m.functions[name]
+            if f.body is None:
+                raise UnspecifiedFunction(f"variable {name} is declared structure-only")
+            args = {p: value(p) for p in f.parents}
+            if isinstance(f.body, Table):
+                env[name] = dict(f.body.rows)[tuple(args[p] for p in f.parents)]
+            else:
+                env[name] = _brute_value(f.body, args)
+        return env[name]
+
+    return {name: value(name) for name in m.graph.names}
+
+
 def brute_consistent_worlds(m, evidence) -> list[dict]:
     """`consistent_worlds` by evaluating every root combination in product order."""
     roots = m.root_names
     worlds = []
     for values in itertools.product(*(m.domains[name].values for name in roots)):
-        world = evaluate(m, dict(zip(roots, values)))
+        world = brute_evaluate(m, dict(zip(roots, values)))
         if all(world[k] == v for k, v in evidence.items()):
             worlds.append(world)
     return worlds
@@ -288,7 +339,7 @@ def brute_counterfactual(m, evidence, do, query) -> dict[str, frozenset]:
     mutilated = intervene(m, do)
     results: dict[str, set] = {name: set() for name in query}
     for world in worlds:
-        prediction = evaluate(mutilated, {name: world[name] for name in m.root_names})
+        prediction = brute_evaluate(mutilated, {name: world[name] for name in m.root_names})
         for name in results:
             results[name].add(prediction[name])
     return {name: frozenset(values) for name, values in results.items()}

@@ -1,8 +1,9 @@
 """End-to-end tests for the command line interface.
 
-Every assertion here but one goes through click's CliRunner, so stdout,
+Every assertion here but two goes through click's CliRunner, so stdout,
 stderr, and exit codes are checked exactly as a shell user would see them.
-The exception launches `python -m causal_account` in a fresh process.
+The two exceptions launch `python -m causal_account` in a fresh process,
+once with the test-only dependencies blocked.
 """
 
 import json
@@ -39,6 +40,24 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+def run_python(*args):
+    """Run the interpreter in a fresh process that imports this package."""
+    src = str(Path(causal_account.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def assert_usage_error(res, message):
+    """Exit 2 with `message` on the one error line, and no traceback."""
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert [line for line in lines if line.startswith("Error:")] == [f"Error: {message}"]
+
+
 class TestVersionAndHelp:
     def test_version(self, runner):
         res = invoke(runner, "--version")
@@ -70,18 +89,22 @@ class TestVersionAndHelp:
         assert res.exit_code == 2
 
     def test_runs_as_a_module(self):
-        src = str(Path(causal_account.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        res = subprocess.run(
-            [sys.executable, "-m", "causal_account", "validate", "titus"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        res = run_python("-m", "causal_account", "validate", "titus")
         assert res.returncode == 0, res.stderr
         assert res.stdout == "ok: model titus (4 node(s), 3 edge(s))\n"
+
+    def test_runs_without_the_test_dependencies(self):
+        # click is the one runtime dependency
+        res = run_python(
+            "-c",
+            "import runpy, sys\n"
+            "for name in ('networkx', 'hypothesis', 'pytest'):\n"
+            "    sys.modules[name] = None\n"
+            "sys.argv = ['causal_account', 'eval', 'titus', '--set', 'I=true']\n"
+            "runpy.run_module('causal_account', run_name='__main__', alter_sys=True)\n",
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "I=true\nTM=true\nED=true\nBD=true\n"
 
 
 class TestValidate:
@@ -109,6 +132,14 @@ class TestValidate:
             "ok: model skeleton (3 node(s), 2 edge(s))\n"
             "structure-only: B\n"
         )
+
+    def test_empty_node_name_is_schema_error(self, runner, tmp_path):
+        payload = json.loads(to_json(load_model("titus")))
+        payload["nodes"].append({"name": "", "kind": "exogenous", "domain": "bool"})
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        res = invoke(runner, "validate", str(path))
+        assert_usage_error(res, "$: invalid node name ''")
 
     def test_unknown_name_usage_error(self, runner):
         res = invoke(runner, "validate", "nope")
@@ -162,6 +193,10 @@ class TestEval:
         res = invoke(runner, "eval", str(path), "--set", "S=high")
         assert res.exit_code == 0
         assert res.stdout == "S=high\nFast=true\n"
+
+    def test_non_root_is_usage_error(self, runner):
+        res = invoke(runner, "eval", "titus", "--set", "I=true", "--set", "TM=false")
+        assert_usage_error(res, "root assignment sets non-root variable(s): TM")
 
     def test_missing_root_is_usage_error(self, runner):
         res = invoke(runner, "eval", "titus")
@@ -217,6 +252,12 @@ class TestWorlds:
         res = invoke(runner, "worlds", "uav_weather")
         assert res.exit_code == 1
         assert "Error:" in res.stderr
+        assert res.stdout == ""
+
+    def test_malformed_cap_is_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "abc")
+        res = invoke(runner, "worlds", "titus")
+        assert_usage_error(res, "CAUSAL_ACCOUNT_MAX_ENUM must be an integer, got 'abc'")
         assert res.stdout == ""
 
     def test_worlds_stream_without_a_list(self, runner, monkeypatch):
@@ -389,6 +430,11 @@ class TestBackdoor:
         assert res.exit_code == 0
         assert res.stdout == "{Uber}\n{Developers}\n{EmergencyBrakingDisabled}\n"
 
+    def test_negative_cap_is_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "-1")
+        res = invoke(runner, "backdoor", "uber", "--x", "Driver", "--y", "Accident")
+        assert_usage_error(res, "CAUSAL_ACCOUNT_MAX_ENUM must be non-negative, got -1")
+
     def test_empty_set_when_no_backdoor_paths(self, runner):
         res = invoke(runner, "backdoor", "titus", "--x", "TM", "--y", "ED")
         assert res.exit_code == 0
@@ -503,6 +549,22 @@ class TestIdentify:
     def test_unknown_node_is_usage_error(self, runner):
         res = invoke(runner, "identify", "titus", "--x", "ZZ", "--y", "BD")
         assert res.exit_code == 2
+
+    def test_path_longer_than_the_recursion_limit(self, runner, tmp_path):
+        # n1 -> n2 -> ... -> n1500 plus n1 -> n1500: one back-door path
+        path = tmp_path / "chain.scm.txt"
+        path.write_text(
+            "model chain\nexo n1 : bool\n"
+            + "".join(f"var n{i} : bool <- n{i - 1}\n" for i in range(2, 1500))
+            + "var n1500 : bool <- n1499, n1\n"
+        )
+        res = invoke(runner, "identify", str(path), "--x", "n1499", "--y", "n1500")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (
+            "Error: 1498 adjustment candidates exceed the cap of 16 "
+            "(override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
+        )
 
 
 class TestLogset:

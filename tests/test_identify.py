@@ -65,6 +65,20 @@ class TestBackdoorPaths:
     def test_titus_has_none(self, titus):
         assert backdoor_paths(titus.graph, "TM", "ED") == []
 
+    def test_path_longer_than_the_recursion_limit(self):
+        # n1 -> n2 -> ... -> n1500 plus n1 -> n1500
+        names = [f"n{i}" for i in range(1, 1501)]
+        g = build_graph(
+            [(names[0], "exogenous")] + [(name, "endogenous") for name in names[1:]],
+            list(zip(names, names[1:])) + [("n1", "n1500")],
+        )
+        paths = backdoor_paths(g, "n1499", "n1500")
+        assert [p.nodes for p in paths] == [tuple(reversed(names[:-1])) + ("n1500",)]
+        with pytest.raises(
+            EnumerationLimit, match="^1498 adjustment candidates exceed the cap of 16 "
+        ):
+            identify(g, "n1499", "n1500")
+
 
 class TestSatisfiesBackdoor:
     def test_uber_singletons(self, uber):

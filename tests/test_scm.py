@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from unittest import mock
 
@@ -36,10 +37,11 @@ from causal_account import (
     intervene,
 )
 from causal_account import scm
+from causal_account.errors import NonRootAssignment
 from causal_account.scm import check_expr, expr_refs, infer_domain
 
 from generators import random_scm
-from oracles import brute_consistent_worlds, brute_counterfactual
+from oracles import brute_consistent_worlds, brute_counterfactual, brute_evaluate
 
 SPEED = Domain("speed", ("low", "high"))
 
@@ -292,6 +294,79 @@ class TestEvaluate:
         m = tiny_model(body=None)
         with pytest.raises(UnspecifiedFunction):
             evaluate(m, {"A": True})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_agrees_with_tree_walking_oracle(self, seed):
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=8)
+        endo = list(m.endogenous_names)
+        do = {
+            name: rng.choice(m.domains[name].values)
+            for name in rng.sample(endo, rng.randint(0, min(2, len(endo))))
+        }
+        u = {name: rng.choice(m.domains[name].values) for name in m.root_names}
+        for model in (m, intervene(m, do)):
+            shapeless = [
+                name
+                for name in model.graph.topological_order()
+                if name in model.functions and not model.functions[name].specified
+            ]
+            if shapeless:
+                message = f"variable {shapeless[0]} is declared structure-only"
+                with pytest.raises(UnspecifiedFunction, match=f"^{message}$"):
+                    evaluate(model, u)
+            else:
+                got = evaluate(model, u)
+                assert list(got.items()) == list(brute_evaluate(model, u).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_bad_assignments_fail_in_order(self, seed):
+        # each step mends the fault that won the step before it
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=8)
+        names = m.graph.names
+        roots, endo = m.root_names, m.endogenous_names
+
+        def listed(chosen):
+            return ", ".join(name for name in names if name in chosen)
+
+        def fails(error, message, assignment):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+                evaluate(m, assignment)
+            assert type(raised.value) is error
+
+        dropped = rng.sample(roots, rng.randint(1, len(roots)))
+        u = {
+            name: rng.choice(m.domains[name].values)
+            for name in roots
+            if name not in dropped
+        }
+        extra = {
+            name: rng.choice(m.domains[name].values)
+            for name in rng.sample(endo, rng.randint(0, len(endo)))
+        }
+        odd = rng.choice(names)
+        wrong = "true" if m.domains[odd] == BOOL else True
+        fails(
+            UnknownNode,
+            "root assignment names unknown variable 'zz'",
+            {"zz": True, **u, **extra, odd: wrong},
+        )
+        shown = "'true'" if wrong == "true" else "true"
+        fails(
+            ValueOutOfDomain,
+            f"root assignment: {shown} is not in domain {m.domains[odd].name} of {odd}",
+            {**u, **extra, odd: wrong},
+        )
+        if extra:
+            fails(
+                NonRootAssignment,
+                "root assignment sets non-root variable(s): " + listed(extra),
+                {**u, **extra},
+            )
+        fails(MissingExogenous, "missing value(s) for " + listed(dropped), u)
 
 
 class TestConsistentWorlds:
