@@ -10,7 +10,10 @@ empty set, and every back-door path from Z to Y is blocked by {X}.
 of A and B given W with A's out-edges removed, by one reachability traversal;
 paths are listed only where they are the output. Back-door candidates come from
 An({X, Y}), since Z ∩ An({X, Y}) is admissible whenever Z is (van der Zander,
-Liśkiewicz & Textor, 2019); front-door candidates come from De(X) ∩ An(Y).
+Liśkiewicz & Textor, 2019). The minimal back-door sets are not searched for
+among subsets: they are the minimal X-Y separators of one moral graph, listed
+in polynomial time per separator. Front-door candidates come from
+De(X) ∩ An(Y), and their subsets are tried by size.
 
 Adjustment sets draw only from observable nodes: the point of the analysis is
 deciding what to log, and latent variables cannot be logged. When the two
@@ -28,7 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import EnumerationLimit, NotIdentifiable, OverlapError
 from .graph import BACKWARD, CausalGraph, Path, between, d_connected, simple_paths
@@ -81,19 +84,6 @@ def backdoor_paths(g: CausalGraph, x: str, y: str) -> list[Path]:
     return simple_paths(g, x, y, tuple((p, BACKWARD) for p in g._parents[x]))
 
 
-def _blocks_backdoor(
-    g: CausalGraph, z: frozenset[str], x: str, y: str, trust_proxies: bool
-) -> bool:
-    # x ⫫ y | z with x's out-edges removed; z must hold no descendant of x.
-    # A trusted proxy's principal is a root, so it descends from nothing. It
-    # may be y itself, which no path passes through, so y is left out.
-    blockers = set(z)
-    if trust_proxies:
-        blockers |= {g._by_name[name].proxy_for for name in z}
-    blockers -= {None, y}
-    return not d_connected(g, (x,), {y}, blockers, cut={x})
-
-
 def satisfies_backdoor(
     g: CausalGraph,
     z: Iterable[str],
@@ -119,7 +109,14 @@ def satisfies_backdoor(
         return False
     if x == y:
         raise OverlapError("path endpoints must differ")
-    return _blocks_backdoor(g, zset, x, y, trust_proxies)
+    # x ⫫ y | z with x's out-edges removed. A trusted proxy's principal is a
+    # root, so it descends from nothing. It may be y itself, which no path
+    # passes through, so y is left out.
+    blockers = set(zset)
+    if trust_proxies:
+        blockers |= {g._by_name[name].proxy_for for name in zset}
+    blockers -= {None, y}
+    return not d_connected(g, (x,), {y}, blockers, cut={x})
 
 
 def minimal_backdoor_sets(
@@ -133,9 +130,20 @@ def minimal_backdoor_sets(
     Candidates are the observable non-descendants of `x` in An({x, y})
     (excluding the endpoints); with trust_proxies, also the proxies whose
     principal is in An({x, y}). A proxy's only parent is a root, so it can only
-    block paths. Subsets are enumerated by size, then lexicographically by
-    declaration order. Supersets of an admissible set are skipped, which both
-    prunes the search and guarantees inclusion-minimality of the output.
+    block paths.
+
+    Every candidate lies in A = An({x, y}) ∪ {x, y}, so A is the ancestral set
+    of every query, and a candidate set blocks every back-door path exactly
+    when it separates x from y in one undirected graph: the moral graph of `g`
+    restricted to A with x's out-edges removed (Lauritzen et al., 1990). The
+    vertices a candidate set can delete are the candidates in A and, with
+    trust_proxies, the latent principals of candidate proxies. The minimal
+    x-y separators made of such vertices are listed by the close-separator
+    step of Berry, Bordat & Cogis (2000), in polynomial time per separator
+    (van der Zander, Liśkiewicz & Textor, 2019). Each is mapped back to
+    candidate sets, a principal becoming any one of its proxies; the
+    inclusion-minimal ones come out by size, then lexicographically by
+    declaration order.
     """
     g.require(x)
     g.require(y)
@@ -159,17 +167,95 @@ def minimal_backdoor_sets(
             f"{len(pool)} adjustment candidates exceed the cap of {cap} "
             f"(override with {ENV_VAR})"
         )
+    order = g._order
+    xbit, ybit = 1 << order[x], 1 << order[y]
+    adj = _moral_bits(g, x, relevant)
+    # each vertex of the moral graph that a candidate can delete, with the
+    # candidates that delete it: itself, or with trust_proxies its proxies
+    stand_ins: dict[int, list[str]] = {}
+    for name in pool:
+        if name in relevant:
+            stand_ins.setdefault(1 << order[name], []).append(name)
+        principal = g._by_name[name].proxy_for
+        if trust_proxies and principal is not None and principal != y:
+            stand_ins.setdefault(1 << order[principal], []).append(name)
+    deletable = sum(stand_ins)
+
+    def close(side: int) -> int | None:
+        # the minimal separator nearest to `side` after `side` has taken in
+        # every neighbour that cannot be deleted; None once that takes in y
+        rim = _neighbourhood(adj, side) & ~side
+        while rim & ~deletable:
+            side |= rim & ~deletable
+            rim = (rim | _neighbourhood(adj, rim & ~deletable)) & ~side
+        if side & ybit:
+            return None
+        return rim & _neighbourhood(adj, _component(adj, ybit, rim))
+
+    first = close(xbit)
+    if first is None:
+        return []
+    seen, todo = {first}, [first]
+    while todo:
+        separator = todo.pop()
+        x_side = _component(adj, xbit, separator)
+        for bit in _bits(separator):
+            nxt = close(x_side | bit)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+
+    candidates = {
+        frozenset(names)
+        for separator in seen
+        for names in itertools.product(*(stand_ins[bit] for bit in _bits(separator)))
+    }
     found: list[frozenset[str]] = []
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            zset = frozenset(combo)
-            if any(prior <= zset for prior in found):
-                continue
-            if _blocks_backdoor(g, zset, x, y, trust_proxies):
-                if not zset:
-                    return [zset]  # every other candidate is a superset
-                found.append(zset)
+    for zset in sorted(candidates, key=lambda z: (len(z), sorted(map(order.get, z)))):
+        if not any(prior <= zset for prior in found):
+            found.append(zset)
     return found
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _neighbourhood(adj: list[int], mask: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _component(adj: list[int], start: int, blocked: int) -> int:
+    """The vertices reachable from `start` without entering `blocked`."""
+    comp = frontier = start
+    while frontier:
+        frontier = _neighbourhood(adj, frontier) & ~blocked & ~comp
+        comp |= frontier
+    return comp
+
+
+def _moral_bits(g: CausalGraph, x: str, within: AbstractSet[str]) -> list[int]:
+    """Adjacency masks, bit i for the i-th declared node, of the moral graph of
+    `g` restricted to the ancestral set `within` with x's out-edges removed:
+    each remaining edge, plus an edge between every two parents of a node."""
+    order = g._order
+    adj = [0] * len(g.nodes)
+    for child in within:
+        parents = [1 << order[p] for p in g._parents[child] if p != x]
+        married = sum(parents)
+        adj[order[child]] |= married
+        for bit in parents:
+            adj[bit.bit_length() - 1] |= (married ^ bit) | (1 << order[child])
+    return adj
 
 
 def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> bool:

@@ -17,7 +17,8 @@ ENV_VAR = "CAUSAL_ACCOUNT_MAX_ENUM"
 
 # log2 of the number of root-variable combinations consistent_worlds will visit
 DEFAULT_WORLD_CAP = 20
-# size of the candidate pool for back-door subset enumeration (2^16 subsets)
+# size of the candidate pool for the minimal back-door sets; it bounds how many
+# sets can be listed, while the listing costs polynomial time per set
 DEFAULT_POOL_CAP = 16
 # number of simple paths all_paths may produce
 DEFAULT_PATH_LIMIT = 100_000

@@ -256,6 +256,25 @@ def random_dag(
     return build_graph(nodes, edges)
 
 
+def with_proxies(rng: random.Random, g: CausalGraph) -> CausalGraph:
+    """`g` plus zero to two proxies p<k> of each latent node, each declared at a
+    random position; about half of them also point at endogenous nodes."""
+    nodes, edges = list(g.nodes), list(g.edges)
+    endogenous = [n.name for n in g.nodes if n.kind is NodeKind.ENDOGENOUS]
+    latents = [n.name for n in g.nodes if n.kind is NodeKind.LATENT]
+    for principal in latents:
+        for _ in range(rng.randint(0, 2)):
+            name = f"p{len(nodes) - len(g.nodes) + 1}"
+            nodes.insert(
+                rng.randint(0, len(nodes)),
+                Node(name, NodeKind.ENDOGENOUS, proxy_for=principal),
+            )
+            edges.append((principal, name))
+            if rng.random() < 0.5:
+                edges.extend((name, c) for c in endogenous if rng.random() < 0.3)
+    return build_graph(nodes, edges)
+
+
 def all_dags(n_nodes: int):
     """Every DAG over n1..nN whose edges respect the index order."""
     names = [f"n{i + 1}" for i in range(n_nodes)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -26,6 +27,7 @@ from oracles import (
     nx_satisfies_backdoor,
     nx_satisfies_frontdoor,
     random_dag,
+    with_proxies,
 )
 
 
@@ -39,6 +41,20 @@ def dags_with_pair(draw):
     )
     x, y = rng.sample(g.names, 2)
     return g, x, y, rng
+
+
+@st.composite
+def proxy_dags_with_pair(draw):
+    """A random DAG of at most 10 nodes, some latent, with zero to two proxies
+    per latent node (some with children), and two distinct nodes."""
+    seed = draw(st.integers(0, 100_000))
+    rng = random.Random(seed)
+    g = random_dag(
+        rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), latent_probability=0.4
+    )
+    g = with_proxies(rng, g)
+    x, y = rng.sample(g.names, 2)
+    return g, x, y
 
 
 def declaration_order(g):
@@ -176,6 +192,71 @@ class TestMinimalBackdoorSets:
                 found = minimal_backdoor_sets(g, x, y, trust_proxies=True)
                 brute = brute_minimal_backdoor_sets(g, x, y, trust_proxies=True)
                 assert found == sorted(brute, key=declaration_order(g)), (x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(proxy_dags_with_pair())
+    def test_proxies_agree_with_brute_force(self, case):
+        g, x, y = case
+        for trust in (False, True):
+            found = minimal_backdoor_sets(g, x, y, trust_proxies=trust)
+            brute = brute_minimal_backdoor_sets(g, x, y, trust_proxies=trust)
+            assert found == sorted(brute, key=declaration_order(g)), trust
+
+    def test_trusted_proxy_on_the_separator_twice(self):
+        # x <- p -> y and x <- L -> y: the only minimal separator is {p, L}.
+        # L may be deleted by p or q, but {p, q} is a superset of {p}
+        g = build_graph(
+            [
+                Node("L", NodeKind.LATENT),
+                Node("p", NodeKind.ENDOGENOUS, proxy_for="L"),
+                Node("q", NodeKind.ENDOGENOUS, proxy_for="L"),
+                ("x", "endogenous"),
+                ("y", "endogenous"),
+            ],
+            [("L", "p"), ("L", "q"), ("L", "x"), ("L", "y")]
+            + [("p", "x"), ("p", "y"), ("x", "y")],
+        )
+        assert minimal_backdoor_sets(g, "x", "y") == []
+        assert minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == [
+            frozenset({"p"})
+        ]
+        assert brute_minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == {
+            frozenset({"p"})
+        }
+
+    def test_sixteen_candidates_none_admissible_in_budget(self):
+        # L -> x -> y with L -> y and L latent: every candidate is a parent of
+        # x, none can block x <- L -> y, so the answer is empty
+        parents = [f"a{i}" for i in range(16)]
+        g = build_graph(
+            [Node("L", NodeKind.LATENT), ("x", "endogenous"), ("y", "endogenous")]
+            + [(name, "exogenous") for name in parents],
+            [("L", "x"), ("L", "y"), ("x", "y")] + [(name, "x") for name in parents],
+        )
+        start = time.process_time()
+        assert minimal_backdoor_sets(g, "x", "y") == []
+        assert time.process_time() - start < 0.25
+
+    def test_eight_confounders_in_budget(self):
+        # c_i -> d_i -> x and c_i -> y: each minimal set takes c_i or d_i from
+        # every pair, 256 sets of size 8
+        pairs = [(f"c{i}", f"d{i}") for i in range(8)]
+        g = build_graph(
+            [
+                (name, "exogenous" if name.startswith("c") else "endogenous")
+                for pair in pairs
+                for name in pair
+            ]
+            + [("x", "endogenous"), ("y", "endogenous")],
+            [("x", "y")]
+            + [edge for c, d in pairs for edge in ((c, d), (d, "x"), (c, "y"))],
+        )
+        start = time.process_time()
+        found = minimal_backdoor_sets(g, "x", "y")
+        assert time.process_time() - start < 0.25
+        # declared c0, d0, c1, d1, ...: (size, declaration) order is the
+        # product order with c before d in each pair
+        assert found == [frozenset(z) for z in itertools.product(*pairs)]
 
 
 class TestSatisfiesFrontdoor:
