@@ -29,7 +29,14 @@ from .errors import (
     ValueOutOfDomain,
 )
 from .graph import CausalGraph, d_separated
-from .identify import identify, logging_set, minimal_backdoor_sets, satisfies_backdoor, satisfies_frontdoor
+from .identify import (
+    _frontdoor_sets,
+    identify,
+    logging_set,
+    minimal_backdoor_sets,
+    satisfies_backdoor,
+    satisfies_frontdoor,
+)
 from .modelio import from_json, parse_model, parse_pattern, to_dot, to_json
 from .patterns import (
     Pattern,
@@ -342,7 +349,7 @@ def frontdoor(model: str, x: str, y: str, z: str | None) -> None:
         ok = satisfies_frontdoor(m.graph, _split_names(z), x, y)
         click.echo(f"satisfies frontdoor: {'true' if ok else 'false'}")
         return
-    found = identify(m.graph, x, y).frontdoor_sets
+    found = _frontdoor_sets(m.graph, x, y)
     if not found:
         click.echo("none")
     for zset in found:

@@ -199,6 +199,19 @@ class CausalGraph:
         an = tuple(sum(map(bit.get, self._ancestors[n.name])) for n in self.nodes)
         return de, an, sum(bit[n.name] for n in self.nodes if n.kind.observable)
 
+    @cached_property
+    def _edge_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The parents and the skeleton neighbours of each node, as int bitmasks
+        with bit i for the i-th declared node; the tuples follow that order."""
+        parents = [0] * len(self.nodes)
+        neighbours = [0] * len(self.nodes)
+        for a, b in self.edges:
+            i, j = self._order[a], self._order[b]
+            parents[j] |= 1 << i
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+        return tuple(parents), tuple(neighbours)
+
     # -- basic accessors --------------------------------------------------
 
     def __contains__(self, name: object) -> bool:

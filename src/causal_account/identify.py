@@ -7,8 +7,10 @@ directed X to Y paths, every back-door path from X into Z is blocked by the
 empty set, and every back-door path from Z to Y is blocked by {X}.
 
 "Every back-door path from A to B is blocked by W" is tested as d-separation
-of A and B given W with A's out-edges removed, by one reachability traversal;
-paths are listed only where they are the output. Back-door candidates come from
+of A and B given W with A's out-edges removed, by one reachability traversal.
+Paths are listed only for `identify`'s report, where they are the output: the
+colliders that `logging_set` names are found by a two-path test on the
+skeleton (Menger's theorem), in polynomial time. Back-door candidates come from
 An({X, Y}), since Z ∩ An({X, Y}) is admissible whenever Z is (van der Zander,
 Liśkiewicz & Textor, 2019). The minimal back-door sets are not searched for
 among subsets: they are the minimal X-Y separators of one moral graph, listed
@@ -293,6 +295,8 @@ def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> boo
 def _frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
     """Inclusion-minimal front-door sets among observable directed-path nodes."""
     inside = between(g, x, y)
+    if x == y:
+        raise OverlapError("treatment and outcome must differ")
     candidate_pool = [name for name in g.observable_names() if name in inside]
     found: list[frozenset[str]] = []
     for size in range(min(FRONTDOOR_MAX_SIZE, len(candidate_pool)) + 1):
@@ -369,6 +373,69 @@ def confounded(g: CausalGraph, x: str, y: str) -> bool:
     return d_connected(g, (x,), {y}, frozenset(), cut={x})
 
 
+def _backdoor_colliders(
+    g: CausalGraph, x: str, y: str, among: Iterable[str]
+) -> set[str]:
+    """The nodes of `among` (none of them x or y) that are a collider on some
+    simple back-door path from `x` to `y`, by the two-path rule of
+    `logging_set`.
+
+    Such a path runs x <- q ... a -> c <- b ... y. With X* a new vertex joined
+    to the parents of x other than y, its two halves are two vertex-disjoint
+    paths from pa(c) - {x} to {X*, y} in the skeleton minus {x, c}.
+    """
+    order = g._order
+    parent_bits, adj = g._edge_bits
+    xbit, ybit = 1 << order[x], 1 << order[y]
+    into_x = parent_bits[order[x]] & ~ybit
+    if not into_x:  # no back-door path passes through a third node
+        return set()
+    star = 1 << len(g.nodes)  # X*, the step into x from one of its parents
+    adj = [mask | star if into_x >> i & 1 else mask for i, mask in enumerate(adj)]
+    adj.append(into_x)
+    found: set[str] = set()
+    for name in among:
+        cbit = 1 << order[name]
+        sources = parent_bits[order[name]] & ~xbit
+        # one parent other than x gives one path at most
+        if sources & (sources - 1) and _two_disjoint_paths(
+            adj, sources, ybit | star, xbit | cbit
+        ):
+            found.add(name)
+    return found
+
+
+def _two_disjoint_paths(
+    adj: list[int], sources: int, targets: int, blocked: int
+) -> bool:
+    """True when the graph minus `blocked` holds two vertex-disjoint paths,
+    each from a vertex of `sources` to a vertex of `targets`.
+
+    By Menger's theorem they are missing exactly when one vertex meets every
+    such path, and that vertex lies on any one of them: one shortest path is
+    found breadth first, then each of its vertices is removed in turn.
+    """
+    layers = [sources & ~blocked]
+    reached = layers[0]
+    while not reached & targets:
+        layer = _neighbourhood(adj, layers[-1]) & ~blocked & ~reached
+        if not layer:
+            return False
+        layers.append(layer)
+        reached |= layer
+    step = layers.pop() & targets
+    step &= -step
+    path = step
+    for layer in reversed(layers):
+        step = layer & adj[step.bit_length() - 1]
+        step &= -step
+        path |= step
+    return all(
+        _component(adj, sources & ~bit, blocked | bit) & targets & ~bit
+        for bit in _bits(path)
+    )
+
+
 def logging_set(
     g: CausalGraph,
     x: str,
@@ -383,6 +450,13 @@ def logging_set(
     treatment, the outcome, every observable node on a directed path between
     them, and the chosen adjustment set. Raises NotIdentifiable when no
     admissible adjustment set exists.
+
+    The rationale calls an unlogged observable node c a collider when c is one
+    on some simple back-door path from x to y. No path is listed to decide
+    it: that holds exactly when the skeleton minus {x, c} holds two
+    vertex-disjoint paths out of two parents of c, one ending at a parent
+    q != y of x (which then steps into x) and one ending at y, a parent of c
+    that is y itself counting as a path to y.
     """
     g.require(x)
     g.require(y)
@@ -414,12 +488,11 @@ def logging_set(
     }
     must_log = frozenset({x, y} | on_path | chosen)
 
-    bpaths = backdoor_paths(g, x, y)
-    collider_nodes: set[str] = set()
-    for p in bpaths:
-        for i in range(1, len(p.nodes) - 1):
-            if p.directions[i - 1] == "forward" and p.directions[i] == "backward":
-                collider_nodes.add(p.nodes[i])
+    # only the observable nodes left unlogged reach the collider line below
+    unlogged = [
+        n.name for n in g.nodes if n.kind.observable and n.name not in must_log
+    ]
+    collider_nodes = _backdoor_colliders(g, x, y, unlogged)
 
     descendants_of_x = g._descendants[x]
     rationale: list[str] = []

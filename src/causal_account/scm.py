@@ -39,6 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -365,12 +366,20 @@ class StructuralFunction:
 
 @dataclass(frozen=True)
 class Scm:
-    """Structural causal model; build through `build_scm`, which validates."""
+    """Structural causal model; build through `build_scm`, which validates.
+
+    `domains` and `functions` are stored as read-only copies of the mappings
+    passed in, so a model cannot change after it was checked.
+    """
 
     graph: CausalGraph
-    domains: dict[str, Domain]
-    functions: dict[str, StructuralFunction]
+    domains: Mapping[str, Domain]
+    functions: Mapping[str, StructuralFunction]
     name: str = "m"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "domains", MappingProxyType(dict(self.domains)))
+        object.__setattr__(self, "functions", MappingProxyType(dict(self.functions)))
 
     @property
     def root_names(self) -> tuple[str, ...]:
@@ -489,7 +498,7 @@ def build_scm(
                 f"proxy {node.name} must share the domain of {node.proxy_for}"
             )
 
-    return Scm(graph, dict(domains), dict(functions), name)
+    return Scm(graph, domains, functions, name)
 
 
 # -- assignment helpers ----------------------------------------------------

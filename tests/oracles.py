@@ -123,6 +123,61 @@ def brute_minimal_backdoor_sets(
     }
 
 
+def brute_backdoor_colliders(g: CausalGraph, x: str, y: str) -> set[str]:
+    """The colliders on the simple back-door paths from x to y, by listing
+    every skeleton path whose first edge points into x."""
+    dg = to_networkx(g)
+    skeleton = dg.to_undirected(as_view=True).subgraph(set(g.names) - {x})
+    found: set[str] = set()
+    for q in dg.predecessors(x):
+        paths = [[q]] if q == y else nx.all_simple_paths(skeleton, q, y)
+        for path in paths:
+            nodes = [x, *path]
+            found.update(
+                mid
+                for before, mid, after in zip(nodes, nodes[1:], nodes[2:])
+                if dg.has_edge(before, mid) and dg.has_edge(after, mid)
+            )
+    return found
+
+
+def brute_logging_rationale(
+    g: CausalGraph, x: str, y: str, chosen: frozenset[str]
+) -> tuple[str, ...]:
+    """The rationale lines of `logging_set` for adjustment set `chosen`, with
+    its colliders from `brute_backdoor_colliders`."""
+    dg = to_networkx(g)
+    observable = set(g.observable_names())
+    on_path = (nx.descendants(dg, x) & nx.ancestors(dg, y) | {x, y}) & observable
+    colliders = brute_backdoor_colliders(g, x, y)
+    lines = []
+    for name in g.names:
+        if name == x:
+            lines.append(f"{name}: the treatment")
+        elif name == y:
+            lines.append(f"{name}: the outcome")
+        elif name in chosen:
+            lines.append(f"{name}: member of the chosen adjustment set")
+        elif name in on_path:
+            lines.append(f"{name}: lies on a directed path from {x} to {y}")
+        elif name not in observable:
+            lines.append(f"{name}: latent, cannot be observed or logged")
+        elif name in colliders:
+            lines.append(
+                f"{name}: collider on a back-door path; leaving it unlogged "
+                "keeps that path blocked"
+            )
+        elif name in nx.descendants(dg, x):
+            lines.append(
+                f"{name}: descendant of the treatment, inadmissible for adjustment"
+            )
+        else:
+            lines.append(
+                f"{name}: not needed, every back-door path stays blocked without it"
+            )
+    return tuple(lines)
+
+
 def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str]):
     """First directed start-to-goal path avoiding bound nodes, by plain backtracking."""
     stack = [start]

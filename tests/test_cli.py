@@ -8,8 +8,10 @@ once with the test-only dependencies blocked.
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,8 @@ from causal_account import (
 from causal_account.cli import main
 from causal_account.models import load_model, model_text, pattern_text
 
+from oracles import random_dag
+
 
 @pytest.fixture()
 def runner():
@@ -38,6 +42,24 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+@pytest.fixture()
+def dag18(tmp_path):
+    """random_dag(Random(1), 18, 0.3) as a structure-only model file: more
+    than 100,000 back-door paths run from n6 to n9."""
+    g = random_dag(random.Random(1), 18, 0.3)
+    lines = ["model dag18"]
+    for node in g.nodes:
+        if node.kind.value == "exogenous":
+            lines.append(f"exo {node.name} : bool")
+        elif g.parents(node.name):
+            lines.append(f"var {node.name} : bool <- " + ", ".join(g.parents(node.name)))
+        else:
+            lines.append(f"var {node.name} : bool")
+    path = tmp_path / "dag18.scm.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def run_python(*args):
@@ -498,6 +520,22 @@ class TestFrontdoor:
         assert res.exit_code == 0
         assert res.stdout == "satisfies frontdoor: true\n"
 
+    def test_endpoint_errors_are_usage_errors(self, runner):
+        res = invoke(runner, "frontdoor", "titus", "--x", "TM", "--y", "TM")
+        assert res.exit_code == 2
+        assert res.stderr.endswith("Error: treatment and outcome must differ\n")
+        res = invoke(runner, "frontdoor", "titus", "--x", "TM", "--y", "nope")
+        assert res.exit_code == 2
+        assert res.stderr.endswith("Error: unknown node 'nope'\n")
+
+    def test_eighteen_node_pair_in_budget(self, runner, dag18):
+        # the back-door paths are never listed
+        start = time.process_time()
+        res = invoke(runner, "frontdoor", dag18, "--x", "n6", "--y", "n9")
+        assert time.process_time() - start < 0.25
+        assert res.exit_code == 0
+        assert res.stdout == "none\n"
+
 
 class TestIdentify:
     def test_frontdoor_report_text(self, runner):
@@ -584,6 +622,13 @@ class TestLogset:
             "UAVInFlight: lies on a directed path from Pilot to UAVCrash\n"
             "UAVCrash: the outcome\n"
         )
+
+    def test_eighteen_node_pair_in_budget(self, runner, dag18):
+        start = time.process_time()
+        res = invoke(runner, "logset", dag18, "--x", "n6", "--y", "n9")
+        assert time.process_time() - start < 0.25
+        assert res.exit_code == 0
+        assert res.stdout.splitlines()[:2] == ["must log: {n6, n9}", "adjustment set: {}"]
 
     def test_allowed_restriction_changes_choice(self, runner):
         res = invoke(

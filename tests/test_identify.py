@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import time
@@ -22,7 +23,11 @@ from causal_account import (
     satisfies_frontdoor,
 )
 
+from causal_account.identify import _backdoor_colliders
+
 from oracles import (
+    brute_backdoor_colliders,
+    brute_logging_rationale,
     brute_minimal_backdoor_sets,
     nx_satisfies_backdoor,
     nx_satisfies_frontdoor,
@@ -55,6 +60,26 @@ def proxy_dags_with_pair(draw):
     g = with_proxies(rng, g)
     x, y = rng.sample(g.names, 2)
     return g, x, y
+
+
+@st.composite
+def logging_cases(draw):
+    """A random DAG of at most 12 nodes, some latent, with zero to two proxies
+    per latent node, two distinct nodes (observable where the graph has two),
+    a trust setting and an allowed set or None. Above 9 nodes the edge
+    probability stays at most 0.35, which keeps the path listing of the
+    oracle to about a second."""
+    seed = draw(st.integers(0, 100_000))
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    p = rng.choice((0.2, 0.35, 0.5) if n <= 9 else (0.2, 0.35))
+    g = with_proxies(rng, random_dag(rng, n, p, latent_probability=0.3))
+    observable = g.observable_names()
+    x, y = rng.sample(observable if len(observable) >= 2 else g.names, 2)
+    allowed = None
+    if rng.random() < 0.5:
+        allowed = frozenset(name for name in g.names if rng.random() < 0.6)
+    return g, x, y, rng.random() < 0.5, allowed
 
 
 def declaration_order(g):
@@ -416,6 +441,57 @@ class TestLoggingSet:
     def test_unidentifiable_pair_rejected(self, uav_attacker):
         with pytest.raises(NotIdentifiable):
             logging_set(uav_attacker.graph, "Pilot", "UAV")
+
+    def test_lists_no_paths(self, uav_weather, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths listed")
+
+        # the package exports a function named identify over its module
+        identify_module = importlib.import_module("causal_account.identify")
+        monkeypatch.setattr("causal_account.graph.simple_paths", refuse)
+        monkeypatch.setattr(identify_module, "simple_paths", refuse)
+        monkeypatch.setattr(identify_module, "backdoor_paths", refuse)
+        rec = logging_set(uav_weather.graph, "Pilot", "UAVCrash")
+        assert (
+            "VisibilityLimit: collider on a back-door path; leaving it "
+            "unlogged keeps that path blocked" in rec.rationale
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(logging_cases())
+    def test_agrees_with_path_listing(self, case):
+        g, x, y, trust, allowed = case
+        others = [name for name in g.names if name not in (x, y)]
+        assert _backdoor_colliders(g, x, y, others) == brute_backdoor_colliders(g, x, y)
+        # TestMinimalBackdoorSets checks the sets the choice is made from
+        try:
+            rec = logging_set(g, x, y, allowed, trust)
+        except NotIdentifiable:
+            return
+        assert rec.rationale == brute_logging_rationale(
+            g, x, y, rec.adjustment_set_used
+        )
+
+    def test_eighteen_nodes_in_budget(self):
+        # more than 100,000 back-door paths from n6 to n9, all blocked
+        g = random_dag(random.Random(1), 18, 0.3)
+        start = time.process_time()
+        rec = logging_set(g, "n6", "n9")
+        assert time.process_time() - start < 0.25
+        assert rec.adjustment_set_used == frozenset()
+        assert [line.split(":")[0] for line in rec.rationale if "collider" in line] == [
+            "n5", "n10", "n11", "n12", "n13", "n14", "n15", "n16", "n17", "n18"
+        ]
+
+    def test_confounded_pair_of_32_nodes_in_budget(self):
+        # ten minimal back-door sets, a pool under the cap, and more than
+        # 100,000 back-door paths
+        g = random_dag(random.Random(1), 32, 0.2)
+        start = time.process_time()
+        rec = logging_set(g, "n24", "n32")
+        assert time.process_time() - start < 0.25
+        assert rec.adjustment_set_used == frozenset({"n9", "n21"})
+        assert len(minimal_backdoor_sets(g, "n24", "n32")) == 10
 
     def test_trusted_proxy_logging(self, uav_attacker_ids):
         rec = logging_set(

@@ -160,6 +160,26 @@ class TestExpressions:
 
 
 class TestBuildScm:
+    def test_model_maps_are_read_only(self):
+        graph = build_graph(
+            [("A", "exogenous"), ("B", "endogenous")], [("A", "B")]
+        )
+        domains = {"A": BOOL, "B": BOOL}
+        functions = {"B": StructuralFunction("B", ("A",), Ref("A"))}
+        m = build_scm(graph, domains, functions)
+        # the model keeps its own copies
+        domains["A"] = Domain("level", ("low", "high"))
+        del functions["B"]
+        assert m.domains["A"] == BOOL
+        assert m.functions["B"].body == Ref("A")
+        with pytest.raises(TypeError):
+            m.functions["B"] = StructuralFunction("B", ("A",), Not(Ref("A")))
+        with pytest.raises(TypeError):
+            m.domains["A"] = BOOL
+        with pytest.raises(TypeError):
+            intervene(m, {"B": True}).functions["B"] = m.functions["B"]
+        assert m == build_scm(graph, {"A": BOOL, "B": BOOL}, {"B": m.functions["B"]})
+
     def test_domains_must_cover_nodes(self):
         graph = build_graph([("A", "exogenous")], [])
         with pytest.raises(SemanticError):
