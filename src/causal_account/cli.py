@@ -312,7 +312,12 @@ def cf(model: str, evidence: tuple[str, ...], dos: tuple[str, ...], query: str) 
 def dsep(model: str, x: str, y: str, given: str | None) -> None:
     """Decide d-separation of --x and --y given --given."""
     m = _load_model(model)
-    answer = d_separated(m.graph, _split_names(x), _split_names(y), _split_names(given))
+    xs, ys = _split_names(x), _split_names(y)
+    if not xs:
+        raise click.UsageError("--x needs at least one variable name")
+    if not ys:
+        raise click.UsageError("--y needs at least one variable name")
+    answer = d_separated(m.graph, xs, ys, _split_names(given))
     click.echo(f"d-separated: {'true' if answer else 'false'}")
 
 

@@ -6,12 +6,14 @@ sorted by that order so output stays reproducible. Latent nodes take part in
 path and blocking logic like any other node, they are only barred from
 adjustment sets (enforced in `identify`).
 
-Every d-separation question is answered by one linear-time ball-passing
-traversal (`d_connected`), which can also cut the out-edges of chosen nodes so
-that identification asks its questions of the mutilated graph without
-building it. Path enumeration (`all_paths`, `is_blocked`, `d_separated_paths`)
-remains for results that are themselves paths and as a slow reference that the
-tests compare the traversal against.
+Reachability is stored once per graph, as int bitmasks with bit i for the
+i-th declared node. Every d-separation question is answered by one algorithm
+on those masks (`d_connected`): separation in the moral graph of an ancestral
+set, which can also cut the out-edges of chosen nodes so that identification
+asks its questions of the mutilated graph without building it. Path
+enumeration (`all_paths`, `is_blocked`, `d_separated_paths`) remains for
+results that are themselves paths and as a slow reference that the tests
+compare the moral-graph test against.
 """
 
 from __future__ import annotations
@@ -169,48 +171,30 @@ class CausalGraph:
         }
 
     @cached_property
-    def _descendants(self) -> dict[str, frozenset[str]]:
-        res: dict[str, frozenset[str]] = {}
-        for name in reversed(self.topological_order()):
-            acc: set[str] = set()
-            for c in self._children[name]:
-                acc.add(c)
-                acc |= res[c]
-            res[name] = frozenset(acc)
-        return res
-
-    @cached_property
-    def _ancestors(self) -> dict[str, frozenset[str]]:
-        res: dict[str, frozenset[str]] = {}
-        for name in self.topological_order():
-            acc: set[str] = set()
-            for p in self._parents[name]:
-                acc.add(p)
-                acc |= res[p]
-            res[name] = frozenset(acc)
-        return res
+    def _edge_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The parents and the children of each node, as int bitmasks with
+        bit i for the i-th declared node; the tuples follow that order."""
+        parents = [0] * len(self.nodes)
+        children = [0] * len(self.nodes)
+        for a, b in self.edges:
+            i, j = self._order[a], self._order[b]
+            parents[j] |= 1 << i
+            children[i] |= 1 << j
+        return tuple(parents), tuple(children)
 
     @cached_property
     def _reach_bits(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """De and An of each node, then the observable nodes, as int bitmasks
-        with bit i for the i-th declared node; the tuples follow that order."""
-        bit = {name: 1 << i for name, i in self._order.items()}
-        de = tuple(sum(map(bit.get, self._descendants[n.name])) for n in self.nodes)
-        an = tuple(sum(map(bit.get, self._ancestors[n.name])) for n in self.nodes)
-        return de, an, sum(bit[n.name] for n in self.nodes if n.kind.observable)
-
-    @cached_property
-    def _edge_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The parents and the skeleton neighbours of each node, as int bitmasks
-        with bit i for the i-th declared node; the tuples follow that order."""
-        parents = [0] * len(self.nodes)
-        neighbours = [0] * len(self.nodes)
-        for a, b in self.edges:
-            i, j = self._order[a], self._order[b]
-            parents[j] |= 1 << i
-            neighbours[i] |= 1 << j
-            neighbours[j] |= 1 << i
-        return tuple(parents), tuple(neighbours)
+        in the layout of `_edge_bits`."""
+        parents, children = self._edge_bits
+        topo = [self._order[name] for name in self._topo]
+        de = [0] * len(self.nodes)
+        an = [0] * len(self.nodes)
+        for i, j in zip(topo, reversed(topo)):
+            an[i] = parents[i] | _neighbourhood(an, parents[i])
+            de[j] = children[j] | _neighbourhood(de, children[j])
+        observable = _mask(self, self.observable_names())
+        return tuple(de), tuple(an), observable
 
     # -- basic accessors --------------------------------------------------
 
@@ -390,20 +374,78 @@ def _check_acyclic(nodes: Sequence[Node], edges: Sequence[tuple[str, str]]) -> N
 def ancestors(g: CausalGraph, x: str) -> set[str]:
     """All nodes with a directed path to `x`, excluding `x` itself."""
     g.require(x)
-    return set(g._ancestors[x])
+    return set(_names(g, g._reach_bits[1][g._order[x]]))
 
 
 def descendants(g: CausalGraph, x: str) -> set[str]:
     """All nodes reachable from `x` by a directed path, excluding `x`."""
     g.require(x)
-    return set(g._descendants[x])
+    return set(_names(g, g._reach_bits[0][g._order[x]]))
 
 
 def between(g: CausalGraph, x: str, y: str) -> frozenset[str]:
     """The nodes strictly inside some directed path from `x` to `y`: De(x) ∩ An(y)."""
     g.require(x)
     g.require(y)
-    return g._descendants[x] & g._ancestors[y]
+    de, an, _ = g._reach_bits
+    return _names(g, de[g._order[x]] & an[g._order[y]])
+
+
+# -- int bitmasks, bit i for the i-th declared node ------------------------
+
+
+def _mask(g: CausalGraph, names: Iterable[str]) -> int:
+    order = g._order
+    mask = 0
+    for name in names:
+        mask |= 1 << order[name]
+    return mask
+
+
+def _names(g: CausalGraph, mask: int) -> frozenset[str]:
+    return frozenset(g.nodes[low.bit_length() - 1].name for low in _bits(mask))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _neighbourhood(adj: Sequence[int], mask: int) -> int:
+    """The union of the rows of `adj` picked by the bits of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _component(adj: Sequence[int], start: int, blocked: int) -> int:
+    """The vertices reachable from `start` without entering `blocked`."""
+    comp = frontier = start
+    while frontier:
+        frontier = _neighbourhood(adj, frontier) & ~blocked & ~comp
+        comp |= frontier
+    return comp
+
+
+def _moral_bits(g: CausalGraph, cut: int, within: int) -> list[int]:
+    """Adjacency masks of the moral graph of `g` restricted to the ancestral
+    set `within` with the out-edges of `cut` removed: each remaining edge,
+    plus an edge between every two remaining parents of a node."""
+    parents = g._edge_bits[0]
+    adj = [0] * len(g.nodes)
+    for child in _bits(within):
+        i = child.bit_length() - 1
+        married = parents[i] & ~cut
+        adj[i] |= married
+        for bit in _bits(married):
+            adj[bit.bit_length() - 1] |= (married ^ bit) | child
+    return adj
 
 
 # -- path enumeration ------------------------------------------------------
@@ -496,12 +538,13 @@ def is_blocked(g: CausalGraph, path: Path, z: Iterable[str]) -> bool:
     zset = frozenset(z)
     for name in zset:
         g.require(name)
+    zmask = _mask(g, zset)
     for i in range(1, len(path.nodes) - 1):
         mid = path.nodes[i]
         into = path.directions[i - 1] == FORWARD
         out_of = path.directions[i] == BACKWARD
         if into and out_of:  # collider at mid
-            if mid not in zset and g._descendants[mid].isdisjoint(zset):
+            if mid not in zset and not g._reach_bits[0][g._order[mid]] & zmask:
                 return True
         elif mid in zset:  # chain or fork
             return True
@@ -543,7 +586,7 @@ def d_separated_paths(
 def d_separated_reachable(
     g: CausalGraph, x: Iterable[str], y: Iterable[str], z: Iterable[str]
 ) -> bool:
-    """d-separation by ancestral reachability (ball-passing traversal)."""
+    """d-separation by separation in the moral graph of the ancestral set."""
     xs, ys, zs = _check_query_sets(g, x, y, z)
     return not d_connected(g, xs, ys, zs)
 
@@ -558,46 +601,18 @@ def d_connected(
     """True when an active trail given `z` joins `sources` to `targets`.
 
     Trails run in `g` with the out-edges of the sources in `cut` removed.
-    Bayes-ball (Shachter 1998), linear in the size of the graph: phase one
-    collects z and its ancestors, phase two walks (node, approach direction)
-    states along active trails starting upward out of the sources. Arguments
-    are not validated: the three sets must be disjoint, and no node of `z` may
-    descend from a node of `cut`, so that z's ancestors stay those of `g`.
+    They exist exactly when `z` fails to separate the sources from the
+    targets in the moral graph of An(sources ∪ targets ∪ z), taken with
+    those edges removed (Lauritzen et al., 1990). A node that reaches that
+    set only through a removed edge reaches a source of `cut` first, so the
+    ancestral set is read off `g`. Arguments are not validated: the three
+    sets must be disjoint, and `cut` must lie within `sources`.
     """
-    z_closure = set(z)
-    for name in z:
-        z_closure |= g._ancestors[name]
-
-    parents, children = g._parents, g._children
-    up, down = 0, 1
-    queue: deque[tuple[str, int]] = deque(
-        (name, up) for name in sources if name not in cut
-    )
-    queue.extend((p, up) for name in cut for p in parents[name])
-    # a cut source reached again could only leave by a removed out-edge: it
-    # is not in z, and by the condition above it is no ancestor of z either
-    visited = {(name, how) for name in cut for how in (up, down)}
-    while queue:
-        state = queue.popleft()
-        if state in visited:
-            continue
-        visited.add(state)
-        name, how = state
-        if name in targets and name not in z:
-            return True
-        if how == up and name not in z:
-            for p in parents[name]:
-                queue.append((p, up))
-            for c in children[name]:
-                queue.append((c, down))
-        elif how == down:
-            if name not in z:
-                for c in children[name]:
-                    queue.append((c, down))
-            if name in z_closure:  # collider with (an ancestor of) z below it
-                for p in parents[name]:
-                    queue.append((p, up))
-    return False
+    start, goal, zmask = _mask(g, sources), _mask(g, targets), _mask(g, z)
+    within = start | goal | zmask
+    within |= _neighbourhood(g._reach_bits[1], within)
+    adj = _moral_bits(g, _mask(g, cut), within)
+    return bool(_component(adj, start, zmask) & goal)
 
 
 def d_separated(

@@ -7,7 +7,8 @@ directed X to Y paths, every back-door path from X into Z is blocked by the
 empty set, and every back-door path from Z to Y is blocked by {X}.
 
 "Every back-door path from A to B is blocked by W" is tested as d-separation
-of A and B given W with A's out-edges removed, by one reachability traversal.
+of A and B given W with A's out-edges removed, by separation in one moral
+graph (`graph.d_connected`).
 Paths are listed only for `identify`'s report, where they are the output: the
 colliders that `logging_set` names are found by a two-path test on the
 skeleton (Menger's theorem), in polynomial time. Back-door candidates come from
@@ -33,10 +34,22 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable
 
 from .errors import EnumerationLimit, NotIdentifiable, OverlapError
-from .graph import BACKWARD, CausalGraph, Path, between, d_connected, simple_paths
+from .graph import (
+    BACKWARD,
+    CausalGraph,
+    Path,
+    _bits,
+    _component,
+    _mask,
+    _moral_bits,
+    _neighbourhood,
+    between,
+    d_connected,
+    simple_paths,
+)
 from .limits import (
     DEFAULT_POOL_CAP,
     ENV_VAR,
@@ -107,13 +120,13 @@ def satisfies_backdoor(
         raise OverlapError("the adjustment set must exclude the treatment and outcome")
     if any(not g.kind(name).observable for name in zset):
         return False
-    if zset & g._descendants[x]:
+    if _mask(g, zset) & g._reach_bits[0][g._order[x]]:
         return False
     if x == y:
         raise OverlapError("path endpoints must differ")
-    # x ⫫ y | z with x's out-edges removed. A trusted proxy's principal is a
-    # root, so it descends from nothing. It may be y itself, which no path
-    # passes through, so y is left out.
+    # x ⫫ y | z with x's out-edges removed. A trusted proxy's principal
+    # blocks too; it may be y itself, which no path passes through, so y is
+    # left out.
     blockers = set(zset)
     if trust_proxies:
         blockers |= {g._by_name[name].proxy_for for name in zset}
@@ -151,17 +164,20 @@ def minimal_backdoor_sets(
     g.require(y)
     if x == y:
         raise OverlapError("path endpoints must differ")
-    descendants_of_x = g._descendants[x]
-    relevant = g._ancestors[x] | g._ancestors[y] | {x, y}
+    order = g._order
+    de, an, _ = g._reach_bits
+    xbit, ybit = 1 << order[x], 1 << order[y]
+    relevant = an[order[x]] | an[order[y]] | xbit | ybit
+    excluded = de[order[x]] | xbit | ybit
+
+    def inside(name: str | None) -> bool:
+        return name is not None and bool(relevant >> order[name] & 1)
+
     pool = [
         name
         for name in g.observable_names()
-        if name not in (x, y)
-        and name not in descendants_of_x
-        and (
-            name in relevant
-            or (trust_proxies and g._by_name[name].proxy_for in relevant)
-        )
+        if not excluded >> order[name] & 1
+        and (inside(name) or (trust_proxies and inside(g._by_name[name].proxy_for)))
     ]
     cap = enumeration_cap(DEFAULT_POOL_CAP)
     if len(pool) > cap:
@@ -169,14 +185,12 @@ def minimal_backdoor_sets(
             f"{len(pool)} adjustment candidates exceed the cap of {cap} "
             f"(override with {ENV_VAR})"
         )
-    order = g._order
-    xbit, ybit = 1 << order[x], 1 << order[y]
-    adj = _moral_bits(g, x, relevant)
+    adj = _moral_bits(g, xbit, relevant)
     # each vertex of the moral graph that a candidate can delete, with the
     # candidates that delete it: itself, or with trust_proxies its proxies
     stand_ins: dict[int, list[str]] = {}
     for name in pool:
-        if name in relevant:
+        if inside(name):
             stand_ins.setdefault(1 << order[name], []).append(name)
         principal = g._by_name[name].proxy_for
         if trust_proxies and principal is not None and principal != y:
@@ -219,47 +233,6 @@ def minimal_backdoor_sets(
     return found
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of `mask`, lowest first, each as a one-bit mask."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _neighbourhood(adj: list[int], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= adj[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _component(adj: list[int], start: int, blocked: int) -> int:
-    """The vertices reachable from `start` without entering `blocked`."""
-    comp = frontier = start
-    while frontier:
-        frontier = _neighbourhood(adj, frontier) & ~blocked & ~comp
-        comp |= frontier
-    return comp
-
-
-def _moral_bits(g: CausalGraph, x: str, within: AbstractSet[str]) -> list[int]:
-    """Adjacency masks, bit i for the i-th declared node, of the moral graph of
-    `g` restricted to the ancestral set `within` with x's out-edges removed:
-    each remaining edge, plus an edge between every two parents of a node."""
-    order = g._order
-    adj = [0] * len(g.nodes)
-    for child in within:
-        parents = [1 << order[p] for p in g._parents[child] if p != x]
-        married = sum(parents)
-        adj[order[child]] |= married
-        for bit in parents:
-            adj[bit.bit_length() - 1] |= (married ^ bit) | (1 << order[child])
-    return adj
-
-
 def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> bool:
     """Front-door criterion check for the candidate mediator set `z`."""
     zset = frozenset(z)
@@ -274,19 +247,13 @@ def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> boo
     if x == y:
         raise OverlapError("path endpoints must differ")
     # Z intercepts all directed paths from X to Y: Y is unreachable in G - Z
-    stack, seen = [x], {x}
-    while stack:
-        for c in g._children[stack.pop()]:
-            if c == y:
-                return False
-            if c not in zset and c not in seen:
-                seen.add(c)
-                stack.append(c)
+    order = g._order
+    if _component(g._edge_bits[1], 1 << order[x], _mask(g, zset)) >> order[y] & 1:
+        return False
     # no open back-door path from X into Z
     if d_connected(g, (x,), zset, frozenset(), cut={x}):
         return False
-    # every back-door path from a member of Z to Y is blocked by {X}; the
-    # check above keeps X out of each member's descendants
+    # every back-door path from a member of Z to Y is blocked by {X}
     return not any(
         d_connected(g, (member,), {y}, {x}, cut={member}) for member in zset
     )
@@ -385,13 +352,16 @@ def _backdoor_colliders(
     paths from pa(c) - {x} to {X*, y} in the skeleton minus {x, c}.
     """
     order = g._order
-    parent_bits, adj = g._edge_bits
+    parent_bits, child_bits = g._edge_bits
     xbit, ybit = 1 << order[x], 1 << order[y]
     into_x = parent_bits[order[x]] & ~ybit
     if not into_x:  # no back-door path passes through a third node
         return set()
     star = 1 << len(g.nodes)  # X*, the step into x from one of its parents
-    adj = [mask | star if into_x >> i & 1 else mask for i, mask in enumerate(adj)]
+    adj = [
+        p | c | (star if into_x >> i & 1 else 0)
+        for i, (p, c) in enumerate(zip(parent_bits, child_bits))
+    ]
     adj.append(into_x)
     found: set[str] = set()
     for name in among:
@@ -494,7 +464,7 @@ def logging_set(
     ]
     collider_nodes = _backdoor_colliders(g, x, y, unlogged)
 
-    descendants_of_x = g._descendants[x]
+    descendants_of_x = g._reach_bits[0][g._order[x]]
     rationale: list[str] = []
     for name in g.names:
         if name == x:
@@ -512,7 +482,7 @@ def logging_set(
                 f"{name}: collider on a back-door path; leaving it unlogged "
                 "keeps that path blocked"
             )
-        elif name in descendants_of_x:
+        elif descendants_of_x >> g._order[name] & 1:
             rationale.append(
                 f"{name}: descendant of the treatment, inadmissible for adjustment"
             )

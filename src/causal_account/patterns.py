@@ -23,6 +23,7 @@ those would perturb the causal path itself).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -137,38 +138,13 @@ def build_pattern(
     return Pattern(name, tuple(normalized), tuple(edges), constraints)
 
 
+@functools.cache
 def builtin_patterns() -> tuple[Pattern, ...]:
-    """The built-in accountability patterns, lindberg and raci."""
-    lindberg = build_pattern(
-        "lindberg",
-        [
-            Role("Agent", RoleKind.AGENT),
-            Role("Mediator", RoleKind.MEDIATOR),
-            Role("Effect", RoleKind.EFFECT),
-        ],
-        [("Agent", "Mediator"), ("Mediator", "Effect")],
-    )
-    raci = build_pattern(
-        "raci",
-        [
-            Role("Accountable", RoleKind.ACCOUNTABLE),
-            Role("Responsible", RoleKind.AGENT),
-            Role("Consulted", RoleKind.CONSULTED),
-            Role("Discussion", RoleKind.DISCUSSION),
-            Role("Mediator", RoleKind.MEDIATOR),
-            Role("Effect", RoleKind.EFFECT),
-            Role("Informed", RoleKind.INFORMED),
-        ],
-        [
-            ("Accountable", "Responsible"),
-            ("Accountable", "Discussion"),
-            ("Consulted", "Discussion"),
-            ("Responsible", "Mediator"),
-            ("Mediator", "Effect"),
-            ("Effect", "Informed"),
-        ],
-    )
-    return (lindberg, raci)
+    """The built-in accountability patterns, lindberg and raci, as their
+    bundled pattern files state them."""
+    from .models import BUNDLED_PATTERNS, load_pattern  # models imports patterns
+
+    return tuple(load_pattern(name) for name in BUNDLED_PATTERNS)
 
 
 def builtin_pattern(name: str) -> Pattern:

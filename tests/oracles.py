@@ -229,7 +229,8 @@ def brute_match_pattern(
     candidates = g.observable_names()
     edges = p.template_edges
     roles = p.role_names()
-    reach = {name: g._descendants[name] for name in g.names}
+    G = to_networkx(g)
+    reach = {name: nx.descendants(G, name) for name in g.names}
 
     matches: list = [] if out is None else out
     binding: dict[str, str] = {}

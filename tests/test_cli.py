@@ -431,6 +431,19 @@ class TestDsep:
         assert res.exit_code == 0
         assert res.stdout in ("d-separated: true\n", "d-separated: false\n")
 
+    @pytest.mark.parametrize(
+        "x, y, flag",
+        [
+            ("", "Pilot", "--x"),
+            (",", "Pilot", "--x"),
+            ("Pilot", "", "--y"),
+            ("Pilot", " , ", "--y"),
+        ],
+    )
+    def test_empty_set_is_usage_error(self, runner, x, y, flag):
+        res = invoke(runner, "dsep", "uav_weather", "--x", x, "--y", y)
+        assert_usage_error(res, f"{flag} needs at least one variable name")
+
     def test_overlap_is_usage_error(self, runner):
         res = invoke(
             runner,

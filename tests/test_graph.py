@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,9 @@ from causal_account import (
     descendants,
     is_blocked,
 )
+from causal_account.graph import d_connected
+
+from oracles import nx_d_separated, random_dag, to_networkx
 
 
 def diamond():
@@ -48,6 +54,22 @@ def small_dags(draw):
         for nm in names
     ]
     return build_graph(nodes, edges)
+
+
+@st.composite
+def dags_with_node_sets(draw):
+    """A random DAG of 2 to 10 nodes, some latent, and three disjoint node
+    sets: X and Y of one to three nodes, Z of up to three."""
+    rng = random.Random(draw(st.integers(0, 100_000)))
+    g = random_dag(
+        rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), latent_probability=0.3
+    )
+    names = list(g.names)
+    rng.shuffle(names)
+    nx_ = rng.randint(1, min(3, len(names) - 1))
+    ny = rng.randint(1, min(3, len(names) - nx_))
+    nz = rng.randint(0, min(3, len(names) - nx_ - ny))
+    return g, names[:nx_], names[nx_ : nx_ + ny], names[nx_ + ny : nx_ + ny + nz]
 
 
 @st.composite
@@ -309,6 +331,22 @@ class TestDSeparation:
         g, x, y, z = case
         assert d_separated_paths(g, {x}, {y}, z) == d_separated_reachable(
             g, {x}, {y}, z
+        )
+
+    @given(dags_with_node_sets())
+    def test_node_sets_agree_with_networkx(self, case):
+        g, xs, ys, zs = case
+        assert d_separated(g, xs, ys, zs) == nx_d_separated(g, xs, ys, zs)
+
+    @given(dags_with_node_sets())
+    def test_cut_source_agrees_with_networkx(self, case):
+        # zs may hold descendants of s
+        g, xs, ys, zs = case
+        s, t = xs[0], ys[0]
+        mutilated = to_networkx(g)
+        mutilated.remove_edges_from(list(mutilated.out_edges(s)))
+        assert d_connected(g, {s}, {t}, set(zs), cut={s}) == (
+            not nx.is_d_separator(mutilated, {s}, {t}, set(zs))
         )
 
     @given(dags_with_query())
