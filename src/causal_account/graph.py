@@ -36,7 +36,7 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
-from .limits import DEFAULT_PATH_LIMIT
+from .limits import DEFAULT_PATH_LIMIT, ENV_VAR
 
 FORWARD: Literal["forward"] = "forward"
 BACKWARD: Literal["backward"] = "backward"
@@ -446,6 +446,43 @@ def _moral_bits(g: CausalGraph, cut: int, within: int) -> list[int]:
         for bit in _bits(married):
             adj[bit.bit_length() - 1] |= (married ^ bit) | child
     return adj
+
+
+def _minimal_separators(
+    succ: Sequence[int], pred: Sequence[int], x: int, y: int, deletable: int, cap: int
+) -> set[int]:
+    """The inclusion-minimal sets of `deletable` vertices that meet every path
+    from vertex `x` to vertex `y` along the rows of `succ` (`pred` holds them
+    reversed), as masks, each found in polynomial time by the close-separator
+    step of Berry, Bordat & Cogis (2000). Past 2^cap of them it raises
+    EnumerationLimit."""
+    def close(side: int) -> int | None:
+        # the minimal separator nearest to `side` after `side` has taken in
+        # every successor that cannot be deleted; None once that takes in y
+        rim = _neighbourhood(succ, side) & ~side
+        while rim & ~deletable:
+            side |= rim & ~deletable
+            rim = (rim | _neighbourhood(succ, rim & ~deletable)) & ~side
+        if side & y:
+            return None
+        return rim & _neighbourhood(pred, _component(pred, y, rim))
+
+    first = close(x)
+    if first is None:
+        return set()
+    seen, todo = {first}, [first]
+    while todo:
+        if len(seen) > 1 << cap:
+            message = f"more than 2^{cap} minimal sets (override with {ENV_VAR})"
+            raise EnumerationLimit(message)
+        separator = todo.pop()
+        x_side = _component(succ, x, separator)
+        for bit in _bits(separator):
+            nxt = close(x_side | bit)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 # -- path enumeration ------------------------------------------------------

@@ -15,8 +15,9 @@ skeleton (Menger's theorem), in polynomial time. Back-door candidates come from
 An({X, Y}), since Z ∩ An({X, Y}) is admissible whenever Z is (van der Zander,
 Liśkiewicz & Textor, 2019). The minimal back-door sets are not searched for
 among subsets: they are the minimal X-Y separators of one moral graph, listed
-in polynomial time per separator. Front-door candidates come from
-De(X) ∩ An(Y), and their subsets are tried by size.
+in polynomial time per separator. The minimal front-door sets are listed the
+same way, as the minimal cuts of the directed X to Y paths made of the nodes
+of De(X) ∩ An(Y) that pass the front-door conditions one by one.
 
 Adjustment sets draw only from observable nodes: the point of the analysis is
 deciding what to log, and latent variables cannot be logged. When the two
@@ -44,18 +45,15 @@ from .graph import (
     _bits,
     _component,
     _mask,
+    _minimal_separators,
     _moral_bits,
+    _names,
     _neighbourhood,
     between,
     d_connected,
     simple_paths,
 )
-from .limits import (
-    DEFAULT_POOL_CAP,
-    ENV_VAR,
-    FRONTDOOR_MAX_SIZE,
-    enumeration_cap,
-)
+from .limits import DEFAULT_POOL_CAP, ENV_VAR, enumeration_cap
 
 
 class IdentificationStatus(enum.Enum):
@@ -116,14 +114,14 @@ def satisfies_backdoor(
         g.require(name)
     g.require(x)
     g.require(y)
+    if x == y:
+        raise OverlapError("path endpoints must differ")
     if x in zset or y in zset:
         raise OverlapError("the adjustment set must exclude the treatment and outcome")
     if any(not g.kind(name).observable for name in zset):
         return False
     if _mask(g, zset) & g._reach_bits[0][g._order[x]]:
         return False
-    if x == y:
-        raise OverlapError("path endpoints must differ")
     # x ⫫ y | z with x's out-edges removed. A trusted proxy's principal
     # blocks too; it may be y itself, which no path passes through, so y is
     # left out.
@@ -195,42 +193,21 @@ def minimal_backdoor_sets(
         principal = g._by_name[name].proxy_for
         if trust_proxies and principal is not None and principal != y:
             stand_ins.setdefault(1 << order[principal], []).append(name)
-    deletable = sum(stand_ins)
-
-    def close(side: int) -> int | None:
-        # the minimal separator nearest to `side` after `side` has taken in
-        # every neighbour that cannot be deleted; None once that takes in y
-        rim = _neighbourhood(adj, side) & ~side
-        while rim & ~deletable:
-            side |= rim & ~deletable
-            rim = (rim | _neighbourhood(adj, rim & ~deletable)) & ~side
-        if side & ybit:
-            return None
-        return rim & _neighbourhood(adj, _component(adj, ybit, rim))
-
-    first = close(xbit)
-    if first is None:
-        return []
-    seen, todo = {first}, [first]
-    while todo:
-        separator = todo.pop()
-        x_side = _component(adj, xbit, separator)
-        for bit in _bits(separator):
-            nxt = close(x_side | bit)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-
     candidates = {
         frozenset(names)
-        for separator in seen
+        for separator in _minimal_separators(adj, adj, xbit, ybit, sum(stand_ins), cap)
         for names in itertools.product(*(stand_ins[bit] for bit in _bits(separator)))
     }
     found: list[frozenset[str]] = []
-    for zset in sorted(candidates, key=lambda z: (len(z), sorted(map(order.get, z)))):
+    for zset in _by_size(g, candidates):
         if not any(prior <= zset for prior in found):
             found.append(zset)
     return found
+
+
+def _by_size(g: CausalGraph, sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """`sets` by size, then lexicographically by declaration order."""
+    return sorted(sets, key=lambda z: (len(z), sorted(map(g._order.get, z))))
 
 
 def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> bool:
@@ -240,40 +217,43 @@ def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> boo
         g.require(name)
     g.require(x)
     g.require(y)
-    if x in zset or y in zset:
-        raise OverlapError("the mediator set must exclude the treatment and outcome")
-    if any(not g.kind(name).observable for name in zset):
-        return False
     if x == y:
         raise OverlapError("path endpoints must differ")
+    if x in zset or y in zset:
+        raise OverlapError("the mediator set must exclude the treatment and outcome")
     # Z intercepts all directed paths from X to Y: Y is unreachable in G - Z
     order = g._order
     if _component(g._edge_bits[1], 1 << order[x], _mask(g, zset)) >> order[y] & 1:
         return False
-    # no open back-door path from X into Z
-    if d_connected(g, (x,), zset, frozenset(), cut={x}):
-        return False
-    # every back-door path from a member of Z to Y is blocked by {X}
-    return not any(
-        d_connected(g, (member,), {y}, {x}, cut={member}) for member in zset
+    return all(_frontdoor_member(g, member, x, y) for member in zset)
+
+
+def _frontdoor_member(g: CausalGraph, m: str, x: str, y: str) -> bool:
+    """The front-door conditions on one member `m`: m is observable, no
+    back-door path from `x` into m is open, and {x} blocks every back-door
+    path from m to `y`."""
+    return g.kind(m).observable and not (
+        d_connected(g, (x,), {m}, frozenset(), cut={x})
+        or d_connected(g, (m,), {y}, {x}, cut={m})
     )
 
 
 def _frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
-    """Inclusion-minimal front-door sets among observable directed-path nodes."""
+    """Inclusion-minimal front-door sets of any size, by size, then
+    lexicographically by declaration order: the minimal cuts of the directed
+    `x` to `y` paths made of the observable nodes of De(x) ∩ An(y) that pass
+    `_frontdoor_member`."""
     inside = between(g, x, y)
     if x == y:
         raise OverlapError("treatment and outcome must differ")
-    candidate_pool = [name for name in g.observable_names() if name in inside]
-    found: list[frozenset[str]] = []
-    for size in range(min(FRONTDOOR_MAX_SIZE, len(candidate_pool)) + 1):
-        for combo in itertools.combinations(candidate_pool, size):
-            zset = frozenset(combo)
-            if any(prior <= zset for prior in found):
-                continue
-            if satisfies_frontdoor(g, zset, x, y):
-                found.append(zset)
-    return found
+    cap = enumeration_cap(DEFAULT_POOL_CAP)
+    members = _mask(g, (m for m in inside if _frontdoor_member(g, m, x, y)))
+    within = _mask(g, inside | {x, y})
+    succ = [children & within for children in g._edge_bits[1]]
+    pred = [parents & within for parents in g._edge_bits[0]]
+    xbit, ybit = 1 << g._order[x], 1 << g._order[y]
+    separators = _minimal_separators(succ, pred, xbit, ybit, members, cap)
+    return _by_size(g, (_names(g, s) for s in separators))
 
 
 def identify(

@@ -4,7 +4,9 @@ Everything here is deliberately written against networkx or plain Python,
 not against the library under test, so agreement is meaningful. The world
 oracles visit one root combination at a time through `brute_evaluate`, a
 plain walk of each expression tree, which the bit-parallel evaluation in
-`scm` must agree with.
+`scm` must agree with. One exception: `brute_frontdoor_sets` checks each
+subset with the library's `satisfies_frontdoor`, which is itself compared
+with `nx_satisfies_frontdoor`, so that only the listing is under test.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from causal_account import (
     UnspecifiedFunction,
     build_graph,
     intervene,
+    satisfies_frontdoor,
 )
 from causal_account.limits import DEFAULT_MATCH_CAP
 
@@ -121,6 +124,24 @@ def brute_minimal_backdoor_sets(
         for z in satisfying
         if not any(other < z for other in satisfying)
     }
+
+
+def brute_frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
+    """The inclusion-minimal front-door sets among the observable nodes on
+    directed x to y paths, trying every subset by size with no size limit;
+    they come out by size, then in the order `itertools.combinations` gives."""
+    dg = to_networkx(g)
+    inside = nx.descendants(dg, x) & nx.ancestors(dg, y)
+    pool = [name for name in g.observable_names() if name in inside]
+    found: list[frozenset[str]] = []
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            zset = frozenset(combo)
+            if any(prior <= zset for prior in found):
+                continue
+            if satisfies_frontdoor(g, zset, x, y):
+                found.append(zset)
+    return found
 
 
 def brute_backdoor_colliders(g: CausalGraph, x: str, y: str) -> set[str]:

@@ -506,6 +506,22 @@ class TestBackdoor:
         res = invoke(runner, "backdoor", "titus", "--x", "TM", "--y", "TM")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["backdoor", "frontdoor"])
+    def test_same_endpoints_with_a_set_is_usage_error(self, runner, command):
+        # Attacker is latent, which alone would answer false
+        res = invoke(
+            runner,
+            command,
+            "uav_attacker",
+            "--x",
+            "Pilot",
+            "--y",
+            "Pilot",
+            "--z",
+            "Attacker",
+        )
+        assert_usage_error(res, "path endpoints must differ")
+
 
 class TestFrontdoor:
     def test_enumerates_sets(self, runner):
@@ -540,6 +556,23 @@ class TestFrontdoor:
         res = invoke(runner, "frontdoor", "titus", "--x", "TM", "--y", "nope")
         assert res.exit_code == 2
         assert res.stderr.endswith("Error: unknown node 'nope'\n")
+
+    def test_five_mediators(self, runner, tmp_path):
+        # a latent u -> x, u -> y and x -> m_i -> y for five mediators
+        path = tmp_path / "fan.scm.txt"
+        path.write_text(
+            "model fan\nlatent u : bool\nvar x : bool <- u\n"
+            + "".join(f"var m{i} : bool <- x\n" for i in range(5))
+            + "var y : bool <- u, m0, m1, m2, m3, m4\n"
+        )
+        res = invoke(runner, "frontdoor", str(path), "--x", "x", "--y", "y")
+        assert res.exit_code == 0
+        assert res.stdout == "{m0, m1, m2, m3, m4}\n"
+
+    def test_malformed_cap_is_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "abc")
+        res = invoke(runner, "frontdoor", "uav_attacker", "--x", "Pilot", "--y", "UAV")
+        assert_usage_error(res, "CAUSAL_ACCOUNT_MAX_ENUM must be an integer, got 'abc'")
 
     def test_eighteen_node_pair_in_budget(self, runner, dag18):
         # the back-door paths are never listed

@@ -23,10 +23,11 @@ from causal_account import (
     satisfies_frontdoor,
 )
 
-from causal_account.identify import _backdoor_colliders
+from causal_account.identify import _backdoor_colliders, _frontdoor_sets
 
 from oracles import (
     brute_backdoor_colliders,
+    brute_frontdoor_sets,
     brute_logging_rationale,
     brute_minimal_backdoor_sets,
     nx_satisfies_backdoor,
@@ -94,6 +95,30 @@ def hidden_confounder():
     )
 
 
+def mediator_fan(k):
+    # a latent u -> x, u -> y and k mediators x -> m_i -> y: the only
+    # minimal front-door set holds all k mediators
+    mediators = [f"m{i}" for i in range(k)]
+    return build_graph(
+        [Node("u", NodeKind.LATENT), ("x", "endogenous"), ("y", "endogenous")]
+        + [(name, "endogenous") for name in mediators],
+        [("u", "x"), ("u", "y")]
+        + [edge for m in mediators for edge in (("x", m), (m, "y"))],
+    )
+
+
+def parallel_chains(k, length=2):
+    # k chains x -> a_i -> b_i -> ... -> y under a latent u -> x, u -> y: each
+    # minimal front-door set takes one node from every chain, length^k sets
+    chains = [tuple(f"{c}{i}" for c in "abcdefgh"[:length]) for i in range(k)]
+    return chains, build_graph(
+        [Node("u", NodeKind.LATENT), ("x", "endogenous"), ("y", "endogenous")]
+        + [(name, "endogenous") for chain in chains for name in chain],
+        [("u", "x"), ("u", "y")]
+        + [edge for chain in chains for edge in zip(("x",) + chain, chain + ("y",))],
+    )
+
+
 class TestBackdoorPaths:
     def test_uber_paths(self, uber):
         paths = backdoor_paths(uber.graph, "Driver", "Accident")
@@ -139,6 +164,13 @@ class TestSatisfiesBackdoor:
         assert not satisfies_backdoor(
             uav_attacker.graph, {"Attacker"}, "Pilot", "UAV"
         )
+
+    def test_same_endpoints_rejected_whatever_the_set(self, uav_attacker):
+        # a latent member would make the set inadmissible, but equal
+        # endpoints are a usage error first
+        for check in (satisfies_backdoor, satisfies_frontdoor):
+            with pytest.raises(OverlapError, match="^path endpoints must differ$"):
+                check(uav_attacker.graph, {"Attacker"}, "Pilot", "Pilot")
 
     def test_descendant_of_treatment_inadmissible(self, uber):
         # Police blocks nothing and descends from Driver
@@ -313,6 +345,61 @@ class TestSatisfiesFrontdoor:
         rest = [name for name in g.names if name not in (x, y)]
         z = rng.sample(rest, min(len(rest), rng.randint(0, 3)))
         assert satisfies_frontdoor(g, z, x, y) == nx_satisfies_frontdoor(g, z, x, y)
+
+
+class TestFrontdoorSets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_agrees_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        n, p = rng.randint(2, 12), rng.choice((0.2, 0.35, 0.5))
+        g = random_dag(rng, n, p, latent_probability=0.3)
+        x, y = rng.sample(g.names, 2)
+        assert _frontdoor_sets(g, x, y) == brute_frontdoor_sets(g, x, y)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_five_or_more_mediators(self, k):
+        g = mediator_fan(k)
+        report = identify(g, "x", "y")
+        assert report.status is IdentificationStatus.FRONTDOOR
+        assert report.frontdoor_sets == (frozenset(f"m{i}" for i in range(k)),)
+        assert satisfies_frontdoor(g, report.frontdoor_sets[0], "x", "y")
+
+    def test_twenty_mediators_in_budget(self):
+        g = mediator_fan(20)
+        start = time.process_time()
+        report = identify(g, "x", "y")
+        assert time.process_time() - start < 0.25
+        assert report.status is IdentificationStatus.FRONTDOOR
+        assert report.frontdoor_sets == (frozenset(f"m{i}" for i in range(20)),)
+
+    def test_more_sets_than_the_cap_refused(self, monkeypatch):
+        _, g = parallel_chains(4)
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
+        with pytest.raises(
+            EnumerationLimit,
+            match=r"^more than 2\^3 minimal sets "
+            r"\(override with CAUSAL_ACCOUNT_MAX_ENUM\)$",
+        ):
+            _frontdoor_sets(g, "x", "y")
+
+    def test_one_set_past_the_cap_refused(self, monkeypatch):
+        # two chains of three nodes: 9 minimal sets, one more than 2^3
+        _, g = parallel_chains(2, length=3)
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
+        with pytest.raises(EnumerationLimit, match=r"^more than 2\^3 minimal sets "):
+            _frontdoor_sets(g, "x", "y")
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        assert len(_frontdoor_sets(g, "x", "y")) == 9
+
+    def test_cap_override_lists_every_set(self, monkeypatch):
+        chains, g = parallel_chains(4)
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        # declared a0, b0, a1, b1, ...: (size, declaration) order is the
+        # product order with a before b in each chain
+        assert _frontdoor_sets(g, "x", "y") == [
+            frozenset(z) for z in itertools.product(*chains)
+        ]
 
 
 class TestIdentify:
