@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationLimit,
@@ -34,7 +35,7 @@ from .errors import (
     PatternArityError,
     SemanticError,
 )
-from .graph import FORWARD, CausalGraph, Path, between, kahn
+from .graph import FORWARD, CausalGraph, Path, _neighbourhood, between, kahn
 from .identify import (
     IdentificationReport,
     IdentificationStatus,
@@ -43,6 +44,9 @@ from .identify import (
     logging_set,
 )
 from .limits import DEFAULT_MATCH_CAP
+
+# (role, its template neighbours) pairs, roles given by declaration position
+Arcs = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 class RoleKind(enum.Enum):
@@ -79,6 +83,29 @@ class Pattern:
             if r.name == name:
                 return r
         raise PatternArityError(f"pattern {self.name} has no role {name!r}")
+
+    @functools.cached_property
+    def _arcs(self) -> tuple[Arcs, Arcs]:
+        """The template edges by role position: each role in topological
+        order with its successors, then each role in reverse topological
+        order with its predecessors, leaving out roles with none."""
+        names = self.role_names()
+        position = {name: i for i, name in enumerate(names)}
+        succs: dict[str, list[str]] = {name: [] for name in names}
+        preds: dict[str, list[str]] = {name: [] for name in names}
+        for a, b in self.template_edges:
+            succs[a].append(b)
+            preds[b].append(a)
+        topo = kahn(names, succs)[0]
+
+        def positions(order: Iterable[str], neighbours: dict[str, list[str]]) -> Arcs:
+            return tuple(
+                (position[r], tuple(position[s] for s in neighbours[r]))
+                for r in order
+                if neighbours[r]
+            )
+
+        return positions(topo, succs), positions(reversed(topo), preds)
 
 
 def build_pattern(
@@ -167,34 +194,37 @@ class PatternMatch:
     witness_paths: dict[tuple[str, str], Path]
 
 
-def _witness(
-    g: CausalGraph, start: str, goal: str, bound_nodes: frozenset[str]
-) -> Path | None:
-    """First directed path from start to goal whose interior avoids bound nodes.
+def _witness(g: CausalGraph, start: int, goal: int, blocked: int) -> Path | None:
+    """First directed path from node `start` to node `goal` whose interior
+    avoids the nodes of `blocked`; nodes are given by declaration index and
+    `blocked` as a bitmask in the layout of `CausalGraph._edge_bits`.
 
-    Depth-first in child declaration order, so the first path found is the
-    lexicographically first. In a DAG a node that once failed to reach the
-    goal fails again under the same bound set, whatever the path leading to
-    it, so each failed node joins `dead` and is never expanded twice. The
-    search keeps its own stack, so path length is not bounded by Python's
-    recursion limit.
+    Depth-first, trying children in declaration order (the goal too only when
+    its turn comes), so the first path found is the lexicographically first.
+    Only ancestors of the goal are entered: no other node lies on a path to
+    it. In a DAG a node that once failed to reach the goal fails again under
+    the same blocked set, whatever the path leading to it, so each failed
+    node is closed and never expanded twice. The search keeps its own stack,
+    so path length is not bounded by Python's recursion limit.
     """
-    children = g._children
-    dead = set(bound_nodes)
+    children = g._edge_bits[1]
+    goal_bit = 1 << goal
+    open_ = (g._reach_bits[1][goal] & ~blocked) | goal_bit
     stack = [start]
-    pending = [iter(children[start])]
-    while pending:
-        for child in pending[-1]:
-            if child == goal:
-                stack.append(goal)
-                return Path(tuple(stack), (FORWARD,) * (len(stack) - 1))
-            if child not in dead:
-                stack.append(child)
-                pending.append(iter(children[child]))
-                break
-        else:
-            pending.pop()
-            dead.add(stack.pop())
+    untried = [children[start]]
+    while untried:
+        step = untried[-1] & open_
+        if not step:
+            untried.pop()
+            open_ &= ~(1 << stack.pop())
+            continue
+        low = step & -step
+        untried[-1] = step ^ low
+        stack.append(low.bit_length() - 1)
+        if low == goal_bit:
+            nodes = tuple(g.nodes[k].name for k in stack)
+            return Path(nodes, (FORWARD,) * (len(nodes) - 1))
+        untried.append(children[stack[-1]])
     return None
 
 
@@ -241,13 +271,22 @@ def iter_matches(
     """The matches of `p` in `g` extending `hints`, lazily, in deterministic order.
 
     Roles are bound in declaration order, candidates in node declaration
-    order, so the output is lexicographic. A role's candidates are an int
-    bitmask (bit i for the i-th declared node): the observable nodes, or the
-    hinted one, minus those already bound, intersected with De of each bound
-    template in-neighbour and An of each bound out-neighbour. So every
-    complete binding reached has each template edge reachable; it counts
-    against `limit` before its witness paths are searched. An unbindable
-    pattern yields nothing rather than an error.
+    order, so the output is lexicographic. Each role starts from a domain,
+    an int bitmask (bit i for the i-th declared node): the observable nodes,
+    or the hinted one. Before the search the domains are made
+    arc-consistent: for each template edge a -> b, every node left for b
+    descends from a node left for a, and every node left for a is an
+    ancestor of a node left for b. That removes only nodes no complete
+    binding can use, and an empty domain ends the search at once. A role's
+    candidates are then its domain minus the nodes already bound,
+    intersected with De of each bound template in-neighbour and An of each
+    bound out-neighbour. So every complete binding reached has each
+    template edge reachable, and these are the bindings that count against
+    `limit`, the same ones as without the narrowing, before their witness
+    paths are searched. Within one call, witness paths are cached by their
+    endpoints s, t and the bound nodes in De(s) & An(t): no other bound
+    node can lie on an s -> t path. An unbindable pattern yields nothing
+    rather than an error.
 
     Raises PatternArityError for hints naming roles the pattern does not
     have and UnknownNode for hint targets missing from the graph, both at
@@ -263,57 +302,93 @@ def iter_matches(
                 + ", ".join(roles)
             )
         g.require(node)
+    return _search(g, p, hints, limit)
 
+
+def _search(
+    g: CausalGraph, p: Pattern, hints: dict[str, str], limit: int
+) -> Iterator[PatternMatch]:
     names = g.names
     de, an, observable = g._reach_bits
+    roles = p.role_names()
     position = {role: i for i, role in enumerate(roles)}
-    # per role: its candidates before any binding, and the template
-    # neighbours bound before it, as positions in `roles`
-    initial = [
+    edges = [(edge, position[edge[0]], position[edge[1]]) for edge in p.template_edges]
+    domain = [
         observable & (1 << g._order[hints[role]]) if role in hints else observable
         for role in roles
     ]
+    # arc consistency: passes along the template's topological order narrow
+    # each role's successors to De of its domain, passes against it narrow
+    # its predecessors to An; a pass leaves every edge holding in its own
+    # direction, so once a pass after the first changes nothing, both hold
+    passes = tuple(zip((de, an), p._arcs))
+    for k in itertools.count():
+        rows, arcs = passes[k % 2]
+        changed = False
+        for i, neighbours in arcs:
+            reach = _neighbourhood(rows, domain[i])
+            for j in neighbours:
+                if domain[j] & ~reach:
+                    domain[j] &= reach
+                    changed = True
+        if k and not changed:
+            break
+    if not all(domain):
+        return
+    # per role, the template neighbours bound before it, as positions in `roles`
     ins: list[list[int]] = [[] for _ in roles]
     outs: list[list[int]] = [[] for _ in roles]
-    for a, b in p.template_edges:
-        i, j = position[a], position[b]
+    for _, i, j in edges:
         if i < j:
             ins[j].append(i)
         else:
             outs[i].append(j)
+    memo: dict[tuple[int, int, int], Path | None] = {}
     chosen = [0] * len(roles)
-    examined = 0
-
-    def assign(i: int, used: int) -> Iterator[PatternMatch]:
-        nonlocal examined
-        if i == len(roles):
-            examined += 1
-            if examined > limit:
-                raise EnumerationLimit(
-                    f"more than {limit} candidate bindings for pattern {p.name}"
-                )
+    # per level, the candidates not yet tried; `used` holds chosen[:level]
+    last = len(roles) - 1
+    untried = [domain[0]] + [0] * last
+    used = level = examined = 0
+    while True:
+        candidates = untried[level]
+        if not candidates:
+            if level == 0:
+                return
+            level -= 1
+            used ^= 1 << chosen[level]
+            continue
+        low = candidates & -candidates
+        untried[level] = candidates ^ low
+        chosen[level] = low.bit_length() - 1
+        if level < last:
+            used |= low
+            level += 1
+            candidates = domain[level] & ~used
+            for a in ins[level]:
+                candidates &= de[chosen[a]]
+            for b in outs[level]:
+                candidates &= an[chosen[b]]
+            untried[level] = candidates
+            continue
+        examined += 1
+        if examined > limit:
+            raise EnumerationLimit(
+                f"more than {limit} candidate bindings for pattern {p.name}"
+            )
+        bound = used | low
+        witnesses: dict[tuple[str, str], Path] = {}
+        for edge, i, j in edges:
+            s, t = chosen[i], chosen[j]
+            key = (s, t, bound & de[s] & an[t])
+            if key not in memo:
+                memo[key] = _witness(g, s, t, key[2])
+            path = memo[key]
+            if path is None:
+                break
+            witnesses[edge] = path
+        else:
             binding = {role: names[k] for role, k in zip(roles, chosen)}
-            bound = frozenset(binding.values())
-            witnesses: dict[tuple[str, str], Path] = {}
-            for a, b in p.template_edges:
-                path = _witness(g, binding[a], binding[b], bound)
-                if path is None:
-                    return
-                witnesses[(a, b)] = path
             yield PatternMatch(binding, witnesses)
-            return
-        candidates = initial[i] & ~used
-        for a in ins[i]:
-            candidates &= de[chosen[a]]
-        for b in outs[i]:
-            candidates &= an[chosen[b]]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            chosen[i] = low.bit_length() - 1
-            yield from assign(i + 1, used | low)
-
-    return assign(0, 0)
 
 
 def match_pattern(

@@ -225,17 +225,59 @@ def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str])
     return Path(nodes, tuple([FORWARD] * (len(nodes) - 1)))
 
 
-def brute_match_pattern(
-    g: CausalGraph, p, hints=None, limit: int = DEFAULT_MATCH_CAP, out=None
-):
-    """`match_pattern` by backtracking over role bindings with set lookups.
+def brute_bindings(g: CausalGraph, p, hints=None):
+    """The complete role bindings `match_pattern` counts against its limit,
+    as dicts, by backtracking with set lookups.
 
     Roles are bound in declaration order, candidates tried in node
     declaration order. Every partial binding is checked against every
-    template edge whose endpoints are both bound (directed reachability),
-    and each complete binding that passes counts against `limit` before its
-    witness paths are searched. Matches are appended to `out` when given,
-    so a caller still sees those found before an EnumerationLimit.
+    template edge whose endpoints are both bound (directed reachability);
+    each complete binding that passes is yielded, with or without witness
+    paths.
+    """
+    hints = dict(hints or {})
+    candidates = g.observable_names()
+    edges = p.template_edges
+    roles = p.role_names()
+    G = to_networkx(g)
+    reach = {name: nx.descendants(G, name) for name in g.names}
+    binding: dict[str, str] = {}
+    used: set[str] = set()
+
+    def feasible() -> bool:
+        for a, b in edges:
+            if a in binding and b in binding:
+                if binding[b] not in reach[binding[a]]:
+                    return False
+        return True
+
+    def assign(i: int):
+        if i == len(roles):
+            yield dict(binding)
+            return
+        role = roles[i]
+        options = (hints[role],) if role in hints else candidates
+        for node in options:
+            if node in used or not g.kind(node).observable:
+                continue
+            binding[role] = node
+            used.add(node)
+            if feasible():
+                yield from assign(i + 1)
+            used.remove(node)
+            del binding[role]
+
+    return assign(0)
+
+
+def brute_match_pattern(
+    g: CausalGraph, p, hints=None, limit: int = DEFAULT_MATCH_CAP, out=None
+):
+    """`match_pattern` over `brute_bindings`.
+
+    Each complete binding counts against `limit` before its witness paths
+    are searched. Matches are appended to `out` when given, so a caller
+    still sees those found before an EnumerationLimit.
     """
     hints = dict(hints or {})
     role_names = set(p.role_names())
@@ -247,57 +289,21 @@ def brute_match_pattern(
             )
         g.require(node)
 
-    candidates = g.observable_names()
-    edges = p.template_edges
-    roles = p.role_names()
-    G = to_networkx(g)
-    reach = {name: nx.descendants(G, name) for name in g.names}
-
     matches: list = [] if out is None else out
-    binding: dict[str, str] = {}
-    used: set[str] = set()
-    examined = 0
-
-    def feasible() -> bool:
-        for a, b in edges:
-            if a in binding and b in binding:
-                if binding[b] not in reach[binding[a]]:
-                    return False
-        return True
-
-    def complete() -> None:
-        nonlocal examined
-        examined += 1
+    for examined, binding in enumerate(brute_bindings(g, p, hints), 1):
         if examined > limit:
             raise EnumerationLimit(
                 f"more than {limit} candidate bindings for pattern {p.name}"
             )
         bound = frozenset(binding.values())
         witnesses = {}
-        for a, b in edges:
+        for a, b in p.template_edges:
             path = _brute_witness(g, binding[a], binding[b], bound)
             if path is None:
-                return
+                break
             witnesses[(a, b)] = path
-        matches.append(PatternMatch(dict(binding), witnesses))
-
-    def assign(i: int) -> None:
-        if i == len(roles):
-            complete()
-            return
-        role = roles[i]
-        options = (hints[role],) if role in hints else candidates
-        for node in options:
-            if node in used or not g.kind(node).observable:
-                continue
-            binding[role] = node
-            used.add(node)
-            if feasible():
-                assign(i + 1)
-            used.remove(node)
-            del binding[role]
-
-    assign(0)
+        else:
+            matches.append(PatternMatch(binding, witnesses))
     return matches
 
 

@@ -28,7 +28,7 @@ from causal_account import (
     validate_match,
 )
 
-from oracles import brute_match_pattern, random_dag
+from oracles import brute_bindings, brute_match_pattern, random_dag
 
 RACI_BINDING_UBER = {
     "Accountable": "Uber",
@@ -285,6 +285,42 @@ class TestMatchPattern:
         )
         assert m.witness_paths[("Mediator", "Effect")].nodes == tuple(names[1:])
 
+    def test_pattern_deeper_than_the_recursion_limit(self):
+        # a chain of k roles on a latent root and k observable nodes in a row:
+        # one match, bound node by node; the search keeps its own stack
+        k = 1100
+        roles = [(f"r{i}", "Generic") for i in range(k - 1)] + [("E", RoleKind.EFFECT)]
+        names = [r for r, _ in roles]
+        chain = build_pattern("chain", roles, list(zip(names, names[1:])))
+        nodes = [f"n{i}" for i in range(k + 1)]
+        g = build_graph(
+            [("n0", "latent")] + [(n, "endogenous") for n in nodes[1:]],
+            list(zip(nodes, nodes[1:])),
+        )
+        for hints in ({}, {"r0": "n1", "E": f"n{k}"}):
+            (m,) = match_pattern(g, chain, hints)
+            assert list(m.binding.values()) == nodes[1:]
+            assert str(m.witness_paths[("r0", "r1")]) == "n1 -> n2"
+
+    def test_witnesses_differ_with_the_bound_nodes_between_their_ends(self):
+        # both matches bind A and E to the same nodes, but B sits on a
+        # different a-e path in each, so the witness for A -> E must differ
+        skip = build_pattern(
+            "skip",
+            [("A", "Generic"), ("B", "Generic"), ("E", RoleKind.EFFECT)],
+            [("A", "E"), ("A", "B")],
+        )
+        g = quick_graph(
+            ["a", "m", "x", "e"], [("a", "m"), ("m", "e"), ("a", "x"), ("x", "e")]
+        )
+        hints = {"A": "a", "E": "e"}
+        first, second = match_pattern(g, skip, hints)
+        assert (first.binding["B"], second.binding["B"]) == ("m", "x")
+        assert str(first.witness_paths[("A", "E")]) == "a -> x -> e"
+        assert str(second.witness_paths[("A", "E")]) == "a -> m -> e"
+        assert [first, second] == brute_match_pattern(g, skip, hints)
+
+
 def generic_pattern():
     # the effect is declared first, so its template neighbours are bound
     # after it and constrain their candidates by ancestry
@@ -349,6 +385,27 @@ class TestMatchOracle:
             assert list(m.witness_paths.items()) == list(b.witness_paths.items())
         if mine[1] is None:
             assert match_pattern(g, p, hints, limit) == mine[0]
+
+    @pytest.mark.parametrize("name", ["lindberg", "raci"])
+    @pytest.mark.parametrize("density", [0.2, 0.3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_brute_force_at_benchmark_size(self, name, density, seed):
+        # the audit benchmark's graph size, past the Hypothesis test's 12
+        # nodes; the limit is set to the exact number of complete bindings,
+        # then to one less, where the last binding must raise
+        g = random_dag(random.Random(seed), 16, density)
+        p = builtin_pattern(name)
+        bindings = sum(1 for _ in brute_bindings(g, p))
+        for limit in (bindings, bindings - 1) if bindings else (0,):
+            mine = outcome(lambda found: found.extend(iter_matches(g, p, limit=limit)))
+            theirs = outcome(
+                lambda found: brute_match_pattern(g, p, limit=limit, out=found)
+            )
+            assert mine == theirs
+            assert (mine[1] is None) == (limit == bindings)
+            for m, b in zip(mine[0], theirs[0]):
+                assert list(m.binding.items()) == list(b.binding.items())
+                assert list(m.witness_paths.items()) == list(b.witness_paths.items())
 
 
 class TestValidateMatch:
