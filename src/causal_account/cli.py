@@ -468,6 +468,10 @@ def check(model: str, pattern_spec: str, hint_pairs: tuple[str, ...], fmt: str) 
 @_guard
 def export(model: str, fmt: str, highlight: str | None, hint_pairs: tuple[str, ...]) -> None:
     """Write MODEL as DOT or canonical JSON."""
+    if highlight is not None and fmt == "json":
+        raise click.UsageError("--highlight-match needs --format dot")
+    if hint_pairs and highlight is None:
+        raise click.UsageError("--hint needs --highlight-match")
     m = _load_model(model)
     if fmt == "json":
         click.echo(to_json(m), nl=False)

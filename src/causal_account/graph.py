@@ -488,6 +488,15 @@ def _minimal_separators(
 # -- path enumeration ------------------------------------------------------
 
 
+def _require_endpoints(g: CausalGraph, x: str, y: str, message: str) -> None:
+    """Raise UnknownNode unless `x` and `y` are nodes of `g`, then
+    OverlapError with `message` when they are the same node."""
+    g.require(x)
+    g.require(y)
+    if x == y:
+        raise OverlapError(message)
+
+
 def all_paths(
     g: CausalGraph,
     x: str,
@@ -502,10 +511,7 @@ def all_paths(
     Paths come out in lexicographic order of their node sequences (by
     declaration order). Raises EnumerationLimit past `limit` paths.
     """
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("path endpoints must differ")
+    _require_endpoints(g, x, y, "path endpoints must differ")
     first = (
         tuple((c, FORWARD) for c in g._children[x]) if directed else g._neighbors[x]
     )

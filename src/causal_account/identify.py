@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,11 +50,12 @@ from .graph import (
     _moral_bits,
     _names,
     _neighbourhood,
+    _require_endpoints,
     between,
     d_connected,
     simple_paths,
 )
-from .limits import DEFAULT_POOL_CAP, ENV_VAR, enumeration_cap
+from .limits import DEFAULT_SET_CAP, ENV_VAR, enumeration_cap
 
 
 class IdentificationStatus(enum.Enum):
@@ -90,10 +92,7 @@ def backdoor_paths(g: CausalGraph, x: str, y: str) -> list[Path]:
     They come in the order `all_paths` lists them; only the steps out of `x`
     along its in-edges are walked.
     """
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("path endpoints must differ")
+    _require_endpoints(g, x, y, "path endpoints must differ")
     return simple_paths(g, x, y, tuple((p, BACKWARD) for p in g._parents[x]))
 
 
@@ -112,10 +111,7 @@ def satisfies_backdoor(
     zset = frozenset(z)
     for name in zset:
         g.require(name)
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("path endpoints must differ")
+    _require_endpoints(g, x, y, "path endpoints must differ")
     if x in zset or y in zset:
         raise OverlapError("the adjustment set must exclude the treatment and outcome")
     if any(not g.kind(name).observable for name in zset):
@@ -153,56 +149,63 @@ def minimal_backdoor_sets(
     trust_proxies, the latent principals of candidate proxies. The minimal
     x-y separators made of such vertices are listed by the close-separator
     step of Berry, Bordat & Cogis (2000), in polynomial time per separator
-    (van der Zander, Liśkiewicz & Textor, 2019). Each is mapped back to
-    candidate sets, a principal becoming any one of its proxies; the
-    inclusion-minimal ones come out by size, then lexicographically by
-    declaration order.
+    (van der Zander, Liśkiewicz & Textor, 2019), and refused past 2^N (N from
+    `limits.enumeration_cap`). Without trust_proxies each separator is one
+    set. With it, a principal becomes any one of its proxies; past 2^N such
+    candidate sets the listing refuses, and the candidates that need every
+    member to separate x from y are kept. The sets come out by size, then
+    lexicographically by declaration order.
     """
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("path endpoints must differ")
+    _require_endpoints(g, x, y, "path endpoints must differ")
     order = g._order
     de, an, _ = g._reach_bits
     xbit, ybit = 1 << order[x], 1 << order[y]
     relevant = an[order[x]] | an[order[y]] | xbit | ybit
     excluded = de[order[x]] | xbit | ybit
-
-    def inside(name: str | None) -> bool:
-        return name is not None and bool(relevant >> order[name] & 1)
-
-    pool = [
-        name
-        for name in g.observable_names()
-        if not excluded >> order[name] & 1
-        and (inside(name) or (trust_proxies and inside(g._by_name[name].proxy_for)))
-    ]
-    cap = enumeration_cap(DEFAULT_POOL_CAP)
-    if len(pool) > cap:
-        raise EnumerationLimit(
-            f"{len(pool)} adjustment candidates exceed the cap of {cap} "
-            f"(override with {ENV_VAR})"
-        )
-    adj = _moral_bits(g, xbit, relevant)
-    # each vertex of the moral graph that a candidate can delete, with the
-    # candidates that delete it: itself, or with trust_proxies its proxies
-    stand_ins: dict[int, list[str]] = {}
-    for name in pool:
-        if inside(name):
-            stand_ins.setdefault(1 << order[name], []).append(name)
+    # the vertices of the moral graph each candidate deletes: its own and,
+    # with trust_proxies, its principal's
+    deletes: dict[str, int] = {}
+    deletable = 0
+    for name in g.observable_names():
+        bits = 1 << order[name]
         principal = g._by_name[name].proxy_for
-        if trust_proxies and principal is not None and principal != y:
-            stand_ins.setdefault(1 << order[principal], []).append(name)
+        if trust_proxies and principal is not None:
+            bits |= 1 << order[principal]
+        bits &= relevant & ~xbit & ~ybit
+        if bits and not excluded >> order[name] & 1:
+            deletes[name] = bits
+            deletable |= bits
+    adj = _moral_bits(g, xbit, relevant)
+    cap = enumeration_cap(DEFAULT_SET_CAP)
+    separators = _minimal_separators(adj, adj, xbit, ybit, deletable, cap)
+    if not trust_proxies:
+        return _by_size(g, (_names(g, s) for s in separators))
+    # a principal becomes any one of its proxies; one proxy can delete two
+    # vertices of a separator, so some products are not minimal
+    stand_ins: dict[int, list[str]] = {}
+    for name, bits in deletes.items():
+        for bit in _bits(bits):
+            stand_ins.setdefault(bit, []).append(name)
+    choices = [[stand_ins[bit] for bit in _bits(s)] for s in separators]
+    if sum(math.prod(map(len, lists)) for lists in choices) > 1 << cap:
+        message = f"more than 2^{cap} candidate sets (override with {ENV_VAR})"
+        raise EnumerationLimit(message)
     candidates = {
-        frozenset(names)
-        for separator in _minimal_separators(adj, adj, xbit, ybit, sum(stand_ins), cap)
-        for names in itertools.product(*(stand_ins[bit] for bit in _bits(separator)))
+        frozenset(names) for lists in choices for names in itertools.product(*lists)
     }
-    found: list[frozenset[str]] = []
-    for zset in _by_size(g, candidates):
-        if not any(prior <= zset for prior in found):
-            found.append(zset)
-    return found
+
+    def needs_every_member(zset: frozenset[str]) -> bool:
+        # deleting more vertices never reconnects x and y, so zset is
+        # inclusion-minimal when dropping any one member reconnects them
+        for name in zset:
+            rest = 0
+            for other in zset - {name}:
+                rest |= deletes[other]
+            if not _component(adj, xbit, rest) & ybit:
+                return False
+        return True
+
+    return [zset for zset in _by_size(g, candidates) if needs_every_member(zset)]
 
 
 def _by_size(g: CausalGraph, sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
@@ -215,10 +218,7 @@ def satisfies_frontdoor(g: CausalGraph, z: Iterable[str], x: str, y: str) -> boo
     zset = frozenset(z)
     for name in zset:
         g.require(name)
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("path endpoints must differ")
+    _require_endpoints(g, x, y, "path endpoints must differ")
     if x in zset or y in zset:
         raise OverlapError("the mediator set must exclude the treatment and outcome")
     # Z intercepts all directed paths from X to Y: Y is unreachable in G - Z
@@ -243,10 +243,9 @@ def _frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
     lexicographically by declaration order: the minimal cuts of the directed
     `x` to `y` paths made of the observable nodes of De(x) ∩ An(y) that pass
     `_frontdoor_member`."""
+    _require_endpoints(g, x, y, "treatment and outcome must differ")
     inside = between(g, x, y)
-    if x == y:
-        raise OverlapError("treatment and outcome must differ")
-    cap = enumeration_cap(DEFAULT_POOL_CAP)
+    cap = enumeration_cap(DEFAULT_SET_CAP)
     members = _mask(g, (m for m in inside if _frontdoor_member(g, m, x, y)))
     within = _mask(g, inside | {x, y})
     succ = [children & within for children in g._edge_bits[1]]
@@ -265,10 +264,7 @@ def identify(
     else IdentifiableFrontdoor when a front-door set exists, else
     NotIdentifiableByCriteria.
     """
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("treatment and outcome must differ")
+    _require_endpoints(g, x, y, "treatment and outcome must differ")
     bpaths = tuple(backdoor_paths(g, x, y))
     backdoor_sets = tuple(minimal_backdoor_sets(g, x, y, trust_proxies))
     frontdoor_sets = tuple(_frontdoor_sets(g, x, y))
@@ -313,10 +309,7 @@ def identify(
 
 def confounded(g: CausalGraph, x: str, y: str) -> bool:
     """True when some back-door path from `x` to `y` is open given nothing."""
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("treatment and outcome must differ")
+    _require_endpoints(g, x, y, "treatment and outcome must differ")
     return d_connected(g, (x,), {y}, frozenset(), cut={x})
 
 
@@ -408,10 +401,7 @@ def logging_set(
     q != y of x (which then steps into x) and one ending at y, a parent of c
     that is y itself counting as a path to y.
     """
-    g.require(x)
-    g.require(y)
-    if x == y:
-        raise OverlapError("treatment and outcome must differ")
+    _require_endpoints(g, x, y, "treatment and outcome must differ")
     for name in (x, y):
         if not g.kind(name).observable:
             raise NotIdentifiable(

@@ -2,9 +2,9 @@
 
 Exhaustive search is fine at desk scale but every enumeration here has an
 exponential worst case, so each one is capped. The caps measured as a power of
-two (world enumeration, the minimal back-door and front-door sets) can be
-overridden with the CAUSAL_ACCOUNT_MAX_ENUM environment variable; the others
-are per-call arguments.
+two (the root combinations of world enumeration, the sets a back-door or
+front-door listing finds) can be overridden with the CAUSAL_ACCOUNT_MAX_ENUM
+environment variable; the others are per-call arguments.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ ENV_VAR = "CAUSAL_ACCOUNT_MAX_ENUM"
 
 # log2 of the number of root-variable combinations consistent_worlds will visit
 DEFAULT_WORLD_CAP = 20
-# size of the back-door candidate pool, and log2 of how many minimal sets a
-# back-door or front-door listing may find, each in polynomial time
-DEFAULT_POOL_CAP = 16
+# log2 of how many sets a back-door or front-door listing may find, each in
+# polynomial time
+DEFAULT_SET_CAP = 16
 # number of simple paths all_paths may produce
 DEFAULT_PATH_LIMIT = 100_000
 # complete role bindings the pattern matcher may examine

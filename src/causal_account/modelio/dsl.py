@@ -144,9 +144,6 @@ class _Cursor:
             self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
-
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind != "punct" or tok.text != text:

@@ -339,6 +339,23 @@ def random_dag(
     return build_graph(nodes, edges)
 
 
+def sampled_pairs(
+    n_nodes: int, edge_probability: float
+) -> tuple[CausalGraph, list[tuple[str, str]]]:
+    """`random_dag(Random(1), n_nodes, edge_probability)` and its first 30
+    confounded pairs (a declared before b, a back-door path from a to b open
+    given nothing) after `Random(0).shuffle`."""
+    g = random_dag(random.Random(1), n_nodes, edge_probability)
+    pairs = [
+        (a, b)
+        for i, a in enumerate(g.names)
+        for b in g.names[i + 1 :]
+        if not nx_satisfies_backdoor(g, (), a, b)
+    ]
+    random.Random(0).shuffle(pairs)
+    return g, pairs[:30]
+
+
 def with_proxies(rng: random.Random, g: CausalGraph) -> CausalGraph:
     """`g` plus zero to two proxies p<k> of each latent node, each declared at a
     random position; about half of them also point at endogenous nodes."""

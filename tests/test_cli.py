@@ -643,11 +643,17 @@ class TestIdentify:
             + "var n1500 : bool <- n1499, n1\n"
         )
         res = invoke(runner, "identify", str(path), "--x", "n1499", "--y", "n1500")
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert res.stderr == (
-            "Error: 1498 adjustment candidates exceed the cap of 16 "
-            "(override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
+        assert res.exit_code == 0
+        # each node of that path blocks it on its own
+        assert res.stdout == (
+            "treatment: n1499\n"
+            "outcome: n1500\n"
+            "status: IdentifiableBackdoor\n"
+            "backdoor path: "
+            + " <- ".join(f"n{i}" for i in range(1499, 0, -1))
+            + " -> n1500\n"
+            + "".join(f"minimal backdoor set: {{n{i}}}\n" for i in range(1, 1499))
+            + "note: 1 back-door path(s) from n1499 to n1500\n"
         )
 
 
@@ -993,6 +999,21 @@ class TestExport:
         )
         assert res.exit_code == 1
         assert "no match of pattern raci to highlight" in res.stderr
+
+    def test_highlight_with_json_is_usage_error(self, runner):
+        res = invoke(
+            runner, "export", "titus", "--format", "json",
+            "--highlight-match", "nosuchpattern",
+        )
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "Error: --highlight-match needs --format dot\n" in res.stderr
+
+    def test_hint_without_highlight_is_usage_error(self, runner):
+        res = invoke(runner, "export", "titus", "--hint", "Nope=TM")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "Error: --hint needs --highlight-match\n" in res.stderr
 
     def test_latent_nodes_stay_dashed(self, runner):
         res = invoke(runner, "export", "uav_attacker", "--format", "dot")

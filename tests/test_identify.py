@@ -33,6 +33,7 @@ from oracles import (
     nx_satisfies_backdoor,
     nx_satisfies_frontdoor,
     random_dag,
+    sampled_pairs,
     with_proxies,
 )
 
@@ -107,6 +108,19 @@ def mediator_fan(k):
     )
 
 
+def latent_fan(latents, proxies):
+    # x <- L_i -> y for each latent L_i, declared with its proxies p<i>_<j>:
+    # trusting proxies, each choice of one proxy per latent is a minimal set
+    nodes, edges = [("x", "endogenous"), ("y", "endogenous")], []
+    for i in range(latents):
+        nodes.append(Node(f"L{i}", NodeKind.LATENT))
+        edges += [(f"L{i}", "x"), (f"L{i}", "y")]
+        for j in range(proxies):
+            nodes.append(Node(f"p{i}_{j}", NodeKind.ENDOGENOUS, proxy_for=f"L{i}"))
+            edges.append((f"L{i}", f"p{i}_{j}"))
+    return build_graph(nodes, edges)
+
+
 def parallel_chains(k, length=2):
     # k chains x -> a_i -> b_i -> ... -> y under a latent u -> x, u -> y: each
     # minimal front-door set takes one node from every chain, length^k sets
@@ -140,10 +154,13 @@ class TestBackdoorPaths:
         )
         paths = backdoor_paths(g, "n1499", "n1500")
         assert [p.nodes for p in paths] == [tuple(reversed(names[:-1])) + ("n1500",)]
-        with pytest.raises(
-            EnumerationLimit, match="^1498 adjustment candidates exceed the cap of 16 "
-        ):
-            identify(g, "n1499", "n1500")
+        # every node of the one back-door path blocks it on its own
+        report = identify(g, "n1499", "n1500")
+        assert report.status is IdentificationStatus.BACKDOOR
+        assert report.backdoor_paths == tuple(paths)
+        assert report.minimal_backdoor_sets == tuple(
+            frozenset({name}) for name in names[:-2]
+        )
 
 
 class TestSatisfiesBackdoor:
@@ -221,16 +238,31 @@ class TestMinimalBackdoorSets:
             for b in sets:
                 assert a is b or not a < b
 
-    def test_pool_cap(self, uber, monkeypatch):
+    def test_set_cap(self, uber, monkeypatch):
+        # three minimal sets are more than 2^1
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "1")
         with pytest.raises(EnumerationLimit):
             minimal_backdoor_sets(uber.graph, "Driver", "Accident")
 
-    def test_pool_cap_counts_only_ancestors(self, uber, monkeypatch):
-        # Police descends from Driver and Manuals is no ancestor of either
-        # endpoint; the three candidates left fit under a cap of 3
+    def test_set_cap_counts_only_sets_found(self, uber, monkeypatch):
+        # the three minimal sets fit under 2^3; Police, Manuals and the other
+        # nodes that are in no set do not count
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "3")
         assert len(minimal_backdoor_sets(uber.graph, "Driver", "Accident")) == 3
+
+    @pytest.mark.parametrize("n, p", [(24, 0.25), (32, 0.2), (40, 0.15)])
+    def test_sampled_pairs_are_sound_and_minimal(self, n, p):
+        # 7, 8 and 13 of these pairs have more than 16 adjustment candidates,
+        # which a cap on the candidates refused
+        g, pairs = sampled_pairs(n, p)
+        assert len(pairs) == 30
+        for x, y in pairs:
+            found = minimal_backdoor_sets(g, x, y)
+            for zset in found:
+                assert nx_satisfies_backdoor(g, zset, x, y), (x, y, zset)
+                for name in zset:
+                    assert not nx_satisfies_backdoor(g, zset - {name}, x, y)
+            assert logging_set(g, x, y).adjustment_set_used == found[0], (x, y)
 
     @settings(max_examples=60)
     @given(dags_with_pair())
@@ -280,6 +312,38 @@ class TestMinimalBackdoorSets:
         assert brute_minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == {
             frozenset({"p"})
         }
+
+    def test_trusted_proxies_of_three_latents(self):
+        g = latent_fan(3, 3)
+        found = minimal_backdoor_sets(g, "x", "y", trust_proxies=True)
+        brute = brute_minimal_backdoor_sets(g, "x", "y", trust_proxies=True)
+        assert len(found) == 27
+        assert found == sorted(brute, key=declaration_order(g))
+        assert minimal_backdoor_sets(g, "x", "y") == []
+
+    def test_trusted_proxy_sets_past_the_cap(self, monkeypatch):
+        # one separator {L0, L1, L2} and 27 ways to delete it: more than 2^4
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        g = latent_fan(3, 3)
+        message = (
+            r"^more than 2\^4 candidate sets "
+            r"\(override with CAUSAL_ACCOUNT_MAX_ENUM\)$"
+        )
+        with pytest.raises(EnumerationLimit, match=message):
+            minimal_backdoor_sets(g, "x", "y", trust_proxies=True)
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "5")
+        assert len(minimal_backdoor_sets(g, "x", "y", trust_proxies=True)) == 27
+
+    def test_trusted_proxies_of_five_latents_in_budget(self):
+        # 9^5 = 59,049 minimal sets; comparing each with the smaller ones
+        # found before it took minutes
+        g = latent_fan(5, 9)
+        start = time.process_time()
+        found = minimal_backdoor_sets(g, "x", "y", trust_proxies=True)
+        assert time.process_time() - start < 10
+        assert len(found) == 9**5
+        assert found[0] == frozenset(f"p{i}_0" for i in range(5))
+        assert found[-1] == frozenset(f"p{i}_8" for i in range(5))
 
     def test_sixteen_candidates_none_admissible_in_budget(self):
         # L -> x -> y with L -> y and L latent: every candidate is a parent of
@@ -571,8 +635,7 @@ class TestLoggingSet:
         ]
 
     def test_confounded_pair_of_32_nodes_in_budget(self):
-        # ten minimal back-door sets, a pool under the cap, and more than
-        # 100,000 back-door paths
+        # ten minimal back-door sets and more than 100,000 back-door paths
         g = random_dag(random.Random(1), 32, 0.2)
         start = time.process_time()
         rec = logging_set(g, "n24", "n32")
