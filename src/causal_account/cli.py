@@ -10,7 +10,9 @@ Exit codes: 0 on success, 1 on analysis errors and negative check verdicts,
 from __future__ import annotations
 
 import functools
+import itertools
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -157,12 +159,28 @@ def _render_set(g: CausalGraph, names) -> str:
     return "{" + ", ".join(g.sort_names(names)) + "}"
 
 
-def _render_assignment(m: Scm, a: Assignment) -> str:
-    return " ".join(
-        f"{name}={m.domains[name].render(a[name])}"
+# worlds printed per click.echo call, which costs more than rendering a line
+_ECHO_LINES = 1 << 12
+
+
+def _echo_worlds(m: Scm, worlds: Iterable[Assignment]) -> None:
+    """Print each world of `m` as `name=value` pairs in declaration order.
+
+    Every variable gets a table from each value to its rendered pair, built
+    once, so a line is one join of lookups; the worlds come from
+    `iter_worlds`, keyed in declaration order.
+    """
+    tables = [
+        {value: f"{name}={m.domains[name].render(value)}" for value in m.domains[name].values}
         for name in m.graph.names
-        if name in a
-    )
+    ]
+
+    def line(world: Assignment) -> str:
+        return " ".join(map(dict.__getitem__, tables, world.values()))
+
+    lines = map(line, worlds)
+    while batch := list(itertools.islice(lines, _ECHO_LINES)):
+        click.echo("\n".join(batch))
 
 
 def _echo_identification(g: CausalGraph, report) -> None:
@@ -244,8 +262,7 @@ def worlds(model: str, evidence: tuple[str, ...]) -> None:
     # count first, then stream: the checks fail before any output, and no
     # list of worlds is held
     click.echo(f"worlds: {consistent_world_count(m, observed)}")
-    for world in iter_worlds(m, observed):
-        click.echo(_render_assignment(m, world))
+    _echo_worlds(m, iter_worlds(m, observed))
 
 
 @main.command()
@@ -268,8 +285,7 @@ def do(model: str, sets: tuple[str, ...], then: str) -> None:
         return
     # checked before the functions, so the cap wins over a structure-only one
     world_count(mutilated)
-    for world in iter_worlds(mutilated, {}):
-        click.echo(_render_assignment(mutilated, world))
+    _echo_worlds(mutilated, iter_worlds(mutilated, {}))
 
 
 @main.command()

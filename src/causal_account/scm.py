@@ -39,6 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -693,10 +694,16 @@ def _codes(domain: Domain, masks: Masks, size: int) -> array:
     return out
 
 
-def _world_blocks(
+# kept worlds per chunk: a chunk fetches each variable's values in one call,
+# and holds one tuple per variable for its own worlds only, never a block's
+_CHUNK = 1 << 12
+
+
+def _world_chunks(
     m: Scm, evidence: Mapping[str, Value]
 ) -> Iterator[Iterable[Assignment]]:
-    """The worlds of `consistent_worlds`, one iterable per block."""
+    """The worlds of `consistent_worlds`, one iterable per chunk of
+    consecutive kept worlds."""
     names = m.graph.names
     for env, kept, size in _abduce(m, evidence):
         if not kept:
@@ -706,12 +713,27 @@ def _world_blocks(
             yield [{}]
             continue
         keep = _lanes(kept, size, 1).to_bytes(size, "little")
-        columns = []
-        for name in names:
-            domain = m.domains[name]
-            kept_codes = itertools.compress(_codes(domain, env[name], size), keep)
-            columns.append(map(domain.values.__getitem__, kept_codes))
-        yield map(dict, map(zip, itertools.repeat(names), zip(*columns)))
+        columns = [
+            (
+                itertools.compress(_codes(m.domains[name], env[name], size), keep),
+                m.domains[name].values,
+            )
+            for name in names
+        ]
+        total = kept.bit_count()
+        for start in range(0, total, _CHUNK):
+            n = min(_CHUNK, total - start)
+            if n == 1:
+                # itemgetter of one index returns the value, not a 1-tuple
+                rows = [tuple(values[next(codes)] for codes, values in columns)]
+            else:
+                rows = zip(
+                    *[
+                        itemgetter(*itertools.islice(codes, n))(values)
+                        for codes, values in columns
+                    ]
+                )
+            yield map(dict, map(zip, itertools.repeat(names), rows))
 
 
 def iter_worlds(m: Scm, evidence: Mapping[str, Value]) -> Iterator[Assignment]:
@@ -720,7 +742,7 @@ def iter_worlds(m: Scm, evidence: Mapping[str, Value]) -> Iterator[Assignment]:
 
     The checks run when the first world is asked for.
     """
-    return itertools.chain.from_iterable(_world_blocks(m, evidence))
+    return itertools.chain.from_iterable(_world_chunks(m, evidence))
 
 
 def consistent_world_count(m: Scm, evidence: Mapping[str, Value]) -> int:

@@ -462,3 +462,11 @@ def brute_counterfactual(m, evidence, do, query) -> dict[str, frozenset]:
         for name in results:
             results[name].add(prediction[name])
     return {name: frozenset(values) for name, values in results.items()}
+
+
+def render_assignment(m, a) -> str:
+    """One line of `worlds` or `do --then eval`: `name=value` pairs in
+    declaration order, each value rendered by its domain."""
+    return " ".join(
+        f"{name}={m.domains[name].render(a[name])}" for name in m.graph.names if name in a
+    )

@@ -25,14 +25,17 @@ from causal_account import (
     check_accountability,
     from_json,
     identify,
+    intervene,
     match_pattern,
+    parse_model,
     to_dot,
     to_json,
 )
 from causal_account.cli import main
-from causal_account.models import load_model, model_text, pattern_text
+from causal_account.models import BUNDLED_MODELS, load_model, model_text, pattern_text
+from causal_account.scm import world_count
 
-from oracles import random_dag
+from oracles import brute_consistent_worlds, random_dag, render_assignment
 
 
 @pytest.fixture()
@@ -299,6 +302,65 @@ class TestWorlds:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "structure-only" in res.stderr
+
+
+# 2^12 worlds: twelve boolean roots, with boolean and three-valued variables
+GENERATED_TEXT = "\n".join(
+    ["model gen12", "domain level { low, mid, high }"]
+    + [f"exo r{i} : bool" for i in range(1, 13)]
+    + [
+        "var a : bool = r1 & !r2 | r3",
+        "var b : level = if a then high else if r4 == r5 then mid else low",
+        "var c : bool = b == mid | r6 & r7",
+        "var d : level = if c then b else if r8 then low else high",
+        "var e : bool = !(d == high) & (r9 | r10) | r11 == r12",
+    ]
+)
+
+
+class TestWorldOutput:
+    """`worlds` and `do --then eval` print every world as the reference
+    renderer does, in the order of the per-world oracle."""
+
+    @staticmethod
+    def lines(m, worlds) -> str:
+        return "".join(render_assignment(m, w) + "\n" for w in worlds)
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    @pytest.mark.parametrize("name", [*BUNDLED_MODELS, "generated"])
+    def test_worlds_and_do_bytes(self, runner, tmp_path, monkeypatch, name, batch):
+        if batch is not None:
+            monkeypatch.setattr(causal_account.cli, "_ECHO_LINES", batch)
+        if name == "generated":
+            spec = str(tmp_path / "gen12.scm.txt")
+            Path(spec).write_text(GENERATED_TEXT)
+            m = parse_model(GENERATED_TEXT)
+            assert world_count(m) == 2**12
+        else:
+            spec, m = name, load_model(name)
+        every = brute_consistent_worlds(m, {})
+        res = invoke(runner, "worlds", spec)
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == f"worlds: {len(every)}\n" + self.lines(m, every)
+
+        last = m.endogenous_names[-1]
+        for value in m.domains[last].values:
+            evidence = {last: value}
+            expected = brute_consistent_worlds(m, evidence)
+            res = invoke(
+                runner, "worlds", spec, "--evidence", f"{last}={m.domains[last].render(value)}"
+            )
+            assert (res.exit_code, res.stderr) == (0, "")
+            assert res.stdout == f"worlds: {len(expected)}\n" + self.lines(m, expected)
+
+        target = m.endogenous_names[0]
+        value = m.domains[target].values[-1]
+        mutilated = intervene(m, {target: value})
+        res = invoke(
+            runner, "do", spec, "--set", f"{target}={m.domains[target].render(value)}"
+        )
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == self.lines(mutilated, brute_consistent_worlds(mutilated, {}))
 
 
 class TestDo:

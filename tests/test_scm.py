@@ -1,7 +1,9 @@
+import collections
 import itertools
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -38,7 +40,7 @@ from causal_account import (
 )
 from causal_account import scm
 from causal_account.errors import NonRootAssignment
-from causal_account.scm import check_expr, expr_refs, infer_domain
+from causal_account.scm import check_expr, expr_refs, infer_domain, iter_worlds
 
 from generators import random_scm
 from oracles import brute_consistent_worlds, brute_counterfactual, brute_evaluate
@@ -69,6 +71,22 @@ def four_roots(body=And(Or(Ref("R1"), Ref("R2")), Or(Ref("R3"), Ref("R4")))):
         graph,
         {name: BOOL for name in graph.names},
         {"E": StructuralFunction("E", roots, body)},
+    )
+
+
+def wide_model(size: int):
+    """Roots R (`size` values) and A, with Z = R when A, else R's last value:
+    evidence A=true keeps `size` worlds, every other one."""
+    values = tuple(f"v{i}" for i in range(size))
+    graph = build_graph(
+        [("R", "exogenous"), ("A", "exogenous"), ("Z", "endogenous")],
+        [("R", "Z"), ("A", "Z")],
+    )
+    wide = Domain("wide", values)
+    return build_scm(
+        graph,
+        {"R": wide, "A": BOOL, "Z": wide},
+        {"Z": StructuralFunction("Z", ("R", "A"), IfThenElse(Ref("A"), Ref("R"), Lit(values[-1])))},
     )
 
 
@@ -433,18 +451,9 @@ class TestConsistentWorlds:
     @pytest.mark.parametrize("size", [3, 300, 70_000])
     def test_wide_domains_keep_every_value(self, size):
         # value indices past one and two bytes, in worlds that span blocks
-        values = tuple(f"v{i}" for i in range(size))
-        graph = build_graph(
-            [("R", "exogenous"), ("A", "exogenous"), ("Z", "endogenous")],
-            [("R", "Z"), ("A", "Z")],
-        )
-        wide = Domain("wide", values)
+        m = wide_model(size)
+        values = m.domains["R"].values
         last = values[-1]
-        m = build_scm(
-            graph,
-            {"R": wide, "A": BOOL, "Z": wide},
-            {"Z": StructuralFunction("Z", ("R", "A"), IfThenElse(Ref("A"), Ref("R"), Lit(last)))},
-        )
         expected = [
             {"R": r, "A": a, "Z": r if a else last} for r in values for a in (False, True)
         ]
@@ -516,9 +525,14 @@ class TestConsistentWorlds:
         assert [list(w.items()) for w in got] == [list(w.items()) for w in expected]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3, 5, 8, 13]))
-    def test_blocks_split_anywhere(self, seed, block):
-        # blocks shorter than a root's run, its period, or both
+    @given(
+        st.integers(0, 100_000),
+        st.sampled_from([1, 2, 3, 5, 8, 13]),
+        st.sampled_from([1, 2, 3, scm._CHUNK]),
+    )
+    def test_blocks_split_anywhere(self, seed, block, chunk):
+        # blocks shorter than a root's run, its period, or both, and chunks
+        # of kept worlds shorter than a block
         rng = random.Random(seed)
         m = random_scm(rng, max_nodes=8)
         if not m.fully_specified():
@@ -530,9 +544,12 @@ class TestConsistentWorlds:
             for name in rng.sample(endo, rng.randint(0, min(2, len(endo))))
         }
         expected = brute_consistent_worlds(m, evidence)
-        with mock.patch.object(scm, "_block_size", lambda m, count: block):
-            got = consistent_worlds(m, evidence)
-            assert [list(w.items()) for w in got] == [list(w.items()) for w in expected]
+        as_items = [list(w.items()) for w in expected]
+        with mock.patch.object(scm, "_block_size", lambda m, count: block), mock.patch.object(
+            scm, "_CHUNK", chunk
+        ):
+            assert [list(w.items()) for w in consistent_worlds(m, evidence)] == as_items
+            assert [list(w.items()) for w in iter_worlds(m, evidence)] == as_items
             if expected:
                 assert counterfactual(m, evidence, do, m.graph.names) == (
                     brute_counterfactual(m, evidence, do, m.graph.names)
@@ -540,6 +557,59 @@ class TestConsistentWorlds:
             else:
                 with pytest.raises(InconsistentEvidence):
                     counterfactual(m, evidence, do, m.graph.names)
+
+
+class TestWorldChunks:
+    """Each block's kept worlds are gathered in chunks of `scm._CHUNK`."""
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("kept", [0, 1, scm._CHUNK - 1, scm._CHUNK, scm._CHUNK + 1])
+    def test_kept_counts_around_a_chunk(self, kept, block):
+        # more than 256 values, so the codes are two-byte items; block 1000
+        # starts a new chunk in each of 9 blocks
+        m = wide_model(max(kept, 300))
+        values = m.domains["R"].values
+        if kept == 0:
+            evidence = {"A": False, "Z": values[0]}
+        elif kept == 1:
+            evidence = {"A": True, "Z": values[7]}
+        else:
+            evidence = {"A": True}
+        expected = [list(w.items()) for w in brute_consistent_worlds(m, evidence)]
+        assert len(expected) == kept
+        blocks = scm._block_size if block is None else (lambda m, count: block)
+        with mock.patch.object(scm, "_block_size", blocks):
+            assert [list(w.items()) for w in consistent_worlds(m, evidence)] == expected
+            assert [list(w.items()) for w in iter_worlds(m, evidence)] == expected
+
+    def test_streaming_holds_one_chunk(self):
+        # 2^18 worlds of 20 variables in one block: the codes take about
+        # 5 MB and the whole listing peaks near 8 MB; tuples of one block's
+        # columns would add 40 MB, one chunk's about 0.7 MB
+        roots = tuple(f"R{i}" for i in range(18))
+        graph = build_graph(
+            [(r, "exogenous") for r in roots] + [("E", "endogenous"), ("F", "endogenous")],
+            [(r, "E") for r in roots[:4]] + [("E", "F"), ("R5", "F")],
+        )
+        m = build_scm(
+            graph,
+            {name: BOOL for name in graph.names},
+            {
+                "E": StructuralFunction(
+                    "E", roots[:4], And(Or(Ref("R0"), Ref("R1")), Or(Ref("R2"), Ref("R3")))
+                ),
+                "F": StructuralFunction("F", ("E", "R5"), Or(Ref("E"), Not(Ref("R5")))),
+            },
+        )
+        assert scm._block_size(m, 2**18) == 2**18
+        tracemalloc.start()
+        try:
+            seen = collections.deque(iter_worlds(m, {"F": True}), maxlen=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen[0] == dict.fromkeys(graph.names, True)
+        assert peak < 16 * 2**20
 
 
 class TestIntervene:
