@@ -301,7 +301,7 @@ def build_graph(
         unique_edges.append((a, b))
     unique_edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
 
-    _check_acyclic(normalized, unique_edges)
+    topo = _check_acyclic(normalized, unique_edges)
 
     for n in normalized:
         if n.proxy_for is None:
@@ -320,7 +320,9 @@ def build_graph(
                 f"proxy {n.name} must have exactly one incoming edge, from {n.proxy_for}"
             )
 
-    return CausalGraph(tuple(normalized), tuple(unique_edges))
+    g = CausalGraph(tuple(normalized), tuple(unique_edges))
+    g.__dict__["_topo"] = topo  # fills the cached property: one sort per graph
+    return g
 
 
 def kahn(
@@ -348,13 +350,18 @@ def kahn(
     return out, indeg
 
 
-def _check_acyclic(nodes: Sequence[Node], edges: Sequence[tuple[str, str]]) -> None:
+def _check_acyclic(
+    nodes: Sequence[Node], edges: Sequence[tuple[str, str]]
+) -> tuple[str, ...]:
+    """Kahn's order of `nodes`, which is `CausalGraph._topo` when `edges` are
+    sorted by declaration order; raises CycleError, naming a cycle, if there
+    is none."""
     children: dict[str, list[str]] = {n.name: [] for n in nodes}
     for a, b in edges:
         children[a].append(b)
     ordered, indeg = kahn([n.name for n in nodes], children)
     if len(ordered) == len(nodes):
-        return
+        return tuple(ordered)
     # walk forward through the leftover subgraph until a node repeats
     stuck = [name for name, d in indeg.items() if d > 0]
     walk = [stuck[0]]

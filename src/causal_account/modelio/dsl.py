@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import ParseError, SemanticError
 from ..graph import Node, NodeKind, build_graph
@@ -90,20 +91,34 @@ class SourceSpan:
         return f"line {self.line}, column {self.column}"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "string" | "punct" | "end"
-    text: str
-    span: SourceSpan
+    """One token of a line: its kind ("ident", "string", "punct" or "end"),
+    its text and its 1-based position. The span is built only for errors.
+    Only identifiers spell words and only punctuation spells punctuation, so
+    the text alone tells whether a token is a given keyword or operator."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, len(self.text) or 1)
 
 
+# one match per token, whitespace before it included; `end` matches at a
+# comment or the end of the line, and `bad` at a character that starts no token
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#.*)
-    | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    r"""\s*(?:
+      (?P<ident>[A-Za-z][A-Za-z0-9_]*)
     | (?P<punct>->|<-|==|[={}():,!&|])
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<end>\#|$)
+    | (?P<bad>.))
     """,
     re.VERBOSE,
 )
@@ -111,20 +126,16 @@ _TOKEN_RE = re.compile(
 
 def _tokenize_line(line: str, lineno: int) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "end":
+            break
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {line[pos]!r}", SourceSpan(lineno, pos + 1)
+                f"unexpected character {m[kind]!r}", SourceSpan(lineno, m.start(kind) + 1)
             )
-        kind = m.lastgroup or ""
-        if kind not in ("ws", "comment"):
-            tokens.append(
-                Token(kind, m.group(), SourceSpan(lineno, m.start() + 1, len(m.group())))
-            )
-        pos = m.end()
-    tokens.append(Token("end", "", SourceSpan(lineno, len(line) + 1)))
+        tokens.append(Token(kind, m[kind], lineno, m.start(kind) + 1))
+    tokens.append(Token("end", "", lineno, len(line) + 1))
     return tokens
 
 
@@ -146,7 +157,7 @@ class _Cursor:
 
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
+        if tok.text != text:
             raise ParseError(f"expected {text!r}", tok.span)
         return self.advance()
 
@@ -161,29 +172,24 @@ class _Cursor:
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
 
-    def match_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
-            self.advance()
+    def match(self, text: str) -> bool:
+        """Consume the next token if it is the keyword or operator `text`."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
 
-def _unquote(text: str, span: SourceSpan) -> str:
-    body = text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                raise ParseError("unsupported escape in string", span)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+_ESCAPE_RE = re.compile(r"\\(.?)")
+
+
+def _unquote(tok: Token) -> str:
+    def unescape(m: re.Match) -> str:
+        if m[1] not in ('"', "\\"):
+            raise ParseError("unsupported escape in string", tok.span)
+        return m[1]
+
+    return _ESCAPE_RE.sub(unescape, tok.text[1:-1])
 
 
 def _fresh_name(cur: _Cursor, what: str) -> Token:
@@ -196,10 +202,22 @@ def _fresh_name(cur: _Cursor, what: str) -> Token:
 def _split_lines(text: str) -> list[list[Token]]:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if len(tokens) > 1:  # more than the end marker
-            lines.append(tokens)
+        # blank and comment lines hold no token (`lstrip` strips what `\s` matches)
+        if raw.lstrip()[:1] not in ("", "#"):
+            lines.append(_tokenize_line(raw, lineno))
     return lines
+
+
+def _parse_lines(lines: list[list[Token]], table: dict, expected: str, *state) -> None:
+    """Parse each line with the entry of `table` named by its first token.
+    The keys are keywords, so a string or punctuation token names none."""
+    for tokens in lines:
+        cur = _Cursor(tokens)
+        tok = cur.advance()
+        parse = table.get(tok.text)
+        if parse is None:
+            raise ParseError(expected, tok.span)
+        parse(cur, *state)
 
 
 # -- model documents -------------------------------------------------------
@@ -217,19 +235,17 @@ class _ModelBuilder:
     def declared(self, name: str) -> bool:
         return name in self.node_domains
 
-    def add_node(self, node: Node, domain: Domain, span: SourceSpan) -> None:
+    def add_node(self, node: Node, domain: Domain, tok: Token) -> None:
         if self.declared(node.name):
-            raise SemanticError(f"{node.name!r} declared twice", span)
+            raise SemanticError(f"{node.name!r} declared twice", tok.span)
         if node.name in self.domains:
-            raise SemanticError(
-                f"{node.name!r} is already a domain name", span
-            )
+            raise SemanticError(f"{node.name!r} is already a domain name", tok.span)
         # a variable named like a value would make bare literals ambiguous
         for other in self.domains.values():
             if node.name in other.values:
                 raise SemanticError(
                     f"{node.name!r} is already a value of domain {other.name}",
-                    span,
+                    tok.span,
                 )
         self.nodes.append(node)
         self.node_domains[node.name] = domain
@@ -243,32 +259,19 @@ def parse_model(text: str) -> Scm:
     builder = _ModelBuilder()
 
     first = _Cursor(lines[0])
-    if not first.match_keyword("model"):
+    if not first.match("model"):
         raise ParseError("expected 'model <name>' on the first line", first.peek().span)
     builder.name = _fresh_name(first, "model name").text
     first.expect_done()
 
-    for tokens in lines[1:]:
-        cur = _Cursor(tokens)
-        tok = cur.peek()
-        if cur.match_keyword("model"):
-            raise SemanticError("duplicate model line", tok.span)
-        elif cur.match_keyword("domain"):
-            _parse_domain_line(cur, builder)
-        elif cur.match_keyword("exo"):
-            _parse_simple_decl(cur, builder, NodeKind.EXOGENOUS)
-        elif cur.match_keyword("latent"):
-            _parse_simple_decl(cur, builder, NodeKind.LATENT)
-        elif cur.match_keyword("var"):
-            _parse_var_decl(cur, builder)
-        elif cur.match_keyword("proxy"):
-            _parse_proxy_decl(cur, builder)
-        else:
-            raise ParseError(
-                "expected one of: domain, exo, latent, var, proxy", tok.span
-            )
-
+    _parse_lines(
+        lines[1:], _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
+    )
     return _assemble(builder)
+
+
+def _duplicate_model_line(cur: _Cursor, builder: _ModelBuilder) -> None:
+    raise SemanticError("duplicate model line", cur.tokens[0].span)
 
 
 def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -296,10 +299,8 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
                     v.span,
                 )
         values.append(v.text)
-        if cur.peek().kind == "punct" and cur.peek().text == ",":
-            cur.advance()
-            continue
-        break
+        if not cur.match(","):
+            break
     cur.expect_punct("}")
     cur.expect_done()
     if len(values) < 2:
@@ -318,12 +319,12 @@ def _parse_domain_ref(cur: _Cursor, builder: _ModelBuilder) -> Domain:
 
 
 def _parse_label(cur: _Cursor) -> str | None:
-    if cur.match_keyword("label"):
+    if cur.match("label"):
         tok = cur.peek()
         if tok.kind != "string":
             raise ParseError("expected a quoted label", tok.span)
         cur.advance()
-        return _unquote(tok.text, tok.span)
+        return _unquote(tok)
     return None
 
 
@@ -333,7 +334,7 @@ def _parse_simple_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> 
     domain = _parse_domain_ref(cur, builder)
     label = _parse_label(cur)
     cur.expect_done()
-    builder.add_node(Node(name_tok.text, kind, label), domain, name_tok.span)
+    builder.add_node(Node(name_tok.text, kind, label), domain, name_tok)
 
 
 def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -343,17 +344,9 @@ def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     label = _parse_label(cur)
 
     tok = cur.peek()
-    if tok.kind == "end":
-        # structure-only declaration without parents
-        builder.add_node(
-            Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok.span
-        )
-        builder.bodies[name_tok.text] = None
-        builder.explicit_parents[name_tok.text] = ()
-        return
-    if tok.kind == "punct" and tok.text == "<-":
-        cur.advance()
-        parents: list[str] = []
+    body: Expr | None = None
+    parents: list[str] = []  # named by the `<-` form; a bare declaration has none
+    if cur.match("<-"):
         while True:
             p = cur.expect_ident("parent name")
             if not builder.declared(p.text):
@@ -361,40 +354,31 @@ def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
             if p.text in parents:
                 raise SemanticError(f"parent {p.text!r} repeated", p.span)
             parents.append(p.text)
-            if cur.peek().kind == "punct" and cur.peek().text == ",":
-                cur.advance()
-                continue
-            break
+            if not cur.match(","):
+                break
         cur.expect_done()
-        builder.add_node(
-            Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok.span
-        )
-        builder.bodies[name_tok.text] = None
-        builder.explicit_parents[name_tok.text] = tuple(parents)
-        return
-    if tok.kind == "punct" and tok.text == "=":
-        cur.advance()
-        expr_span = cur.peek().span
+    elif cur.match("="):
+        expr_tok = cur.peek()
         body = _parse_expr(cur, builder)
         cur.expect_done()
         try:
             check_expr(body, domain, builder.node_domains, builder.domains.values())
         except SemanticError as err:
             if err.span is None:
-                raise SemanticError(err.args[0], expr_span) from None
+                raise SemanticError(err.args[0], expr_tok.span) from None
             raise
-        builder.add_node(
-            Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok.span
-        )
-        builder.bodies[name_tok.text] = body
-        return
-    raise ParseError("expected '=', '<-', or end of line", tok.span)
+    elif tok.kind != "end":
+        raise ParseError("expected '=', '<-', or end of line", tok.span)
+    builder.add_node(Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok)
+    builder.bodies[name_tok.text] = body
+    if body is None:
+        builder.explicit_parents[name_tok.text] = tuple(parents)
 
 
 def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     name_tok = _fresh_name(cur, "proxy name")
     tok = cur.peek()
-    if not cur.match_keyword("for"):
+    if not cur.match("for"):
         raise ParseError("expected 'for'", tok.span)
     principal = cur.expect_ident("principal name")
     if not builder.declared(principal.text):
@@ -411,9 +395,20 @@ def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     builder.add_node(
         Node(name_tok.text, NodeKind.ENDOGENOUS, label, proxy_for=principal.text),
         builder.node_domains[principal.text],
-        name_tok.span,
+        name_tok,
     )
     builder.bodies[name_tok.text] = Ref(principal.text)
+
+
+# the parser of each model line, by its first keyword
+_MODEL_LINES = {
+    "model": _duplicate_model_line,
+    "domain": _parse_domain_line,
+    "exo": partial(_parse_simple_decl, kind=NodeKind.EXOGENOUS),
+    "latent": partial(_parse_simple_decl, kind=NodeKind.LATENT),
+    "var": _parse_var_decl,
+    "proxy": _parse_proxy_decl,
+}
 
 
 # expression grammar:
@@ -430,14 +425,14 @@ _BINARY = (("|", Or), ("&", And), ("==", Eq))
 
 
 def _parse_expr(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    if cur.match_keyword("if"):
+    if cur.match("if"):
         cond = _parse_expr(cur, builder)
         tok = cur.peek()
-        if not cur.match_keyword("then"):
+        if not cur.match("then"):
             raise ParseError("expected 'then'", tok.span)
         then = _parse_expr(cur, builder)
         tok = cur.peek()
-        if not cur.match_keyword("else"):
+        if not cur.match("else"):
             raise ParseError("expected 'else'", tok.span)
         orelse = _parse_expr(cur, builder)
         return IfThenElse(cond, then, orelse)
@@ -448,22 +443,19 @@ def _parse_binary(cur: _Cursor, builder: _ModelBuilder, level: int) -> Expr:
     """Entry `level` of `_BINARY` and all that binds tighter: the later
     entries, then `!`, then atoms."""
     if level == len(_BINARY):
-        if cur.peek().kind == "punct" and cur.peek().text == "!":
-            cur.advance()
+        if cur.match("!"):
             return Not(_parse_binary(cur, builder, level))
         return _parse_atom(cur, builder)
     op, cls = _BINARY[level]
     left = _parse_binary(cur, builder, level + 1)
-    while cur.peek().kind == "punct" and cur.peek().text == op:
-        cur.advance()
+    while cur.match(op):
         left = cls(left, _parse_binary(cur, builder, level + 1))
     return left
 
 
 def _parse_atom(cur: _Cursor, builder: _ModelBuilder) -> Expr:
     tok = cur.peek()
-    if tok.kind == "punct" and tok.text == "(":
-        cur.advance()
+    if cur.match("("):
         inner = _parse_expr(cur, builder)
         cur.expect_punct(")")
         return inner
@@ -518,63 +510,56 @@ def parse_pattern(text: str) -> Pattern:
         raise ParseError("empty input, expected a pattern declaration", SourceSpan(1, 1))
 
     first = _Cursor(lines[0])
-    if not first.match_keyword("pattern"):
+    if not first.match("pattern"):
         raise ParseError("expected 'pattern <name>' on the first line", first.peek().span)
     name_tok = _fresh_name(first, "pattern name")
     first.expect_done()
 
-    roles: list[Role] = []
-    role_names: set[str] = set()
+    roles: dict[str, Role] = {}
     edges: list[tuple[str, str]] = []
-    saw_accountable = False
-
-    for tokens in lines[1:]:
-        cur = _Cursor(tokens)
-        tok = cur.peek()
-        if cur.match_keyword("role"):
-            r_name = _fresh_name(cur, "role name")
-            cur.expect_punct(":")
-            kind_tok = cur.expect_ident("role kind")
-            cur.expect_done()
-            kind = ROLE_KIND_NAMES.get(kind_tok.text)
-            if kind is None:
-                raise SemanticError(
-                    f"unknown role kind {kind_tok.text!r}, expected one of "
-                    + ", ".join(sorted(ROLE_KIND_NAMES)),
-                    kind_tok.span,
-                )
-            if r_name.text in role_names:
-                raise SemanticError(f"role {r_name.text!r} declared twice", r_name.span)
-            if kind is RoleKind.ACCOUNTABLE:
-                if saw_accountable:
-                    raise SemanticError(
-                        "a pattern allows at most one Accountable role", r_name.span
-                    )
-                saw_accountable = True
-            role_names.add(r_name.text)
-            roles.append(Role(r_name.text, kind))
-        elif cur.match_keyword("edge"):
-            a = cur.expect_ident("role name")
-            cur.expect_punct("->")
-            b = cur.expect_ident("role name")
-            cur.expect_done()
-            for endpoint in (a, b):
-                if endpoint.text not in role_names:
-                    raise SemanticError(
-                        f"unknown role {endpoint.text!r}", endpoint.span
-                    )
-            if a.text == b.text:
-                raise SemanticError("self-loop edge", a.span)
-            edges.append((a.text, b.text))
-        else:
-            raise ParseError("expected 'role' or 'edge'", tok.span)
-
+    _parse_lines(lines[1:], _PATTERN_LINES, "expected 'role' or 'edge'", roles, edges)
     try:
-        return build_pattern(name_tok.text, roles, edges)
+        return build_pattern(name_tok.text, tuple(roles.values()), edges)
     except SemanticError as err:
         if err.span is None:
             raise SemanticError(err.args[0], name_tok.span) from None
         raise
+
+
+def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
+    r_name = _fresh_name(cur, "role name")
+    cur.expect_punct(":")
+    kind_tok = cur.expect_ident("role kind")
+    cur.expect_done()
+    kind = ROLE_KIND_NAMES.get(kind_tok.text)
+    if kind is None:
+        raise SemanticError(
+            f"unknown role kind {kind_tok.text!r}, expected one of "
+            + ", ".join(sorted(ROLE_KIND_NAMES)),
+            kind_tok.span,
+        )
+    if r_name.text in roles:
+        raise SemanticError(f"role {r_name.text!r} declared twice", r_name.span)
+    if kind is RoleKind.ACCOUNTABLE and any(r.kind is kind for r in roles.values()):
+        raise SemanticError("a pattern allows at most one Accountable role", r_name.span)
+    roles[r_name.text] = Role(r_name.text, kind)
+
+
+def _parse_edge_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
+    a = cur.expect_ident("role name")
+    cur.expect_punct("->")
+    b = cur.expect_ident("role name")
+    cur.expect_done()
+    for endpoint in (a, b):
+        if endpoint.text not in roles:
+            raise SemanticError(f"unknown role {endpoint.text!r}", endpoint.span)
+    if a.text == b.text:
+        raise SemanticError("self-loop edge", a.span)
+    edges.append((a.text, b.text))
+
+
+# the parser of each pattern line, by its first keyword
+_PATTERN_LINES = {"role": _parse_role_line, "edge": _parse_edge_line}
 
 
 # -- serialization back to DSL --------------------------------------------

@@ -20,9 +20,11 @@ BUNDLED_MODELS = (
 )
 BUNDLED_PATTERNS = ("lindberg", "raci")
 
+_FILES = resources.files(__package__)
+
 
 def _read(filename: str) -> str:
-    ref = resources.files(__package__).joinpath(filename)
+    ref = _FILES.joinpath(filename)
     if not ref.is_file():
         raise KeyError(filename)
     return ref.read_text(encoding="utf-8")

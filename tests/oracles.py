@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import networkx as nx
 
@@ -29,10 +30,12 @@ from causal_account import (
     NodeKind,
     Not,
     Or,
+    ParseError,
     Path,
     PatternArityError,
     PatternMatch,
     Ref,
+    SourceSpan,
     Table,
     UnspecifiedFunction,
     build_graph,
@@ -470,3 +473,54 @@ def render_assignment(m, a) -> str:
     return " ".join(
         f"{name}={m.domains[name].render(a[name])}" for name in m.graph.names if name in a
     )
+
+
+_BRUTE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>\#.*)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<punct>->|<-|==|[={}():,!&|])
+    """,
+    re.VERBOSE,
+)
+
+
+def brute_tokenize(line: str, lineno: int) -> list[tuple[str, str, int, int, int]]:
+    """The DSL tokens of one line as (kind, text, line, column, length),
+    ending with the ("end", "", line, len(line) + 1, 1) marker: one match
+    for each whitespace run, comment and token, in order. A character that
+    starts none of them raises ParseError at its 1-based column."""
+    tokens = []
+    pos = 0
+    while pos < len(line):
+        m = _BRUTE_TOKEN_RE.match(line, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {line[pos]!r}", SourceSpan(lineno, pos + 1)
+            )
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), lineno, m.start() + 1, len(m.group())))
+        pos = m.end()
+    tokens.append(("end", "", lineno, len(line) + 1, 1))
+    return tokens
+
+
+def brute_unquote(text: str, span) -> str:
+    """The value of a DSL string token, read one character at a time: `\\"`
+    and `\\\\` are the only escapes, and any other raises ParseError at `span`."""
+    body = text[1:-1]
+    out: list[str] = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\":
+            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
+                raise ParseError("unsupported escape in string", span)
+            out.append(body[i + 1])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)

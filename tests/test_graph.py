@@ -28,6 +28,7 @@ from causal_account import (
     descendants,
     is_blocked,
 )
+from causal_account import graph as graph_module
 from causal_account.graph import d_connected
 
 from oracles import nx_d_separated, random_dag, to_networkx
@@ -194,6 +195,24 @@ class TestAccessors:
     def test_topological_order_prefers_declaration(self):
         g = diamond()
         assert g.topological_order() == ("A", "B", "C", "D")
+
+    def test_one_topological_sort_per_graph(self, monkeypatch):
+        """`build_graph` keeps the order its acyclicity check computed, and it
+        is the order Kahn's sort gives over `_children`."""
+        kahn = graph_module.kahn
+        rng = random.Random(5)
+        for n in (1, 2, 7, 15):
+            dag = random_dag(rng, n, 0.4)
+            nodes = list(dag.nodes)
+            rng.shuffle(nodes)  # declaration order differs from the edges' order
+            calls = []
+            monkeypatch.setattr(graph_module, "kahn", lambda *a: calls.append(a) or kahn(*a))
+            g = build_graph(nodes, dag.edges)
+            order = g.topological_order()
+            g._reach_bits  # the De/An masks walk the same order
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert order == tuple(kahn(g.names, g._children)[0])
 
     def test_sort_names(self):
         g = diamond()

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_account import (
     BOOL,
@@ -38,9 +38,11 @@ from causal_account import (
     to_dsl,
     to_json,
 )
+from causal_account.modelio.dsl import _split_lines, _tokenize_line, _unquote
 from causal_account.models import model_text
 
 from generators import random_scm
+from oracles import brute_tokenize, brute_unquote
 
 SPEED_HEADER = "model m\ndomain speed { low, high }\nexo S : speed\n"
 
@@ -77,6 +79,240 @@ class TestTokenizerSpans:
     def test_error_message_carries_location(self):
         err = semantic_err("model m\nexo A : bool\nexo A : bool")
         assert str(err).startswith("line 3, column 5: ")
+
+
+# pieces of lines that lex: the DSL's characters and words, other whitespace
+# (tab, form feed, vertical tab, no-break and ideographic spaces, unit
+# separator), comments, and strings with good and bad escapes
+_TOKEN_PIECES = list("aZ9_ \t\f\v\xa0\u3000\x1f#={}():,!&|") + [
+    "var", "x_1", "->", "<-", "==", '"a b"', '"\\\\"', '"\\n"', "# c"
+]
+# characters that start no token, alone or as an unterminated string
+_STRAY_PIECES = list("\"\\-<>@.'~é") + ['"\\"']
+_CLEAN_LINES = st.lists(st.sampled_from(_TOKEN_PIECES), max_size=24).map("".join)
+_LINES = _CLEAN_LINES | st.lists(
+    st.sampled_from(_TOKEN_PIECES + _STRAY_PIECES), max_size=24
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(line=_LINES, lineno=st.integers(1, 99))
+def test_tokenizer_agrees_with_brute_force(line, lineno):
+    """Each token has the kind, text, line, column and length of the
+    match-per-whitespace-run tokenizer, and an error the same message and
+    span; string tokens unquote alike."""
+    try:
+        expected = brute_tokenize(line, lineno)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _tokenize_line(line, lineno)
+        assert (str(got.value), got.value.span) == (str(err), err.span)
+        return
+    tokens = _tokenize_line(line, lineno)
+    assert [(t.kind, t.text, t.line, t.column, t.span.length) for t in tokens] == expected
+    for tok in tokens:
+        if tok.kind != "string":
+            continue
+        try:
+            value = brute_unquote(tok.text, tok.span)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                _unquote(tok)
+            assert (str(got.value), got.value.span) == (str(err), err.span)
+        else:
+            assert _unquote(tok) == value
+
+
+# what `str.splitlines` ends a line at
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028"])
+
+
+@settings(max_examples=200)
+@given(
+    lines=st.lists(_CLEAN_LINES, max_size=6),
+    breaks=st.lists(_BREAKS, min_size=6, max_size=6),
+    stray=st.none() | st.tuples(st.integers(0, 5), st.sampled_from(_STRAY_PIECES)),
+)
+def test_documents_split_into_the_lines_of_splitlines(lines, breaks, stray):
+    """`_split_lines` keeps the lines of `str.splitlines` that hold a token,
+    each tokenized as on its own, and raises the error of the first bad line."""
+    if stray is not None and stray[0] < len(lines):
+        lines[stray[0]] += stray[1]
+    text = "".join(line + br for line, br in zip(lines, breaks))
+    try:
+        expected = [
+            tokens
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if len(tokens := brute_tokenize(line, lineno)) > 1
+        ]
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _split_lines(text)
+        assert (str(got.value), got.value.span) == (str(err), err.span)
+        return
+    got = [
+        [(t.kind, t.text, t.line, t.column, t.span.length) for t in tokens]
+        for tokens in _split_lines(text)
+    ]
+    assert got == expected
+
+
+# every error the DSL raises, with its message and its (line, column, length)
+DSL_ERRORS = [
+    (parse_model, "",
+     ParseError, "empty input, expected a model declaration", (1, 1, 1)),
+    (parse_model, "# only a comment\n\n",
+     ParseError, "empty input, expected a model declaration", (1, 1, 1)),
+    (parse_model, "exo A : bool",
+     ParseError, "expected 'model <name>' on the first line", (1, 1, 3)),
+    (parse_model, "model m extra",
+     ParseError, "unexpected trailing input 'extra'", (1, 9, 5)),
+    (parse_model, "model if",
+     SemanticError, "'if' is a reserved word", (1, 7, 2)),
+    (parse_model, "model m\nvar @",
+     ParseError, "unexpected character '@'", (2, 5, 1)),
+    (parse_model, 'model m\nexo A : bool label "x',
+     ParseError, 'unexpected character \'"\'', (2, 20, 1)),
+    (parse_model, "model m\nmodel n",
+     SemanticError, "duplicate model line", (2, 1, 5)),
+    (parse_model, "model m\nfoo A : bool",
+     ParseError, "expected one of: domain, exo, latent, var, proxy", (2, 1, 3)),
+    (parse_model, 'model m\n"var" A : bool',
+     ParseError, "expected one of: domain, exo, latent, var, proxy", (2, 1, 5)),
+    (parse_model, "model m\n-> A",
+     ParseError, "expected one of: domain, exo, latent, var, proxy", (2, 1, 2)),
+    (parse_model, "model m\nexo A bool",
+     ParseError, "expected ':'", (2, 7, 4)),
+    (parse_model, "model m\nexo : bool",
+     ParseError, "expected variable name", (2, 5, 1)),
+    (parse_model, "model m\nexo if : bool",
+     SemanticError, "'if' is a reserved word", (2, 5, 2)),
+    (parse_model, "model m\nexo A : speed",
+     SemanticError, "unknown domain 'speed'", (2, 9, 5)),
+    (parse_model, "model m\nexo A : bool label x",
+     ParseError, "expected a quoted label", (2, 20, 1)),
+    (parse_model, 'model m\nexo A : bool label "bad \\n"',
+     ParseError, "unsupported escape in string", (2, 20, 8)),
+    (parse_model, 'model m\nexo A : bool label "ok" extra',
+     ParseError, "unexpected trailing input 'extra'", (2, 25, 5)),
+    (parse_model, "model m\ndomain bool { a, b }",
+     SemanticError, "domain 'bool' declared twice", (2, 8, 4)),
+    (parse_model, "model m\nexo A : bool\ndomain A { x, y }",
+     SemanticError, "'A' is already a variable name", (3, 8, 1)),
+    (parse_model, "model m\ndomain d a, b",
+     ParseError, "expected '{'", (2, 10, 1)),
+    (parse_model, "model m\ndomain d { a, b",
+     ParseError, "expected '}'", (2, 16, 1)),
+    (parse_model, "model m\ndomain d { a, a }",
+     SemanticError, "domain value 'a' repeated", (2, 15, 1)),
+    (parse_model, "model m\ndomain d { a, then }",
+     SemanticError, "'then' is a reserved word", (2, 15, 4)),
+    (parse_model, "model m\nexo A : bool\ndomain d { A, b }",
+     SemanticError, "value 'A' is already a variable name", (3, 12, 1)),
+    (parse_model, "model m\ndomain speed { low, high }\ndomain d { low, x }",
+     SemanticError, "value 'low' already belongs to domain speed", (3, 12, 3)),
+    (parse_model, "model m\ndomain one { single }",
+     SemanticError, "domain 'one' needs at least two values", (2, 8, 3)),
+    (parse_model, "model m\nexo A : bool\nexo A : bool",
+     SemanticError, "'A' declared twice", (3, 5, 1)),
+    (parse_model, SPEED_HEADER + "var speed : bool = true",
+     SemanticError, "'speed' is already a domain name", (4, 5, 5)),
+    (parse_model, SPEED_HEADER + "var low : bool = true",
+     SemanticError, "'low' is already a value of domain speed", (4, 5, 3)),
+    (parse_model, "model m\nvar B : bool <- A",
+     SemanticError, "unknown variable 'A'", (2, 17, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool <- A, A",
+     SemanticError, "parent 'A' repeated", (3, 20, 1)),
+    (parse_model, "model m\nvar B : bool <- ,",
+     ParseError, "expected parent name", (2, 17, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool <- A extra",
+     ParseError, "unexpected trailing input 'extra'", (3, 19, 5)),
+    (parse_model, "model m\nvar B : bool )",
+     ParseError, "expected '=', '<-', or end of line", (2, 14, 1)),
+    (parse_model, SPEED_HEADER + "var B : bool = S",
+     SemanticError, "variable S has domain speed, expected bool", (4, 16, 1)),
+    (parse_model, SPEED_HEADER + "var B : bool = S == true",
+     SemanticError, "value true does not belong to domain speed", (4, 16, 1)),
+    (parse_model, "model m\nlatent L : bool\nproxy P of L",
+     ParseError, "expected 'for'", (3, 9, 2)),
+    (parse_model, "model m\nproxy P for L",
+     SemanticError, "unknown variable 'L'", (2, 13, 1)),
+    (parse_model, "model m\nexo A : bool\nproxy P for A",
+     SemanticError, "proxy principal A must be latent, is exogenous", (3, 13, 1)),
+    (parse_model, "model m\nlatent L : bool\nproxy P for L label",
+     ParseError, "expected a quoted label", (3, 20, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = if A else A",
+     ParseError, "expected 'then'", (3, 21, 4)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = if A then A",
+     ParseError, "expected 'else'", (3, 27, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = A & if A then A else A",
+     ParseError, "'if' must be parenthesized here", (3, 20, 2)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = A & label",
+     ParseError, "unexpected keyword 'label'", (3, 20, 5)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = C",
+     SemanticError, "unknown name 'C'", (3, 16, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = A &",
+     ParseError, "expected an expression", (3, 19, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = (A",
+     ParseError, "expected ')'", (3, 18, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = A A",
+     ParseError, "unexpected trailing input 'A'", (3, 18, 1)),
+    (parse_model, "model m\nvar A : bool = B\nexo B : bool",
+     SemanticError, "unknown name 'B'", (2, 16, 1)),
+    (parse_model, "model m\n\t exo A\xa0:\u3000speed",
+     SemanticError, "unknown domain 'speed'", (2, 11, 5)),
+    (parse_model, "model m   \nexo A : bool  \t\n\nexo A : bool   # again",
+     SemanticError, "'A' declared twice", (4, 5, 1)),
+    (parse_model, "model m\x0cexo A : bool\x0bvar B : bool = A\x1f&\u2003B",
+     SemanticError, "unknown name 'B'", (3, 20, 1)),
+    (parse_pattern, "",
+     ParseError, "empty input, expected a pattern declaration", (1, 1, 1)),
+    (parse_pattern, "role A : Agent",
+     ParseError, "expected 'pattern <name>' on the first line", (1, 1, 4)),
+    (parse_pattern, "pattern if",
+     SemanticError, "'if' is a reserved word", (1, 9, 2)),
+    (parse_pattern, "pattern p\nnode A",
+     ParseError, "expected 'role' or 'edge'", (2, 1, 4)),
+    (parse_pattern, "pattern p\nrole A : Chief",
+     SemanticError,
+     "unknown role kind 'Chief', expected one of Accountable, Agent, Consulted, "
+     "Discussion, Effect, Generic, Informed, Mediator",
+     (2, 10, 5)),
+    (parse_pattern, "pattern p\nrole A : Agent\nrole A : Effect",
+     SemanticError, "role 'A' declared twice", (3, 6, 1)),
+    (parse_pattern, "pattern p\nrole A : Accountable\nrole B : Accountable",
+     SemanticError, "a pattern allows at most one Accountable role", (3, 6, 1)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge E -> Ghost",
+     SemanticError, "unknown role 'Ghost'", (3, 11, 5)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge Ghost -> E",
+     SemanticError, "unknown role 'Ghost'", (3, 6, 5)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge E -> E",
+     SemanticError, "self-loop edge", (3, 6, 1)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge E E",
+     ParseError, "expected '->'", (3, 8, 1)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge E ->",
+     ParseError, "expected role name", (3, 10, 1)),
+    (parse_pattern, "pattern p\nrole if : Agent",
+     SemanticError, "'if' is a reserved word", (2, 6, 2)),
+    (parse_pattern, "pattern p\nrole A Agent",
+     ParseError, "expected ':'", (2, 8, 5)),
+    (parse_pattern, "pattern p\nrole A : Agent",
+     SemanticError, "pattern 'p' needs exactly one Effect role, has 0", (1, 9, 1)),
+    (parse_pattern, "pattern p\nrole A : Agent\nrole E : Effect\nrole F : Effect",
+     SemanticError, "pattern 'p' needs exactly one Effect role, has 2", (1, 9, 1)),
+    (parse_pattern,
+     "pattern p\nrole A : Agent\nrole B : Agent\nrole E : Effect\nedge A -> B\nedge B -> A",
+     SemanticError, "pattern 'p' template contains a cycle", (1, 9, 1)),
+]
+
+
+@pytest.mark.parametrize("parse, text, kind, message, span", DSL_ERRORS)
+def test_error_positions(parse, text, kind, message, span):
+    with pytest.raises((ParseError, SemanticError)) as err:
+        parse(text)
+    assert type(err.value) is kind
+    assert str(err.value) == f"line {span[0]}, column {span[1]}: {message}"
+    assert (err.value.span.line, err.value.span.column, err.value.span.length) == span
 
 
 class TestParseModel:
