@@ -9,15 +9,15 @@ empty set, and every back-door path from Z to Y is blocked by {X}.
 "Every back-door path from A to B is blocked by W" is tested as d-separation
 of A and B given W with A's out-edges removed, by separation in one moral
 graph (`graph.d_connected`).
-Paths are listed only for `identify`'s report, where they are the output: the
-colliders that `logging_set` names are found by a two-path test on the
-skeleton (Menger's theorem), in polynomial time. Back-door candidates come from
+Paths are listed only for reports, where they are the output: the colliders
+that `logging_set` names are found by a two-path test on the skeleton
+(Menger's theorem), in polynomial time. Back-door candidates come from
 An({X, Y}), since Z ∩ An({X, Y}) is admissible whenever Z is (van der Zander,
-Liśkiewicz & Textor, 2019). The minimal back-door sets are not searched for
-among subsets: they are the minimal X-Y separators of one moral graph, listed
-in polynomial time per separator. The minimal front-door sets are listed the
-same way, as the minimal cuts of the directed X to Y paths made of the nodes
-of De(X) ∩ An(Y) that pass the front-door conditions one by one.
+Liśkiewicz & Textor, 2019). The minimal back-door sets are the minimal X-Y
+separators of one moral graph, listed in polynomial time per separator, and
+over the allowed controls alone when only those may be used. The minimal
+front-door sets are the minimal cuts of the directed X to Y paths made of the
+nodes of De(X) ∩ An(Y) that pass the front-door conditions one by one.
 
 Adjustment sets draw only from observable nodes: the point of the analysis is
 deciding what to log, and latent variables cannot be logged. When the two
@@ -157,6 +157,15 @@ def minimal_backdoor_sets(
     lexicographically by declaration order.
     """
     _require_endpoints(g, x, y, "path endpoints must differ")
+    return _backdoor_sets(g, x, y, trust_proxies, None)
+
+
+def _backdoor_sets(
+    g: CausalGraph, x: str, y: str, trust_proxies: bool, allowed: frozenset[str] | None
+) -> list[frozenset[str]]:
+    """`minimal_backdoor_sets` over the candidates in `allowed` (None for all).
+    A minimal separator of allowed vertices is a minimal separator, so these are
+    the full listing's sets inside `allowed`, and only they count to the cap."""
     order = g._order
     de, an, _ = g._reach_bits
     xbit, ybit = 1 << order[x], 1 << order[y]
@@ -167,6 +176,8 @@ def minimal_backdoor_sets(
     deletes: dict[str, int] = {}
     deletable = 0
     for name in g.observable_names():
+        if allowed is not None and name not in allowed:
+            continue
         bits = 1 << order[name]
         principal = g._by_name[name].proxy_for
         if trust_proxies and principal is not None:
@@ -255,6 +266,25 @@ def _frontdoor_sets(g: CausalGraph, x: str, y: str) -> list[frozenset[str]]:
     return _by_size(g, (_names(g, s) for s in separators))
 
 
+_BOTH_FAIL = (
+    "back-door and front-door criteria both fail; the effect may "
+    "still be identifiable by methods outside these criteria"
+)
+
+
+def _identifiable_by_criteria(g: CausalGraph, x: str, y: str) -> bool:
+    """Whether a strict back-door or a front-door set exists, listing none: more
+    deleted vertices never reconnect x and y, so the whole back-door pool is
+    one, or the nodes of De(x) ∩ An(y) that pass `_frontdoor_member` are one."""
+    de, an, observable = g._reach_bits
+    i, j = g._order[x], g._order[y]
+    pool = (an[i] | an[j]) & observable & ~(de[i] | 1 << i | 1 << j)
+    if satisfies_backdoor(g, _names(g, pool), x, y):
+        return True
+    members = [m for m in between(g, x, y) if _frontdoor_member(g, m, x, y)]
+    return satisfies_frontdoor(g, members, x, y)
+
+
 def identify(
     g: CausalGraph, x: str, y: str, trust_proxies: bool = False
 ) -> IdentificationReport:
@@ -276,10 +306,7 @@ def identify(
         status = IdentificationStatus.FRONTDOOR
     else:
         status = IdentificationStatus.NOT_IDENTIFIABLE
-        notes.append(
-            "back-door and front-door criteria both fail; the effect may "
-            "still be identifiable by methods outside these criteria"
-        )
+        notes.append(_BOTH_FAIL)
     if trust_proxies:
         proxies_used = sorted(
             {
@@ -389,10 +416,11 @@ def logging_set(
     """Recommend the variables to log for an identifiable `x` to `y` effect.
 
     Picks the smallest minimal back-door set (ties broken lexicographically by
-    declaration order), restricted to `allowed` when given. The log set is the
-    treatment, the outcome, every observable node on a directed path between
-    them, and the chosen adjustment set. Raises NotIdentifiable when no
-    admissible adjustment set exists.
+    declaration order), listed over the candidates in `allowed` alone when it
+    is given, so that only the sets inside it count against the cap. The log
+    set is the treatment, the outcome, every observable node on a directed
+    path between them, and the chosen adjustment set. Raises NotIdentifiable
+    when no admissible adjustment set exists.
 
     The rationale calls an unlogged observable node c a collider when c is one
     on some simple back-door path from x to y. No path is listed to decide
@@ -407,22 +435,23 @@ def logging_set(
             raise NotIdentifiable(
                 f"{name} is latent and can be neither observed nor logged"
             )
-    allowed_set: frozenset[str] | None = None
-    if allowed is not None:
-        allowed_set = frozenset(allowed)
-        for name in allowed_set:
-            g.require(name)
+    allowed_set = None if allowed is None else frozenset(allowed)
+    for name in allowed_set or ():
+        g.require(name)
 
-    candidates = minimal_backdoor_sets(g, x, y, trust_proxies)
-    if allowed_set is not None:
-        candidates = [zset for zset in candidates if zset <= allowed_set]
+    candidates = _backdoor_sets(g, x, y, trust_proxies, allowed_set)
     if not candidates:
         detail = f"no admissible back-door adjustment set for ({x}, {y})"
         if allowed_set is not None:
             detail += " within {" + ", ".join(g.sort_names(allowed_set)) + "}"
         raise NotIdentifiable(detail)
-    chosen = candidates[0]  # enumeration order is already size then lexicographic
+    return _recommendation(g, x, y, candidates[0])  # the listing is in order
 
+
+def _recommendation(
+    g: CausalGraph, x: str, y: str, chosen: frozenset[str]
+) -> LoggingRecommendation:
+    """The log set and rationale of `logging_set` for adjustment set `chosen`."""
     on_path = {
         name for name in between(g, x, y) | {x, y} if g.kind(name).observable
     }

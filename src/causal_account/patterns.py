@@ -17,7 +17,8 @@ effect role.
 `check_accountability` then asks whether the bound agent's effect is
 identifiable using only admissible controls: bound nodes that are neither
 agent nor effect nor on a directed agent-to-effect path (conditioning on
-those would perturb the causal path itself).
+those would perturb the causal path itself). Back-door sets are listed over
+these controls alone; front-door sets, which lie on such paths, never are.
 """
 
 from __future__ import annotations
@@ -28,20 +29,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    EnumerationLimit,
-    InvalidMatch,
-    NotIdentifiable,
-    PatternArityError,
-    SemanticError,
-)
+from .errors import EnumerationLimit, InvalidMatch, PatternArityError, SemanticError
 from .graph import FORWARD, CausalGraph, Path, _neighbourhood, between, kahn
 from .identify import (
+    _BOTH_FAIL,
     IdentificationReport,
     IdentificationStatus,
     LoggingRecommendation,
-    identify,
-    logging_set,
+    _backdoor_sets,
+    _identifiable_by_criteria,
+    _recommendation,
+    backdoor_paths,
 )
 from .limits import DEFAULT_MATCH_CAP
 
@@ -419,32 +417,6 @@ class AccountabilityReport:
     logging: LoggingRecommendation | None
 
 
-def _restrict_report(
-    g: CausalGraph, report: IdentificationReport, admissible: frozenset[str]
-) -> IdentificationReport:
-    # a minimal set over the restricted pool is exactly a minimal set over the
-    # full pool that happens to fit inside it, so filtering is sound
-    # front-door sets lie on directed agent-to-effect paths, outside
-    # `admissible`, so none survives the restriction
-    backdoor = tuple(z for z in report.minimal_backdoor_sets if z <= admissible)
-    if backdoor:
-        status = IdentificationStatus.BACKDOOR
-    else:
-        status = IdentificationStatus.NOT_IDENTIFIABLE
-    notes = report.notes + (
-        "controls restricted to {" + ", ".join(g.sort_names(admissible)) + "}",
-    )
-    return IdentificationReport(
-        treatment=report.treatment,
-        outcome=report.outcome,
-        backdoor_paths=report.backdoor_paths,
-        minimal_backdoor_sets=backdoor,
-        frontdoor_sets=(),
-        status=status,
-        notes=notes,
-    )
-
-
 def check_accountability(
     g: CausalGraph, p: Pattern, m: PatternMatch
 ) -> AccountabilityReport:
@@ -452,12 +424,9 @@ def check_accountability(
 
     The agent is the unique Agent-kind role (Responsible in raci), the effect
     the unique Effect role. Admissible controls are the other bound nodes off
-    every directed agent-to-effect path. Verdicts rest on back-door
-    adjustment by bound roles only: the verdict is Accountable exactly when
-    some minimal back-door set lies inside the admissible controls, and the
-    logging recommendation is then computed under the same restriction. A
-    front-door set lies on a directed agent-to-effect path, so it is never
-    admissible, and the restricted report lists none.
+    every directed agent-to-effect path. The verdict is Accountable exactly when
+    a minimal back-door set lies inside them, listed over them alone, and the
+    logging recommendation then adjusts for the first such set.
     """
     validate_match(g, p, m)
     agent_roles = [r for r in p.roles if r.kind is RoleKind.AGENT]
@@ -477,28 +446,30 @@ def check_accountability(
         if node not in (agent, effect) and node not in on_path
     )
 
-    report = _restrict_report(g, identify(g, agent, effect), admissible)
-    if report.status is IdentificationStatus.NOT_IDENTIFIABLE:
-        return AccountabilityReport(
-            pattern=p.name,
-            match=m,
-            agent=agent,
-            effect=effect,
-            identification=report,
-            verdict=Verdict.NOT_ATTRIBUTABLE,
-            logging=None,
-        )
-    logging: LoggingRecommendation | None
-    try:
-        logging = logging_set(g, agent, effect, allowed=admissible)
-    except NotIdentifiable:  # pragma: no cover - defensive, filter agrees
-        logging = None
+    paths = tuple(backdoor_paths(g, agent, effect))
+    sets = tuple(_backdoor_sets(g, agent, effect, False, admissible))
+    notes = [f"{len(paths)} back-door path(s) from {agent} to {effect}"]
+    status = IdentificationStatus.BACKDOOR
+    if not sets:
+        status = IdentificationStatus.NOT_IDENTIFIABLE
+        if not _identifiable_by_criteria(g, agent, effect):
+            notes.append(_BOTH_FAIL)
+    notes.append("controls restricted to {" + ", ".join(g.sort_names(admissible)) + "}")
+    report = IdentificationReport(
+        treatment=agent,
+        outcome=effect,
+        backdoor_paths=paths,
+        minimal_backdoor_sets=sets,
+        frontdoor_sets=(),
+        status=status,
+        notes=tuple(notes),
+    )
     return AccountabilityReport(
         pattern=p.name,
         match=m,
         agent=agent,
         effect=effect,
         identification=report,
-        verdict=Verdict.ACCOUNTABLE,
-        logging=logging,
+        verdict=Verdict.ACCOUNTABLE if sets else Verdict.NOT_ATTRIBUTABLE,
+        logging=_recommendation(g, agent, effect, sets[0]) if sets else None,
     )

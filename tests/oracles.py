@@ -4,9 +4,12 @@ Everything here is deliberately written against networkx or plain Python,
 not against the library under test, so agreement is meaningful. The world
 oracles visit one root combination at a time through `brute_evaluate`, a
 plain walk of each expression tree, which the bit-parallel evaluation in
-`scm` must agree with. One exception: `brute_frontdoor_sets` checks each
+`scm` must agree with. Two exceptions: `brute_frontdoor_sets` checks each
 subset with the library's `satisfies_frontdoor`, which is itself compared
-with `nx_satisfies_frontdoor`, so that only the listing is under test.
+with `nx_satisfies_frontdoor`, so that only the listing is under test; and
+`identify_then_filter` filters the report of the library's `identify`, which
+is itself compared with brute force, so that only the restriction of
+`check_accountability` is under test.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ import networkx as nx
 
 from causal_account import (
     FORWARD,
+    AccountabilityReport,
     And,
     CausalGraph,
     EnumerationLimit,
     Eq,
+    IdentificationReport,
+    IdentificationStatus,
     IfThenElse,
     InconsistentEvidence,
     Lit,
+    LoggingRecommendation,
     Node,
     NodeKind,
     Not,
@@ -35,10 +42,13 @@ from causal_account import (
     PatternArityError,
     PatternMatch,
     Ref,
+    RoleKind,
     SourceSpan,
     Table,
     UnspecifiedFunction,
+    Verdict,
     build_graph,
+    identify,
     intervene,
     satisfies_frontdoor,
 )
@@ -200,6 +210,51 @@ def brute_logging_rationale(
                 f"{name}: not needed, every back-door path stays blocked without it"
             )
     return tuple(lines)
+
+
+def brute_logging_recommendation(
+    g: CausalGraph, x: str, y: str, chosen: frozenset[str]
+) -> LoggingRecommendation:
+    """What `logging_set` recommends when it adjusts for `chosen`: the
+    observable nodes on directed x to y paths, the endpoints and `chosen`,
+    with the lines of `brute_logging_rationale`."""
+    dg = to_networkx(g)
+    on_path = nx.descendants(dg, x) & nx.ancestors(dg, y) | {x, y}
+    must_log = on_path & set(g.observable_names()) | chosen
+    rationale = brute_logging_rationale(g, x, y, chosen)
+    return LoggingRecommendation(frozenset(must_log), chosen, rationale)
+
+
+def identify_then_filter(g: CausalGraph, p, m: PatternMatch) -> AccountabilityReport:
+    """`check_accountability` by identify-then-filter, for a valid match `m`
+    of a pattern with one Agent-kind role: the whole `identify` report, its
+    back-door sets filtered to the admissible controls, its front-door sets
+    dropped and one note added, and the recommendation of
+    `brute_logging_recommendation` for the first set left."""
+    dg = to_networkx(g)
+    agent = next(m.binding[r.name] for r in p.roles if r.kind is RoleKind.AGENT)
+    effect = next(m.binding[r.name] for r in p.roles if r.kind is RoleKind.EFFECT)
+    on_path = nx.descendants(dg, agent) & nx.ancestors(dg, effect)
+    admissible = set(m.binding.values()) - on_path - {agent, effect}
+    full = identify(g, agent, effect)
+    sets = tuple(z for z in full.minimal_backdoor_sets if z <= admissible)
+    restricted = "controls restricted to {" + ", ".join(g.sort_names(admissible)) + "}"
+    report = IdentificationReport(
+        treatment=agent,
+        outcome=effect,
+        backdoor_paths=full.backdoor_paths,
+        minimal_backdoor_sets=sets,
+        frontdoor_sets=(),
+        status=(
+            IdentificationStatus.BACKDOOR
+            if sets
+            else IdentificationStatus.NOT_IDENTIFIABLE
+        ),
+        notes=full.notes + (restricted,),
+    )
+    verdict = Verdict.ACCOUNTABLE if sets else Verdict.NOT_ATTRIBUTABLE
+    logging = brute_logging_recommendation(g, agent, effect, sets[0]) if sets else None
+    return AccountabilityReport(p.name, m, agent, effect, report, verdict, logging)
 
 
 def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str]):

@@ -777,6 +777,31 @@ class TestLogset:
             "within {Manuals}" in res.stderr
         )
 
+    def test_allowed_lists_only_the_sets_inside(self, runner, tmp_path, monkeypatch):
+        # five forks b_i -> a_i -> x, b_i -> y give 2^5 minimal back-door sets,
+        # past a cap of 2^4; only one of them lies inside {a1, ..., a5}
+        path = tmp_path / "forks.scm.txt"
+        path.write_text(
+            "model forks\n"
+            + "".join(
+                f"exo b{i} : bool\nvar a{i} : bool <- b{i}\n" for i in range(1, 6)
+            )
+            + "var x : bool <- a1, a2, a3, a4, a5\n"
+            + "var y : bool <- x, b1, b2, b3, b4, b5\n"
+        )
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        res = invoke(
+            runner, "logset", str(path), "--x", "x", "--y", "y",
+            "--allowed", "a1,a2,a3,a4,a5",
+        )
+        assert res.exit_code == 0
+        assert res.stdout.splitlines()[1] == "adjustment set: {a1, a2, a3, a4, a5}"
+        res = invoke(runner, "backdoor", str(path), "--x", "x", "--y", "y")
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "Error: more than 2^4 minimal sets (override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
+        )
+
     def test_unidentifiable_pair_fails(self, runner):
         res = invoke(runner, "logset", "uav_attacker", "--x", "Pilot", "--y", "UAV")
         assert res.exit_code == 1
@@ -974,6 +999,55 @@ class TestCheck:
             "status: NotIdentifiableByCriteria\n"
             "note: 1 back-door path(s) from Pilot to UAV\n"
             "note: controls restricted to {}\n"
+        )
+
+    def test_both_criteria_fail_note(self, runner, tmp_path):
+        # u confounds x and y, and v confounds the mediator m with y
+        path = tmp_path / "both.scm.txt"
+        path.write_text(
+            "model both\nlatent u : bool\nlatent v : bool\nexo x0 : bool\n"
+            "var x : bool <- x0, u\nvar m : bool <- x, v\nvar y : bool <- m, u, v\n"
+        )
+        res = invoke(
+            runner, "check", str(path), "--pattern", "lindberg",
+            "--hint", "Agent=x", "--hint", "Effect=y",
+        )
+        assert res.exit_code == 1
+        assert res.stdout == (
+            "pattern: lindberg\n"
+            "match: Agent=x Mediator=m Effect=y\n"
+            "agent: x\n"
+            "effect: y\n"
+            "verdict: NotAttributable\n"
+            "status: NotIdentifiableByCriteria\n"
+            "note: 1 back-door path(s) from x to y\n"
+            "note: back-door and front-door criteria both fail; the effect may "
+            "still be identifiable by methods outside these criteria\n"
+            "note: controls restricted to {}\n"
+        )
+
+    def test_lists_no_frontdoor_sets(self, runner, tmp_path, monkeypatch):
+        # x -> a_i -> b_i -> y for i = 1..5 has 2^5 minimal front-door sets,
+        # past a cap of 2^4; check needs none of them, frontdoor lists them
+        path = tmp_path / "chains.scm.txt"
+        path.write_text(
+            "model chains\nexo x : bool\n"
+            + "".join(
+                f"var a{i} : bool <- x\nvar b{i} : bool <- a{i}\n" for i in range(1, 6)
+            )
+            + "var y : bool <- b1, b2, b3, b4, b5\n"
+        )
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "4")
+        res = invoke(
+            runner, "check", str(path), "--pattern", "lindberg",
+            "--hint", "Agent=x", "--hint", "Effect=y",
+        )
+        assert res.exit_code == 0
+        assert "verdict: Accountable\n" in res.stdout
+        res = invoke(runner, "frontdoor", str(path), "--x", "x", "--y", "y")
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "Error: more than 2^4 minimal sets (override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
         )
 
     def test_no_match_exits_one(self, runner):

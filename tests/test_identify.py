@@ -29,6 +29,7 @@ from oracles import (
     brute_backdoor_colliders,
     brute_frontdoor_sets,
     brute_logging_rationale,
+    brute_logging_recommendation,
     brute_minimal_backdoor_sets,
     nx_satisfies_backdoor,
     nx_satisfies_frontdoor,
@@ -621,6 +622,23 @@ class TestLoggingSet:
             return
         assert rec.rationale == brute_logging_rationale(
             g, x, y, rec.adjustment_set_used
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(logging_cases())
+    def test_allowed_agrees_with_filtering_the_full_listing(self, case):
+        # the sets are listed over the allowed candidates alone
+        g, x, y, trust, allowed = case
+        if not (g.kind(x).observable and g.kind(y).observable):
+            return
+        found = minimal_backdoor_sets(g, x, y, trust)
+        inside = [z for z in found if allowed is None or z <= allowed]
+        if not inside:
+            with pytest.raises(NotIdentifiable):
+                logging_set(g, x, y, allowed, trust)
+            return
+        assert logging_set(g, x, y, allowed, trust) == brute_logging_recommendation(
+            g, x, y, inside[0]
         )
 
     def test_eighteen_nodes_in_budget(self):
