@@ -11,9 +11,11 @@ i-th declared node. Every d-separation question is answered by one algorithm
 on those masks (`d_connected`): separation in the moral graph of an ancestral
 set, which can also cut the out-edges of chosen nodes so that identification
 asks its questions of the mutilated graph without building it. Path
-enumeration (`all_paths`, `is_blocked`, `d_separated_paths`) remains for
-results that are themselves paths and as a slow reference that the tests
-compare the moral-graph test against.
+enumeration remains for results that are themselves paths and as a slow
+reference for the moral-graph test. One lazy walker (`simple_paths`) lists
+paths: `all_paths` and the back-door listing collect it, `d_separated_paths`
+stops at the first open path. `is_blocked` is `Path.validate` plus the
+blocking rule that `d_separated_paths` applies to the walker's paths.
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ class Path:
         return "".join(parts)
 
 
+def _path(nodes: tuple[str, ...], directions: tuple[Direction, ...]) -> Path:
+    """A Path filled in without the length check, for callers that built the
+    two tuples together, step by step, so that their lengths agree."""
+    path = object.__new__(Path)
+    fields = path.__dict__
+    fields["nodes"] = nodes
+    fields["directions"] = directions
+    return path
+
+
 @dataclass(frozen=True)
 class CausalGraph:
     """Immutable DAG; build through `build_graph`, which validates."""
@@ -160,15 +172,19 @@ class CausalGraph:
         return {k: tuple(sorted(v, key=self._order.__getitem__)) for k, v in res.items()}
 
     @cached_property
-    def _neighbors(self) -> dict[str, tuple[tuple[str, Direction], ...]]:
-        # skeleton adjacency with edge orientation, sorted by declaration order
+    def _steps(self) -> tuple[dict[str, tuple[tuple[str, Direction], ...]], ...]:
+        """The moves out of each node, in declaration order: first the skeleton
+        steps with their edge orientation, then the forward steps alone, so
+        that `_steps[directed]` is the table a walk reads."""
         res: dict[str, list[tuple[str, Direction]]] = {n.name: [] for n in self.nodes}
         for a, b in self.edges:
             res[a].append((b, FORWARD))
             res[b].append((a, BACKWARD))
-        return {
+        skeleton = {
             k: tuple(sorted(v, key=lambda nd: self._order[nd[0]])) for k, v in res.items()
         }
+        forward = {k: tuple(st for st in v if st[1] == FORWARD) for k, v in skeleton.items()}
+        return skeleton, forward
 
     @cached_property
     def _edge_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -519,10 +535,7 @@ def all_paths(
     declaration order). Raises EnumerationLimit past `limit` paths.
     """
     _require_endpoints(g, x, y, "path endpoints must differ")
-    first = (
-        tuple((c, FORWARD) for c in g._children[x]) if directed else g._neighbors[x]
-    )
-    return simple_paths(g, x, y, first, directed, limit)
+    return list(simple_paths(g, x, y, g._steps[directed][x], directed, limit))
 
 
 def simple_paths(
@@ -532,13 +545,17 @@ def simple_paths(
     first: Iterable[tuple[str, Direction]],
     directed: bool = False,
     limit: int = DEFAULT_PATH_LIMIT,
-) -> list[Path]:
-    """The paths of `all_paths` whose first step out of `x` is in `first`.
+) -> Iterator[Path]:
+    """The paths of `all_paths` whose first step out of `x` is in `first`,
+    yielded as they are found.
 
     `first` holds (neighbour, direction) pairs; paths that start otherwise are
-    never walked. The endpoints must be distinct known nodes.
+    never walked. The endpoints must be distinct known nodes. Finding a path
+    past `limit` raises EnumerationLimit, so a caller that stops early only
+    pays for what it took.
     """
-    out: list[Path] = []
+    steps = g._steps[directed]
+    found = 0
     nodes_on_stack = {x}
     stack_nodes = [x]
     stack_dirs: list[Direction] = []
@@ -548,30 +565,25 @@ def simple_paths(
     while pending:
         for nxt, direction in pending[-1]:
             if nxt == y:
-                if len(out) >= limit:
+                if found >= limit:
                     raise EnumerationLimit(
                         f"more than {limit} paths between {x} and {y}"
                     )
-                out.append(
-                    Path(tuple(stack_nodes) + (y,), tuple(stack_dirs) + (direction,))
-                )
+                found += 1
+                yield _path((*stack_nodes, y), (*stack_dirs, direction))
                 continue
             if nxt in nodes_on_stack:
                 continue
             nodes_on_stack.add(nxt)
             stack_nodes.append(nxt)
             stack_dirs.append(direction)
-            if directed:
-                pending.append((c, FORWARD) for c in g._children[nxt])
-            else:
-                pending.append(iter(g._neighbors[nxt]))
+            pending.append(iter(steps[nxt]))
             break
         else:
             pending.pop()
             if pending:
                 stack_dirs.pop()
                 nodes_on_stack.remove(stack_nodes.pop())
-    return out
 
 
 # -- blocking and d-separation --------------------------------------------
@@ -588,13 +600,18 @@ def is_blocked(g: CausalGraph, path: Path, z: Iterable[str]) -> bool:
     zset = frozenset(z)
     for name in zset:
         g.require(name)
-    zmask = _mask(g, zset)
-    for i in range(1, len(path.nodes) - 1):
-        mid = path.nodes[i]
-        into = path.directions[i - 1] == FORWARD
-        out_of = path.directions[i] == BACKWARD
-        if into and out_of:  # collider at mid
-            if mid not in zset and not g._reach_bits[0][g._order[mid]] & zmask:
+    return _blocked(g, path, zset, _mask(g, zset))
+
+
+def _blocked(g: CausalGraph, path: Path, zset: AbstractSet[str], zmask: int) -> bool:
+    """The blocking rule of `is_blocked` on a simple path of `g`, with `zmask`
+    the mask of `zset`; nothing is validated."""
+    de, order = g._reach_bits[0], g._order
+    nodes, dirs = path.nodes, path.directions
+    for i in range(1, len(nodes) - 1):
+        mid = nodes[i]
+        if dirs[i - 1] == FORWARD and dirs[i] == BACKWARD:  # collider at mid
+            if mid not in zset and not de[order[mid]] & zmask:
                 return True
         elif mid in zset:  # chain or fork
             return True
@@ -623,12 +640,15 @@ def d_separated_paths(
     z: Iterable[str],
     limit: int = DEFAULT_PATH_LIMIT,
 ) -> bool:
-    """d-separation by brute-force path enumeration."""
+    """d-separation by brute-force path enumeration, stopping at the first
+    open path; raises EnumerationLimit after `limit` blocked paths between
+    one pair of endpoints."""
     xs, ys, zs = _check_query_sets(g, x, y, z)
+    zmask = _mask(g, zs)
     for a in g.sort_names(xs):
         for b in g.sort_names(ys):
-            for path in all_paths(g, a, b, limit=limit):
-                if not is_blocked(g, path, zs):
+            for path in simple_paths(g, a, b, g._steps[False][a], limit=limit):
+                if not _blocked(g, path, zs, zmask):
                     return False
     return True
 

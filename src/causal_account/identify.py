@@ -93,7 +93,7 @@ def backdoor_paths(g: CausalGraph, x: str, y: str) -> list[Path]:
     along its in-edges are walked.
     """
     _require_endpoints(g, x, y, "path endpoints must differ")
-    return simple_paths(g, x, y, tuple((p, BACKWARD) for p in g._parents[x]))
+    return list(simple_paths(g, x, y, tuple((p, BACKWARD) for p in g._parents[x])))
 
 
 def satisfies_backdoor(
@@ -167,12 +167,20 @@ def _backdoor_sets(
     A minimal separator of allowed vertices is a minimal separator, so these are
     the full listing's sets inside `allowed`, and only they count to the cap."""
     order = g._order
-    de, an, _ = g._reach_bits
+    de, an, observable = g._reach_bits
     xbit, ybit = 1 << order[x], 1 << order[y]
     relevant = an[order[x]] | an[order[y]] | xbit | ybit
     excluded = de[order[x]] | xbit | ybit
-    # the vertices of the moral graph each candidate deletes: its own and,
-    # with trust_proxies, its principal's
+    adj = _moral_bits(g, xbit, relevant)
+    cap = enumeration_cap(DEFAULT_SET_CAP)
+    if not trust_proxies:
+        pool = observable & relevant & ~excluded
+        if allowed is not None:
+            pool &= _mask(g, allowed)
+        separators = _minimal_separators(adj, adj, xbit, ybit, pool, cap)
+        return _by_size(g, (_names(g, s) for s in separators))
+    # the vertices of the moral graph each candidate deletes: its own and its
+    # principal's; a proxy outside An({x, y}) still deletes a principal inside
     deletes: dict[str, int] = {}
     deletable = 0
     for name in g.observable_names():
@@ -180,17 +188,13 @@ def _backdoor_sets(
             continue
         bits = 1 << order[name]
         principal = g._by_name[name].proxy_for
-        if trust_proxies and principal is not None:
+        if principal is not None:
             bits |= 1 << order[principal]
         bits &= relevant & ~xbit & ~ybit
         if bits and not excluded >> order[name] & 1:
             deletes[name] = bits
             deletable |= bits
-    adj = _moral_bits(g, xbit, relevant)
-    cap = enumeration_cap(DEFAULT_SET_CAP)
     separators = _minimal_separators(adj, adj, xbit, ybit, deletable, cap)
-    if not trust_proxies:
-        return _by_size(g, (_names(g, s) for s in separators))
     # a principal becomes any one of its proxies; one proxy can delete two
     # vertices of a separator, so some products are not minimal
     stand_ins: dict[int, list[str]] = {}
@@ -452,36 +456,34 @@ def _recommendation(
     g: CausalGraph, x: str, y: str, chosen: frozenset[str]
 ) -> LoggingRecommendation:
     """The log set and rationale of `logging_set` for adjustment set `chosen`."""
-    on_path = {
-        name for name in between(g, x, y) | {x, y} if g.kind(name).observable
-    }
-    must_log = frozenset({x, y} | on_path | chosen)
-
+    de, an, observable = g._reach_bits
+    i, j = g._order[x], g._order[y]
+    xbit, ybit = 1 << i, 1 << j
+    on_path = de[i] & an[j] & observable
+    logged = on_path | _mask(g, chosen) | xbit | ybit
+    must_log = _names(g, logged)
     # only the observable nodes left unlogged reach the collider line below
-    unlogged = [
-        n.name for n in g.nodes if n.kind.observable and n.name not in must_log
-    ]
-    collider_nodes = _backdoor_colliders(g, x, y, unlogged)
+    collider_nodes = _backdoor_colliders(g, x, y, _names(g, observable & ~logged))
 
-    descendants_of_x = g._reach_bits[0][g._order[x]]
     rationale: list[str] = []
-    for name in g.names:
-        if name == x:
+    for k, node in enumerate(g.nodes):
+        name, bit = node.name, 1 << k
+        if bit == xbit:
             rationale.append(f"{name}: the treatment")
-        elif name == y:
+        elif bit == ybit:
             rationale.append(f"{name}: the outcome")
         elif name in chosen:
             rationale.append(f"{name}: member of the chosen adjustment set")
-        elif name in on_path:
+        elif on_path & bit:
             rationale.append(f"{name}: lies on a directed path from {x} to {y}")
-        elif not g.kind(name).observable:
+        elif not observable & bit:
             rationale.append(f"{name}: latent, cannot be observed or logged")
         elif name in collider_nodes:
             rationale.append(
                 f"{name}: collider on a back-door path; leaving it unlogged "
                 "keeps that path blocked"
             )
-        elif descendants_of_x >> g._order[name] & 1:
+        elif de[i] & bit:
             rationale.append(
                 f"{name}: descendant of the treatment, inadmissible for adjustment"
             )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationLimit, InvalidMatch, PatternArityError, SemanticError
-from .graph import FORWARD, CausalGraph, Path, _neighbourhood, between, kahn
+from .graph import FORWARD, CausalGraph, Path, _neighbourhood, _path, between, kahn
 from .identify import (
     _BOTH_FAIL,
     IdentificationReport,
@@ -221,7 +221,7 @@ def _witness(g: CausalGraph, start: int, goal: int, blocked: int) -> Path | None
         stack.append(low.bit_length() - 1)
         if low == goal_bit:
             nodes = tuple(g.nodes[k].name for k in stack)
-            return Path(nodes, (FORWARD,) * (len(nodes) - 1))
+            return _path(nodes, (FORWARD,) * (len(nodes) - 1))
         untried.append(children[stack[-1]])
     return None
 

@@ -21,6 +21,7 @@ import re
 import networkx as nx
 
 from causal_account import (
+    BACKWARD,
     FORWARD,
     AccountabilityReport,
     And,
@@ -52,7 +53,7 @@ from causal_account import (
     intervene,
     satisfies_frontdoor,
 )
-from causal_account.limits import DEFAULT_MATCH_CAP
+from causal_account.limits import DEFAULT_MATCH_CAP, DEFAULT_PATH_LIMIT
 
 
 def to_networkx(g: CausalGraph) -> nx.DiGraph:
@@ -281,6 +282,48 @@ def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str])
     if nodes is None:
         return None
     return Path(nodes, tuple([FORWARD] * (len(nodes) - 1)))
+
+
+def brute_simple_paths(
+    g: CausalGraph, x: str, y: str, first, directed: bool = False, limit: int = DEFAULT_PATH_LIMIT
+) -> list[Path]:
+    """The simple x-y paths whose first step out of x is in `first`, as
+    (neighbour, direction) pairs, in the order the library lists them: a
+    depth-first walk that tries neighbours in declaration order and collects
+    a list, each path built through the checking `Path` constructor. Past
+    `limit` paths it raises the library's message."""
+    def moves(name: str):
+        if directed:
+            return [(c, FORWARD) for c in g.children(name)]
+        steps = [(c, FORWARD) for c in g.children(name)]
+        steps += [(p, BACKWARD) for p in g.parents(name)]
+        return sorted(steps, key=lambda step: g.index(step[0]))
+
+    out: list[Path] = []
+    nodes_on_stack = {x}
+    stack_nodes = [x]
+    stack_dirs: list[str] = []
+    pending = [iter(first)]
+    while pending:
+        for nxt, direction in pending[-1]:
+            if nxt == y:
+                if len(out) >= limit:
+                    raise EnumerationLimit(f"more than {limit} paths between {x} and {y}")
+                out.append(Path(tuple(stack_nodes) + (y,), tuple(stack_dirs) + (direction,)))
+                continue
+            if nxt in nodes_on_stack:
+                continue
+            nodes_on_stack.add(nxt)
+            stack_nodes.append(nxt)
+            stack_dirs.append(direction)
+            pending.append(iter(moves(nxt)))
+            break
+        else:
+            pending.pop()
+            if pending:
+                stack_dirs.pop()
+                nodes_on_stack.remove(stack_nodes.pop())
+    return out
 
 
 def brute_bindings(g: CausalGraph, p, hints=None):

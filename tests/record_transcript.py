@@ -1,0 +1,90 @@
+"""Record the CLI transcript that `test_transcript.py` replays.
+
+    PYTHONPATH=src python tests/record_transcript.py
+
+The transcript (`cli_transcript.jsonl`) pins the bytes of every command the
+benchmark's `desk` workload runs (each bundled model and built-in pattern,
+the README tour and the paper's verdicts) and of a list of usage errors that
+must exit 2: malformed models and patterns, bad hints and bad values of
+`CAUSAL_ACCOUNT_MAX_ENUM`. Its first line holds the input files the commands
+read, by relative name; each further line holds one command: argv, the
+environment it sets, exit code, stdout and stderr. The argv list is written
+into the file, so the replay needs nothing but the file.
+
+Regenerate it only with a change meant to alter output, and say in
+CHANGES.md which lines changed and why.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from causal_account import models
+from causal_account.cli import main
+from causal_account.limits import ENV_VAR
+
+HERE = Path(__file__).resolve().parent
+TRANSCRIPT = HERE / "cli_transcript.jsonl"
+
+FILES = {
+    "bad_char.scm.txt": "model bad\nexo A : bool\nvar B : bool = A $ A\n",
+    "bad_ref.scm.txt": "model bad\nexo A : bool\nvar B : bool = A & C\n",
+    "forward_ref.scm.txt": "model bad\nvar A : bool <- B\nvar B : bool <- A\n",
+    "bad_edge.pat.txt": "pattern bad\nrole Agent : Agent\nrole Effect : Effect\nedge Agent -> Nobody\n",
+    "bad_kind.pat.txt": "pattern bad\nrole Agent : Hero\n",
+}
+
+USAGE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
+    ({}, ("validate", "bad_char.scm.txt")),
+    ({}, ("validate", "bad_ref.scm.txt")),
+    ({}, ("identify", "forward_ref.scm.txt", "--x", "A", "--y", "B")),
+    ({}, ("match", "titus", "--pattern", "bad_edge.pat.txt")),
+    ({}, ("check", "uber", "--pattern", "bad_kind.pat.txt")),
+    ({}, ("check", "uber", "--pattern", "raci", "--hint", "Accountable")),
+    ({}, ("check", "uber", "--pattern", "raci", "--hint", "=Uber")),
+    ({}, ("check", "uber", "--pattern", "raci", "--hint", "Nobody=Uber")),
+    ({}, ("match", "uber", "--pattern", "raci", "--hint", "Accountable=Nobody")),
+    ({}, ("match", "uber", "--pattern", "raci", "--hint", "Accountable=Uber", "--hint", "Accountable=Driver")),
+    ({ENV_VAR: "abc"}, ("worlds", "titus")),
+    ({ENV_VAR: "-1"}, ("backdoor", "uber", "--x", "Driver", "--y", "Accident")),
+    ({ENV_VAR: "1.5"}, ("identify", "uber", "--x", "Driver", "--y", "Accident")),
+)
+
+
+def invoke(runner: CliRunner, argv, env) -> dict:
+    """Run one command as a shell user would, stdout and stderr apart; the
+    cap variable is unset unless `env` sets it."""
+    res = runner.invoke(main, list(argv), env={ENV_VAR: None, **env}, catch_exceptions=False)
+    return {"code": res.exit_code, "stdout": res.stdout, "stderr": res.stderr}
+
+
+def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
+    sys.dont_write_bytecode = True  # leave bench/ untouched
+    sys.path.insert(0, str(HERE.parent / "bench"))
+    from workloads import desk_commands
+
+    loaded = {name: models.load_model(name) for name in models.BUNDLED_MODELS}
+    return [({}, argv) for argv in desk_commands(loaded)] + list(USAGE_ERRORS)
+
+
+def record() -> None:
+    runner = CliRunner()
+    lines = [json.dumps({"files": FILES})]
+    with runner.isolated_filesystem():
+        for name, text in FILES.items():
+            Path(name).write_text(text, encoding="utf-8")
+        for env, argv in commands():
+            entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
+            if (env, argv) in USAGE_ERRORS and entry["code"] != 2:
+                raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
+            lines.append(json.dumps(entry, ensure_ascii=False))
+    TRANSCRIPT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines) - 1} commands written to {TRANSCRIPT}")
+
+
+if __name__ == "__main__":
+    record()

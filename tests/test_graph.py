@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_account import (
     BACKWARD,
@@ -21,17 +21,24 @@ from causal_account import (
     UnknownNode,
     all_paths,
     ancestors,
+    backdoor_paths,
     build_graph,
+    builtin_pattern,
+    check_accountability,
     d_separated,
     d_separated_paths,
     d_separated_reachable,
     descendants,
+    from_json,
+    identify,
     is_blocked,
+    match_pattern,
+    to_json,
 )
 from causal_account import graph as graph_module
 from causal_account.graph import d_connected
 
-from oracles import nx_d_separated, random_dag, to_networkx
+from oracles import brute_simple_paths, nx_d_separated, random_dag, to_networkx
 
 
 def diamond():
@@ -71,6 +78,34 @@ def dags_with_node_sets(draw):
     ny = rng.randint(1, min(3, len(names) - nx_))
     nz = rng.randint(0, min(3, len(names) - nx_ - ny))
     return g, names[:nx_], names[nx_ : nx_ + ny], names[nx_ + ny : nx_ + ny + nz]
+
+
+@st.composite
+def dags_with_pair(draw):
+    """A random DAG of 2 to 10 nodes, some latent, and two distinct nodes."""
+    rng = random.Random(draw(st.integers(0, 100_000)))
+    g = random_dag(
+        rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), latent_probability=0.3
+    )
+    x, y = rng.sample(g.names, 2)
+    return g, x, y
+
+
+def first_steps(g, x, directed=False):
+    """The steps out of `x` that `all_paths` walks, in declaration order."""
+    forward = [(c, FORWARD) for c in g.children(x)]
+    if directed:
+        return forward
+    into = [(p, BACKWARD) for p in g.parents(x)]
+    return sorted(forward + into, key=lambda step: g.index(step[0]))
+
+
+def complete_dag(n):
+    names = [f"n{i + 1}" for i in range(n)]
+    return build_graph(
+        [(names[0], "exogenous")] + [(name, "endogenous") for name in names[1:]],
+        [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]],
+    )
 
 
 @st.composite
@@ -255,6 +290,60 @@ class TestPaths:
         with pytest.raises(EnumerationLimit):
             all_paths(diamond(), "A", "D", limit=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dags_with_pair())
+    def test_listings_equal_the_oracle_in_order(self, case):
+        g, x, y = case
+        assert all_paths(g, x, y) == brute_simple_paths(g, x, y, first_steps(g, x))
+        assert all_paths(g, x, y, directed=True) == brute_simple_paths(
+            g, x, y, first_steps(g, x, True), directed=True
+        )
+        into = [(p, BACKWARD) for p in g.parents(x)]
+        assert backdoor_paths(g, x, y) == brute_simple_paths(g, x, y, into)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_limit_boundary(self, directed):
+        g = complete_dag(6)
+        full = all_paths(g, "n1", "n6", directed=directed)
+        n = len(full)
+        assert n == (65 if not directed else 16)
+        assert all_paths(g, "n1", "n6", directed=directed, limit=n) == full
+        message = f"more than {n - 1} paths between n1 and n6"
+        with pytest.raises(EnumerationLimit) as err:
+            all_paths(g, "n1", "n6", directed=directed, limit=n - 1)
+        assert str(err.value) == message
+        first = first_steps(g, "n1", directed)
+        with pytest.raises(EnumerationLimit) as err:
+            brute_simple_paths(g, "n1", "n6", first, directed, limit=n - 1)
+        assert str(err.value) == message
+
+    def test_walker_built_paths_equal_checked_paths(self, uav_weather, titus):
+        g = uav_weather.graph
+        report = identify(g, "Pilot", "UAVCrash")
+        built = all_paths(g, "Pilot", "UAVCrash") + list(report.backdoor_paths)
+        hints = {"Agent": "I", "Mediator": "ED"}  # witness I -> TM -> ED
+        (match,) = match_pattern(titus.graph, builtin_pattern("lindberg"), hints)
+        witnesses = list(match.witness_paths.values())
+        for path, graph in [(p, g) for p in built] + [(p, titus.graph) for p in witnesses]:
+            checked = Path(path.nodes, path.directions)
+            assert type(path) is Path
+            assert path == checked and hash(path) == hash(checked)
+            assert str(path) == str(checked)
+            assert vars(path) == vars(checked)
+            path.validate(graph)
+        twin = type(report)(
+            **{
+                **vars(report),
+                "backdoor_paths": tuple(
+                    Path(p.nodes, p.directions) for p in report.backdoor_paths
+                ),
+            }
+        )
+        assert to_json(report) == to_json(twin)
+        assert from_json(to_json(report)) == report
+        verdict = check_accountability(titus.graph, builtin_pattern("lindberg"), match)
+        assert from_json(to_json(verdict)) == verdict
+
     def test_path_str(self):
         p = Path(("A", "B", "C"), (FORWARD, BACKWARD))
         assert str(p) == "A -> B <- C"
@@ -351,6 +440,16 @@ class TestDSeparation:
         assert d_separated_paths(g, {x}, {y}, z) == d_separated_reachable(
             g, {x}, {y}, z
         )
+
+    def test_paths_stop_at_the_first_open_path(self):
+        # A -> B -> D is open given nothing, so the second path is never walked
+        assert not d_separated_paths(diamond(), {"A"}, {"D"}, set(), limit=1)
+
+    def test_path_limit_counts_blocked_paths(self):
+        g = diamond()
+        with pytest.raises(EnumerationLimit, match="^more than 1 paths between A and D$"):
+            d_separated_paths(g, {"A"}, {"D"}, {"B", "C"}, limit=1)
+        assert d_separated_paths(g, {"A"}, {"D"}, {"B", "C"}, limit=2)
 
     @given(dags_with_node_sets())
     def test_node_sets_agree_with_networkx(self, case):

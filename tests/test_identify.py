@@ -13,6 +13,7 @@ from causal_account import (
     NodeKind,
     NotIdentifiable,
     OverlapError,
+    ancestors,
     backdoor_paths,
     build_graph,
     confounded,
@@ -23,7 +24,7 @@ from causal_account import (
     satisfies_frontdoor,
 )
 
-from causal_account.identify import _backdoor_colliders, _frontdoor_sets
+from causal_account.identify import _backdoor_colliders, _backdoor_sets, _frontdoor_sets
 
 from oracles import (
     brute_backdoor_colliders,
@@ -313,6 +314,48 @@ class TestMinimalBackdoorSets:
         assert brute_minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == {
             frozenset({"p"})
         }
+
+    def test_trusted_proxy_outside_the_ancestors_of_x_and_y(self):
+        # x <- U -> y with U latent; U's proxy p reaches neither x nor y, so p
+        # lies outside An({x, y}) while U lies inside: {p} still closes the path
+        g = build_graph(
+            [
+                Node("U", NodeKind.LATENT),
+                Node("p", NodeKind.ENDOGENOUS, proxy_for="U"),
+                ("x", "endogenous"),
+                ("y", "endogenous"),
+                ("w", "endogenous"),
+            ],
+            [("U", "p"), ("U", "x"), ("U", "y"), ("x", "y"), ("p", "w")],
+        )
+        assert minimal_backdoor_sets(g, "x", "y") == []
+        assert minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == [
+            frozenset({"p"})
+        ]
+        assert brute_minimal_backdoor_sets(g, "x", "y", trust_proxies=True) == {
+            frozenset({"p"})
+        }
+        assert _backdoor_sets(g, "x", "y", True, frozenset({"p"})) == [frozenset({"p"})]
+        assert _backdoor_sets(g, "x", "y", True, frozenset({"w"})) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(proxy_dags_with_pair(), st.integers(0, 100_000))
+    def test_allowed_trusted_listing_agrees_with_brute_force(self, case, seed):
+        # the allowed set always holds the proxies outside An({x, y}) whose
+        # principal is inside it
+        g, x, y = case
+        rng = random.Random(seed)
+        inside = ancestors(g, x) | ancestors(g, y)
+        outside_proxies = {
+            n.name
+            for n in g.nodes
+            if n.proxy_for in inside and n.name not in inside | {x, y}
+        }
+        allowed = outside_proxies | {name for name in g.names if rng.random() < 0.6}
+        found = _backdoor_sets(g, x, y, True, frozenset(allowed))
+        brute = brute_minimal_backdoor_sets(g, x, y, trust_proxies=True)
+        inside_allowed = [z for z in brute if z <= allowed]
+        assert found == sorted(inside_allowed, key=declaration_order(g))
 
     def test_trusted_proxies_of_three_latents(self):
         g = latent_fan(3, 3)
