@@ -6,9 +6,11 @@ The transcript (`cli_transcript.jsonl`) pins the bytes of every command the
 benchmark's `desk` workload runs (each bundled model and built-in pattern,
 the README tour and the paper's verdicts) and of a list of usage errors that
 must exit 2: malformed models and patterns, bad hints and bad values of
-`CAUSAL_ACCOUNT_MAX_ENUM`. Its first line holds the input files the commands
-read, by relative name; each further line holds one command: argv, the
-environment it sets, exit code, stdout and stderr. The argv list is written
+`CAUSAL_ACCOUNT_MAX_ENUM`, and of three `cf` refusals: the cap over a model
+whose every root is requisite, contradictory evidence, and an intervention
+on a root after consistent evidence. Its first line holds the input files
+the commands read, by relative name; each further line holds one command:
+argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
 
 Regenerate it only with a change meant to alter output, and say in
@@ -54,6 +56,14 @@ USAGE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({ENV_VAR: "1.5"}, ("identify", "uber", "--x", "Driver", "--y", "Accident")),
 )
 
+# counterfactual refusals: the order of the cap, the evidence and the
+# intervention checks shows in which message wins
+CF_REFUSALS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
+    ({ENV_VAR: "1"}, ("cf", "uav_weather", "--evidence", "UAVCrash=true", "--do", "Pilot=false", "--query", "UAVCrash")),
+    ({}, ("cf", "titus", "--evidence", "I=false", "--evidence", "BD=true", "--do", "TM=false", "--query", "BD")),
+    ({}, ("cf", "titus", "--evidence", "BD=true", "--do", "I=false", "--query", "BD")),
+)
+
 
 def invoke(runner: CliRunner, argv, env) -> dict:
     """Run one command as a shell user would, stdout and stderr apart; the
@@ -68,7 +78,7 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     from workloads import desk_commands
 
     loaded = {name: models.load_model(name) for name in models.BUNDLED_MODELS}
-    return [({}, argv) for argv in desk_commands(loaded)] + list(USAGE_ERRORS)
+    return [({}, argv) for argv in desk_commands(loaded)] + list(USAGE_ERRORS) + list(CF_REFUSALS)
 
 
 def record() -> None:
@@ -81,6 +91,8 @@ def record() -> None:
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
             if (env, argv) in USAGE_ERRORS and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
+            if (env, argv) in CF_REFUSALS and entry["code"] == 0:
+                raise SystemExit(f"expected a refusal from {argv}, got exit 0")
             lines.append(json.dumps(entry, ensure_ascii=False))
     TRANSCRIPT.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines) - 1} commands written to {TRANSCRIPT}")
