@@ -7,8 +7,8 @@ every other variable. That gives three query levels:
 
   * association: enumerate the root assignments consistent with evidence,
   * intervention: cut the incoming edges of a variable and pin its value,
-  * counterfactuals: abduction (consistent worlds), action (intervention),
-    prediction (re-evaluation of the mutilated model in every kept world).
+  * counterfactuals: abduction (consistent worlds), action (pinned values),
+    prediction (re-evaluation under the pinned values in every kept world).
 
 Every query, `evaluate` included, works on a block of worlds at once;
 `evaluate` takes a block of exactly one world. World i is the
@@ -22,8 +22,11 @@ periodic runs of bits built by shift-and-OR doubling. Each structural
 function is then compiled once per block, in topological order, into bitwise
 operations on its parents' masks (`Expr.masks`, `StructuralFunction.masks`).
 Evidence is the AND of one value mask per observed variable. A
-counterfactual compiles the mutilated model over the same root masks and
-reports each query value whose mask meets the kept worlds. A block holds
+counterfactual enumerates only its requisite roots, those with a path to the
+evidence or, around the intervened variables, to the query. It compiles the
+query's ancestry over the same root masks, with each intervened variable's
+masks pinned to its value, and reports each query value whose mask meets the
+kept worlds. A block holds
 2^23 worlds divided by the size of the widest domain, so the masks of one
 variable over one block take at most 1 MiB. Under the default cap of 2^20
 worlds, a model whose domains have at most eight values is one block.
@@ -41,7 +44,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationLimit,
@@ -54,7 +57,7 @@ from .errors import (
     UnspecifiedFunction,
     ValueOutOfDomain,
 )
-from .graph import CausalGraph, NodeKind, build_graph
+from .graph import CausalGraph, NodeKind, _mask, _neighbourhood, build_graph
 from .limits import DEFAULT_WORLD_CAP, ENV_VAR, enumeration_cap
 
 Value = bool | str
@@ -382,11 +385,11 @@ class Scm:
         object.__setattr__(self, "domains", MappingProxyType(dict(self.domains)))
         object.__setattr__(self, "functions", MappingProxyType(dict(self.functions)))
 
-    @property
+    @cached_property
     def root_names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.graph.nodes if n.kind.is_root)
 
-    @property
+    @cached_property
     def endogenous_names(self) -> tuple[str, ...]:
         return tuple(
             n.name for n in self.graph.nodes if n.kind is NodeKind.ENDOGENOUS
@@ -546,7 +549,9 @@ def evaluate(m: Scm, u: Mapping[str, Value]) -> Assignment:
         raise MissingExogenous(
             "missing value(s) for " + ", ".join(m.graph.sort_names(missing))
         )
-    env = _propagate(m, {name: {value: 1} for name, value in u.items()}, 1)
+    env = _propagate(
+        m, {name: {value: 1} for name, value in u.items()}, m.graph.topological_order(), 1
+    )
     return {
         name: next(value for value, mask in env[name].items() if mask)
         for name in m.graph.names
@@ -559,8 +564,13 @@ def world_count(m: Scm) -> int:
     Raises EnumerationLimit when it exceeds the configured cap, before any
     world is built.
     """
+    return _combinations(m, m.root_names)
+
+
+def _combinations(m: Scm, roots: Iterable[str]) -> int:
+    """Number of combinations of the values of `roots`, refused past the cap."""
     combinations = 1
-    for name in m.root_names:
+    for name in roots:
         combinations *= len(m.domains[name].values)
     cap = enumeration_cap(DEFAULT_WORLD_CAP)
     if combinations > 2**cap:
@@ -583,9 +593,11 @@ def _block_size(m: Scm, count: int) -> int:
     return max(1, min(count, _MASK_BITS // widest))
 
 
-def _root_masks(m: Scm, count: int, start: int, size: int) -> dict[str, Masks]:
-    """Value masks of the roots over the worlds `start` to `start + size - 1`
-    of `count` worlds in product order.
+def _root_masks(
+    m: Scm, count: int, start: int, size: int, roots: Sequence[str] | None = None
+) -> dict[str, Masks]:
+    """Value masks of `roots` (every root by default) over the worlds `start`
+    to `start + size - 1` of their `count` combinations in product order.
 
     A root whose later roots span `stride` worlds holds each value for a run
     of `stride` worlds, and the runs of all its values repeat every
@@ -597,7 +609,7 @@ def _root_masks(m: Scm, count: int, start: int, size: int) -> dict[str, Masks]:
     full = (1 << size) - 1
     out: dict[str, Masks] = {}
     stride = count
-    for name in m.root_names:
+    for name in m.root_names if roots is None else roots:
         values = m.domains[name].values
         period = stride
         stride //= len(values)
@@ -620,31 +632,37 @@ def _root_masks(m: Scm, count: int, start: int, size: int) -> dict[str, Masks]:
     return out
 
 
-def _propagate(m: Scm, roots: Mapping[str, Masks], full: int) -> dict[str, Masks]:
-    """Value masks of every variable: each function compiled once, in topological order."""
-    env = dict(roots)
-    for name in m.graph.topological_order():
-        if name not in roots:
+def _propagate(
+    m: Scm, env: dict[str, Masks], names: Iterable[str], full: int
+) -> dict[str, Masks]:
+    """Fill in `env` with the value masks of each of `names` it lacks, each
+    function compiled once, in the order given (a topological one); return
+    `env`."""
+    for name in names:
+        if name not in env:
             env[name] = m.functions[name].masks(env, full)
     return env
 
 
 def _abduce(
-    m: Scm, evidence: Mapping[str, Value]
+    m: Scm, evidence: Mapping[str, Value], roots: Sequence[str], names: Iterable[str]
 ) -> Iterator[tuple[dict[str, Masks], int, int]]:
-    """For each block of worlds in order: every variable's value masks, the
-    mask of the block's worlds that extend `evidence`, and the block's size.
+    """For each block of the combinations of `roots` in order: the value
+    masks of `roots` and of `names`, the mask of the block's worlds that
+    extend `evidence`, and the block's size.
 
-    The checks run before the first block is built.
+    `names` is in topological order and holds the evidence and its
+    ancestors. The checks run before the first block is built; the cap
+    counts the combinations of `roots`.
     """
     _check_assignment(m, evidence, "evidence")
     _require_specified(m)
-    count = world_count(m)
+    count = _combinations(m, roots)
     block = _block_size(m, count)
     for start in range(0, count, block):
         size = min(block, count - start)
         full = (1 << size) - 1
-        env = _propagate(m, _root_masks(m, count, start, size), full)
+        env = _propagate(m, _root_masks(m, count, start, size, roots), names, full)
         kept = full
         for name, value in evidence.items():
             kept &= env[name].get(value, 0)
@@ -705,7 +723,7 @@ def _world_chunks(
     """The worlds of `consistent_worlds`, one iterable per chunk of
     consecutive kept worlds."""
     names = m.graph.names
-    for env, kept, size in _abduce(m, evidence):
+    for env, kept, size in _abduce(m, evidence, m.root_names, m.graph.topological_order()):
         if not kept:
             continue
         if not names:
@@ -748,7 +766,8 @@ def iter_worlds(m: Scm, evidence: Mapping[str, Value]) -> Iterator[Assignment]:
 def consistent_world_count(m: Scm, evidence: Mapping[str, Value]) -> int:
     """`len(consistent_worlds(m, evidence))`, counted from the kept masks
     without building a world."""
-    return sum(kept.bit_count() for _, kept, _ in _abduce(m, evidence))
+    blocks = _abduce(m, evidence, m.root_names, m.graph.topological_order())
+    return sum(kept.bit_count() for _, kept, _ in blocks)
 
 
 def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]:
@@ -761,13 +780,9 @@ def consistent_worlds(m: Scm, evidence: Mapping[str, Value]) -> list[Assignment]
     return list(iter_worlds(m, evidence))
 
 
-def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
-    """Graph surgery: cut the incoming edges of each target and pin its value.
-
-    Targets must be endogenous; forcing a root variable is just choosing `u`.
-    A pinned proxy stops tracking its principal, so the proxy marker is
-    dropped. Returns a new model, the input is never mutated.
-    """
+def _check_intervention(m: Scm, do: Mapping[str, Value]) -> None:
+    """Refuse a `do` that names an unknown or a root variable, or sets a
+    value outside a domain."""
     for name in do:
         if name not in m.graph:
             raise UnknownNode(f"intervention names unknown variable {name!r}")
@@ -777,6 +792,16 @@ def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
                 "root assignment instead of an intervention"
             )
     _check_assignment(m, do, "intervention")
+
+
+def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
+    """Graph surgery: cut the incoming edges of each target and pin its value.
+
+    Targets must be endogenous; forcing a root variable is just choosing `u`.
+    A pinned proxy stops tracking its principal, so the proxy marker is
+    dropped. Returns a new model, the input is never mutated.
+    """
+    _check_intervention(m, do)
     if not do:
         return m
     targets = set(do)
@@ -794,6 +819,41 @@ def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
     return replace(m, graph=new_graph, functions=new_functions)
 
 
+def _requisite(
+    m: Scm, evidence: Iterable[str], do: Iterable[str], query: Iterable[str]
+) -> tuple[tuple[str, ...], list[str], list[str]]:
+    """What a counterfactual needs of `m`: the roots to enumerate, in
+    declaration order, then the variables abduction computes and those
+    prediction computes, each in topological order.
+
+    Abduction needs A, the evidence and its ancestors. Prediction needs P,
+    the query and its ancestors in the mutilated model: a walk up the
+    parents that does not pass through a `do` target. The roots in A ∪ P are
+    requisite; every other root changes neither which worlds are kept nor
+    what the query takes in them. Names the graph lacks are passed over, as
+    the checks refuse them in their turn.
+    """
+    g = m.graph
+    order = g._order
+    an = g._reach_bits[1]
+    abduced = 0
+    for name in evidence:
+        if name in order:
+            abduced |= 1 << order[name] | an[order[name]]
+    pinned = _mask(g, (name for name in do if name in order))
+    predicted = frontier = _mask(g, query)
+    while frontier:
+        frontier = _neighbourhood(g._edge_bits[0], frontier & ~pinned) & ~predicted
+        predicted |= frontier
+    needed = abduced | predicted
+    topo = g.topological_order()
+    return (
+        tuple(name for name in m.root_names if needed >> order[name] & 1),
+        [name for name in topo if abduced >> order[name] & 1],
+        [name for name in topo if predicted >> order[name] & 1],
+    )
+
+
 def counterfactual(
     m: Scm,
     evidence: Mapping[str, Value],
@@ -802,28 +862,35 @@ def counterfactual(
 ) -> dict[str, frozenset[Value]]:
     """What the query variables would have been under `do`, given `evidence`.
 
-    Three steps: abduction (root assignments consistent with the evidence),
-    action (intervention), prediction (evaluate the mutilated model in every
-    abduced world, a block at a time on the same root masks). Each query
-    variable maps to the set of values it takes across predictions; a
-    singleton means the answer is determined.
+    Three steps over the requisite roots alone (`_requisite`): abduction
+    computes the evidence and its ancestors and keeps the root combinations
+    consistent with the evidence; action pins each `do` target's masks to
+    its value in every world, with no graph surgery; prediction computes the
+    query and its ancestors under those pins, in the model's own topological
+    order, a block at a time on the same root masks. Each query variable maps
+    to the set of values it takes across predictions; a singleton means the
+    answer is determined. The cap counts the requisite roots' combinations.
     """
     query_names = list(query)
     for name in query_names:
         m.graph.require(name)
+    roots, abduced, predicted = _requisite(m, evidence, do, query_names)
     found: dict[str, set[Value]] = {name: set() for name in query_names}
-    mutilated = None
-    for env, kept, size in _abduce(m, evidence):
+    consistent = False
+    for env, kept, size in _abduce(m, evidence, roots, abduced):
         if not kept:
             continue
-        if mutilated is None:
+        if not consistent:
             # the evidence is consistent, so an intervention error comes next
-            mutilated = intervene(m, do)
-        roots = {name: env[name] for name in m.root_names}
-        predicted = _propagate(mutilated, roots, (1 << size) - 1)
+            _check_intervention(m, do)
+            consistent = True
+        full = (1 << size) - 1
+        world = {name: env[name] for name in roots}
+        world.update((name, {value: full}) for name, value in do.items())
+        _propagate(m, world, predicted, full)
         for name in query_names:
-            found[name].update(v for v, mask in predicted[name].items() if mask & kept)
-    if mutilated is None:
+            found[name].update(v for v, mask in world[name].items() if mask & kept)
+    if not consistent:
         raise InconsistentEvidence(
             "no root assignment is consistent with the evidence"
         )

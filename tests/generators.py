@@ -26,6 +26,7 @@ from causal_account import (
     Scm,
     StructuralFunction,
     Table,
+    ancestors,
     build_graph,
     build_scm,
 )
@@ -174,3 +175,53 @@ def random_scm(rng: random.Random, max_nodes: int = 8) -> Scm:
 
     graph = build_graph(nodes, edges)
     return build_scm(graph, node_domains, functions, f"gen{rng.randint(0, 9999)}")
+
+
+def pad_roots(rng: random.Random, m: Scm, keep) -> Scm:
+    """`m` with one to four extra boolean roots that no variable of `keep`
+    depends on.
+
+    Each extra root lands at a random place in the declaration order and
+    feeds nothing, a new sink variable, or a variable of `m` (not a proxy)
+    outside `keep` and its ancestors, whose body then falls back to a literal when the root
+    is false. Descendants of such a variable lie outside that ancestry too,
+    so every variable of `keep` and every ancestor keeps its function.
+    """
+    g = m.graph
+    keep = set(keep)
+    relevant = keep.union(*(ancestors(g, name) for name in keep))
+    nodes = list(g.nodes)
+    edges = list(g.edges)
+    domains = dict(m.domains)
+    functions = dict(m.functions)
+    free = [
+        name
+        for name in m.endogenous_names
+        if name not in relevant
+        and g.node(name).proxy_for is None  # a proxy has one parent, its principal
+        and isinstance(functions[name].body, Expr)
+    ]
+    for i in range(rng.randint(1, 4)):
+        root = f"pad{i + 1}"
+        nodes.insert(rng.randint(0, len(nodes)), Node(root, NodeKind.EXOGENOUS))
+        domains[root] = BOOL
+        roll = rng.random()
+        if roll < 0.3:
+            continue
+        if roll < 0.6 or not free:
+            sink = f"sink{i + 1}"
+            nodes.append(Node(sink, NodeKind.ENDOGENOUS))
+            domains[sink] = BOOL
+            other = rng.choice(g.names)
+            body = And(Ref(root), Eq(Ref(other), Ref(other)))
+            functions[sink] = StructuralFunction(sink, (root, other), body)
+            edges.extend([(root, sink), (other, sink)])
+            continue
+        name = rng.choice(free)
+        f = functions[name]
+        fallback = Lit(domains[name].values[0])
+        functions[name] = StructuralFunction(
+            name, (*f.parents, root), IfThenElse(Ref(root), f.body, fallback)
+        )
+        edges.append((root, name))
+    return build_scm(build_graph(nodes, edges), domains, functions, m.name)

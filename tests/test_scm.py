@@ -38,11 +38,11 @@ from causal_account import (
     evaluate,
     intervene,
 )
-from causal_account import scm
+from causal_account import graph as graph_module, scm
 from causal_account.errors import NonRootAssignment
 from causal_account.scm import check_expr, expr_refs, infer_domain, iter_worlds
 
-from generators import random_scm
+from generators import pad_roots, random_scm
 from oracles import brute_consistent_worlds, brute_counterfactual, brute_evaluate
 
 SPEED = Domain("speed", ("low", "high"))
@@ -71,6 +71,24 @@ def four_roots(body=And(Or(Ref("R1"), Ref("R2")), Or(Ref("R3"), Ref("R4")))):
         graph,
         {name: BOOL for name in graph.names},
         {"E": StructuralFunction("E", roots, body)},
+    )
+
+
+def idle_roots(count: int):
+    """Roots a and b with x = a | b and y = x & b, and `count` roots u0, ...
+    that feed nothing."""
+    idle = [f"u{i}" for i in range(count)]
+    graph = build_graph(
+        [(r, "exogenous") for r in ["a", "b", *idle]] + [("x", "endogenous"), ("y", "endogenous")],
+        [("a", "x"), ("b", "x"), ("x", "y"), ("b", "y")],
+    )
+    return build_scm(
+        graph,
+        {name: BOOL for name in graph.names},
+        {
+            "x": StructuralFunction("x", ("a", "b"), Or(Ref("a"), Ref("b"))),
+            "y": StructuralFunction("y", ("x", "b"), And(Ref("x"), Ref("b"))),
+        },
     )
 
 
@@ -697,6 +715,68 @@ class TestCounterfactual:
                 counterfactual(m, evidence, do, query)
             return
         assert counterfactual(m, evidence, do, query) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_extra_roots_change_nothing(self, seed):
+        # roots outside the ancestry of the evidence and the query, some of
+        # them feeding variables there; some interventions are faulty
+        rng = random.Random(seed)
+        m = random_scm(rng, max_nodes=6)
+        evidence = random_evidence(rng, m)
+        endo = list(m.endogenous_names)
+        targets = rng.sample(endo, rng.randint(0, min(2, len(endo))))
+        do = {name: rng.choice(m.domains[name].values) for name in targets}
+        query = rng.sample(m.graph.names, rng.randint(1, len(m.graph.names)))
+        padded = pad_roots(rng, m, [*evidence, *query])
+        fault = rng.random()
+        if fault < 0.1:
+            do[rng.choice(m.root_names)] = True
+        elif fault < 0.15:
+            do["zz"] = True
+        elif fault < 0.2 and endo:
+            do[rng.choice(endo)] = "no such value"
+
+        def outcome(answer, model):
+            try:
+                return answer(model, evidence, do, query)
+            except (
+                InconsistentEvidence,
+                InterveneOnExogenous,
+                UnknownNode,
+                UnspecifiedFunction,
+                ValueOutOfDomain,
+            ) as exc:
+                return type(exc)
+
+        expected = outcome(brute_counterfactual, padded)
+        assert outcome(brute_counterfactual, m) == expected
+        assert outcome(counterfactual, padded) == expected
+
+    def test_idle_roots_are_not_enumerated(self, monkeypatch):
+        monkeypatch.delenv("CAUSAL_ACCOUNT_MAX_ENUM", raising=False)
+        m = idle_roots(24)
+        assert counterfactual(m, {"y": True}, {"x": False}, ["y"]) == {"y": frozenset({False})}
+        # listing and counting worlds still take every root
+        with pytest.raises(EnumerationLimit, match=r"^67108864 root combinations"):
+            scm.consistent_world_count(m, {"y": True})
+
+    def test_the_cap_counts_the_requisite_roots(self, monkeypatch):
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "1")
+        with pytest.raises(EnumerationLimit, match=r"^4 root combinations exceed the cap of 2\^1 "):
+            counterfactual(idle_roots(3), {"y": True}, {"x": False}, ["y"])
+
+    def test_no_graph_surgery(self, titus, uav_attacker, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a mutilated model was built")
+
+        monkeypatch.setattr(scm, "intervene", refuse)
+        monkeypatch.setattr(scm, "build_graph", refuse)
+        monkeypatch.setattr(graph_module, "build_graph", refuse)
+        result = counterfactual(titus, {"BD": True}, {"TM": False}, ["ED", "BD"])
+        assert result == {"ED": frozenset({False}), "BD": frozenset({False})}
+        result = counterfactual(uav_attacker, {"UAV": True}, {"RC": False}, ["RC"])
+        assert result == {"RC": frozenset({False})}
 
     @given(st.integers(0, 10_000))
     def test_full_evidence_matches_intervened_evaluation(self, seed):
