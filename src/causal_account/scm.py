@@ -22,11 +22,11 @@ periodic runs of bits built by shift-and-OR doubling. Each structural
 function is then compiled once per block, in topological order, into bitwise
 operations on its parents' masks (`Expr.masks`, `StructuralFunction.masks`).
 Evidence is the AND of one value mask per observed variable. A
-counterfactual enumerates only its requisite roots, those with a path to the
-evidence or, around the intervened variables, to the query. It compiles the
-query's ancestry over the same root masks, with each intervened variable's
-masks pinned to its value, and reports each query value whose mask meets the
-kept worlds. A block holds
+counterfactual enumerates only its requisite roots: those with a directed
+path to the evidence, or to the query along a path that avoids the
+intervened variables. It compiles the query's ancestry over the same root
+masks, with each intervened variable's masks pinned to its value, and
+reports each query value whose mask meets the kept worlds. A block holds
 2^23 worlds divided by the size of the widest domain, so the masks of one
 variable over one block take at most 1 MiB. Under the default cap of 2^20
 worlds, a model whose domains have at most eight values is one block.
@@ -594,10 +594,10 @@ def _block_size(m: Scm, count: int) -> int:
 
 
 def _root_masks(
-    m: Scm, count: int, start: int, size: int, roots: Sequence[str] | None = None
+    m: Scm, count: int, start: int, size: int, roots: Sequence[str]
 ) -> dict[str, Masks]:
-    """Value masks of `roots` (every root by default) over the worlds `start`
-    to `start + size - 1` of their `count` combinations in product order.
+    """Value masks of `roots` over the worlds `start` to `start + size - 1`
+    of their `count` combinations in product order.
 
     A root whose later roots span `stride` worlds holds each value for a run
     of `stride` worlds, and the runs of all its values repeat every
@@ -609,7 +609,7 @@ def _root_masks(
     full = (1 << size) - 1
     out: dict[str, Masks] = {}
     stride = count
-    for name in m.root_names if roots is None else roots:
+    for name in roots:
         values = m.domains[name].values
         period = stride
         stride //= len(values)
@@ -799,7 +799,8 @@ def intervene(m: Scm, do: Mapping[str, Value]) -> Scm:
 
     Targets must be endogenous; forcing a root variable is just choosing `u`.
     A pinned proxy stops tracking its principal, so the proxy marker is
-    dropped. Returns a new model, the input is never mutated.
+    dropped. Returns a new model, the input is never mutated. This serves
+    `do` and library callers; `counterfactual` pins masks instead.
     """
     _check_intervention(m, do)
     if not do:
@@ -834,8 +835,7 @@ def _requisite(
     the checks refuse them in their turn.
     """
     g = m.graph
-    order = g._order
-    an = g._reach_bits[1]
+    order, parents, an = g._order, g._edge_bits[0], g._reach_bits[1]
     abduced = 0
     for name in evidence:
         if name in order:
@@ -843,7 +843,7 @@ def _requisite(
     pinned = _mask(g, (name for name in do if name in order))
     predicted = frontier = _mask(g, query)
     while frontier:
-        frontier = _neighbourhood(g._edge_bits[0], frontier & ~pinned) & ~predicted
+        frontier = _neighbourhood(parents, frontier & ~pinned) & ~predicted
         predicted |= frontier
     needed = abduced | predicted
     topo = g.topological_order()
@@ -885,11 +885,11 @@ def counterfactual(
             _check_intervention(m, do)
             consistent = True
         full = (1 << size) - 1
-        world = {name: env[name] for name in roots}
-        world.update((name, {value: full}) for name, value in do.items())
-        _propagate(m, world, predicted, full)
+        prediction = {name: env[name] for name in roots}
+        prediction.update((name, {value: full}) for name, value in do.items())
+        _propagate(m, prediction, predicted, full)
         for name in query_names:
-            found[name].update(v for v, mask in world[name].items() if mask & kept)
+            found[name].update(v for v, mask in prediction[name].items() if mask & kept)
     if not consistent:
         raise InconsistentEvidence(
             "no root assignment is consistent with the evidence"

@@ -183,9 +183,10 @@ def pad_roots(rng: random.Random, m: Scm, keep) -> Scm:
 
     Each extra root lands at a random place in the declaration order and
     feeds nothing, a new sink variable, or a variable of `m` (not a proxy)
-    outside `keep` and its ancestors, whose body then falls back to a literal when the root
-    is false. Descendants of such a variable lie outside that ancestry too,
-    so every variable of `keep` and every ancestor keeps its function.
+    outside `keep` and its ancestors, whose body then falls back to a
+    literal when the root is false. Descendants of such a variable lie
+    outside that ancestry too, so every variable of `keep` and every
+    ancestor keeps its function.
     """
     g = m.graph
     keep = set(keep)

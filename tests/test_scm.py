@@ -511,7 +511,7 @@ class TestConsistentWorlds:
         count = len(worlds)
         for size in range(1, count + 1):
             for start in range(0, count - size + 1):
-                got = scm._root_masks(m, count, start, size)
+                got = scm._root_masks(m, count, start, size, roots)
                 for j, r in enumerate(roots):
                     expected = {}
                     for i in range(size):
