@@ -8,7 +8,11 @@ the README tour and the paper's verdicts) and of a list of usage errors that
 must exit 2: malformed models and patterns, bad hints and bad values of
 `CAUSAL_ACCOUNT_MAX_ENUM`, and of three `cf` refusals: the cap over a model
 whose every root is requisite, contradictory evidence, and an intervention
-on a root after consistent evidence. Its first line holds the input files
+on a root after consistent evidence. It also pins the help of the group and
+of every command and each command run with no argument (at a fixed width of
+80 columns), and the ways a MODEL or `--pattern` argument fails to load: a
+missing model, after `export`'s own option checks, and a `.json` file that
+holds the other kind of payload. Its first line holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
@@ -28,6 +32,7 @@ from click.testing import CliRunner
 from causal_account import models
 from causal_account.cli import main
 from causal_account.limits import ENV_VAR
+from causal_account.modelio import parse_model, to_json
 
 HERE = Path(__file__).resolve().parent
 TRANSCRIPT = HERE / "cli_transcript.jsonl"
@@ -38,6 +43,8 @@ FILES = {
     "forward_ref.scm.txt": "model bad\nvar A : bool <- B\nvar B : bool <- A\n",
     "bad_edge.pat.txt": "pattern bad\nrole Agent : Agent\nrole Effect : Effect\nedge Agent -> Nobody\n",
     "bad_kind.pat.txt": "pattern bad\nrole Agent : Hero\n",
+    "tiny.json": to_json(parse_model("model tiny\nexo A : bool\nvar B : bool = !A\n")),
+    "lindberg.json": to_json(models.load_pattern("lindberg")),
 }
 
 USAGE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
@@ -64,6 +71,29 @@ CF_REFUSALS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("cf", "titus", "--evidence", "BD=true", "--do", "I=false", "--query", "BD")),
 )
 
+# model and pattern arguments that fail to load; `./tiny.json` is reported
+# as typed
+LOADING_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
+    ({}, ("export", "nosuch.scm.txt", "--format", "json", "--highlight-match", "lindberg")),
+    ({}, ("backdoor", "nosuch.scm.txt", "--x", "A", "--y", "B")),
+    ({}, ("frontdoor", "nosuch.scm.txt", "--x", "A", "--y", "B")),
+    ({}, ("match", "titus", "--pattern", "./tiny.json")),
+    ({}, ("validate", "lindberg.json")),
+)
+
+
+def help_and_usage() -> list[tuple[dict[str, str], tuple[str, ...]]]:
+    """`--help` of the group and of each command, then each command with
+    no argument, at 80 columns whatever the terminal."""
+    width = {"COLUMNS": "80"}
+    names = sorted(main.commands)
+    return (
+        [(width, ("--help",))]
+        + [(width, (name, "--help")) for name in names]
+        + [(width, ())]
+        + [(width, (name,)) for name in names]
+    )
+
 
 def invoke(runner: CliRunner, argv, env) -> dict:
     """Run one command as a shell user would, stdout and stderr apart; the
@@ -78,7 +108,13 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     from workloads import desk_commands
 
     loaded = {name: models.load_model(name) for name in models.BUNDLED_MODELS}
-    return [({}, argv) for argv in desk_commands(loaded)] + list(USAGE_ERRORS) + list(CF_REFUSALS)
+    return (
+        [({}, argv) for argv in desk_commands(loaded)]
+        + list(USAGE_ERRORS)
+        + list(CF_REFUSALS)
+        + list(LOADING_ERRORS)
+        + help_and_usage()
+    )
 
 
 def record() -> None:
@@ -89,7 +125,7 @@ def record() -> None:
             Path(name).write_text(text, encoding="utf-8")
         for env, argv in commands():
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
-            if (env, argv) in USAGE_ERRORS and entry["code"] != 2:
+            if (env, argv) in USAGE_ERRORS + LOADING_ERRORS and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
             if (env, argv) in CF_REFUSALS and entry["code"] == 0:
                 raise SystemExit(f"expected a refusal from {argv}, got exit 0")

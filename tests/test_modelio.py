@@ -789,6 +789,11 @@ class TestJsonSchemaErrors:
         err = self.decode_err("{nope")
         assert "invalid JSON" in str(err)
 
+    def test_pattern_without_effect_role(self):
+        payload = {"format": "pattern", "name": "p", "roles": [{"name": "A", "kind": "Agent"}], "edges": []}
+        err = self.decode_err(json.dumps(payload))
+        assert str(err) == "$: pattern 'p' needs exactly one Effect role, has 0"
+
     def test_root_must_be_object(self):
         err = self.decode_err("[]")
         assert err.path == "$"

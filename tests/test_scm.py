@@ -46,6 +46,43 @@ from generators import pad_roots, random_scm
 from oracles import brute_consistent_worlds, brute_counterfactual, brute_evaluate
 
 SPEED = Domain("speed", ("low", "high"))
+GEAR = Domain("gear", ("low", "top"))
+
+# (expression, expected domain, message), over a : bool and s : speed
+CHECK_EXPR_ERRORS = [
+    (Not(Ref("a")), SPEED, "boolean operator used where domain speed is expected"),
+    (Or(Ref("a"), Ref("a")), SPEED, "boolean operator used where domain speed is expected"),
+    (Eq(Ref("s"), Lit("low")), SPEED, "comparison used where domain speed is expected"),
+    (Eq(Lit("low"), Lit("low")), BOOL, "cannot determine the domain of this comparison"),
+]
+
+# (nodes, edges, domains, functions, message) that build_scm refuses
+BUILD_SCM_ERRORS = [
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"a": StructuralFunction("a", (), Lit(True)), "b": StructuralFunction("b", ("a",), Ref("a"))},
+     "function attached to non-endogenous variable a"),
+    ([("a", "exogenous"), ("b", "endogenous"), ("c", "endogenous")], [("a", "b"), ("a", "c")],
+     {"a": BOOL, "b": BOOL, "c": BOOL},
+     {"b": StructuralFunction("c", ("a",), Ref("a")), "c": StructuralFunction("c", ("a",), Ref("a"))},
+     "function stored under 'b' targets 'c'"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"b": StructuralFunction("b", ("a", "a"), Ref("a"))},
+     "function of b repeats a parent"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"b": StructuralFunction("b", ("a",), Table(((("x",), True), ((True,), False))))},
+     "table of b: 'x' is not in domain bool of parent a"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"b": StructuralFunction("b", ("a",), Table((((False,), "low"), ((True,), True))))},
+     "table of b outputs a value outside domain bool"),
+    ([Node("L", NodeKind.LATENT), Node("P", NodeKind.ENDOGENOUS, proxy_for="L")], [("L", "P")],
+     {"L": BOOL, "P": SPEED},
+     {"P": StructuralFunction("P", ("L",), None)},
+     "proxy P must share the domain of L"),
+]
 
 
 def tiny_model(body=None, parents=("A",)):
@@ -194,8 +231,29 @@ class TestExpressions:
         with pytest.raises(SemanticError):
             check_expr(Ref("missing"), BOOL, {}, [BOOL])
 
+    def test_infer_domain_of_if_falls_back_to_the_else_branch(self):
+        # `low` alone is ambiguous when two domains hold it
+        var_domains = {"a": BOOL, "s": SPEED}
+        known = [BOOL, SPEED, GEAR]
+        e = IfThenElse(Ref("a"), Lit("low"), Ref("s"))
+        assert infer_domain(e, var_domains, known) == SPEED
+        e = IfThenElse(Ref("a"), Lit("low"), Lit("low"))
+        assert infer_domain(e, var_domains, known) is None
+
+    @pytest.mark.parametrize("e, expected, message", CHECK_EXPR_ERRORS)
+    def test_check_expr_error_messages(self, e, expected, message):
+        with pytest.raises(SemanticError) as err:
+            check_expr(e, expected, {"a": BOOL, "s": SPEED}, [BOOL, SPEED, GEAR])
+        assert str(err.value) == message
+
 
 class TestBuildScm:
+    @pytest.mark.parametrize("nodes, edges, domains, functions, message", BUILD_SCM_ERRORS)
+    def test_error_messages(self, nodes, edges, domains, functions, message):
+        with pytest.raises(SemanticError) as err:
+            build_scm(build_graph(nodes, edges), domains, functions)
+        assert str(err.value) == message
+
     def test_model_maps_are_read_only(self):
         graph = build_graph(
             [("A", "exogenous"), ("B", "endogenous")], [("A", "B")]
