@@ -88,16 +88,32 @@ def _guard(fn):
     return wrapper
 
 
-def _load_model(spec: str) -> Scm:
+def _model_command(fn):
+    """Give a command the MODEL argument, first among its parameters, and
+    call it with the loaded model in its place; errors map as in `_guard`."""
+
+    @functools.wraps(fn)
+    def command(model: str, **options):
+        return fn(_load_model(model), **options)
+
+    return click.argument("model")(_guard(command))
+
+
+def _read_file(spec: str, kind: type, what: str, parse):
+    """The `kind` in the `.json` or DSL file `spec`; None if there is no such file."""
     path = Path(spec)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        if path.name.endswith(".json"):
-            obj = from_json(text)
-            if not isinstance(obj, Scm):
-                raise click.UsageError(f"{spec} does not contain a model")
-            return obj
-        return parse_model(text)
+    if not path.is_file():
+        return None
+    text = path.read_text(encoding="utf-8")
+    obj = from_json(text) if path.name.endswith(".json") else parse(text)
+    if not isinstance(obj, kind):
+        raise click.UsageError(f"{spec} does not contain a {what}")
+    return obj
+
+
+def _load_model(spec: str) -> Scm:
+    if (m := _read_file(spec, Scm, "model", parse_model)) is not None:
+        return m
     if spec in models.BUNDLED_MODELS:
         return models.load_model(spec)
     raise click.UsageError(
@@ -109,15 +125,8 @@ def _load_model(spec: str) -> Scm:
 def _load_pattern(spec: str) -> Pattern:
     if spec in models.BUNDLED_PATTERNS:
         return builtin_pattern(spec)
-    path = Path(spec)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        if path.name.endswith(".json"):
-            obj = from_json(text)
-            if not isinstance(obj, Pattern):
-                raise click.UsageError(f"{spec} does not contain a pattern")
-            return obj
-        return parse_pattern(text)
+    if (p := _read_file(spec, Pattern, "pattern", parse_pattern)) is not None:
+        return p
     raise click.UsageError(
         f"{spec!r} is neither a pattern file nor a built-in pattern name "
         f"({', '.join(models.BUNDLED_PATTERNS)})"
@@ -197,6 +206,10 @@ def _echo_identification(g: CausalGraph, report) -> None:
         click.echo(f"note: {note}")
 
 
+def _echo_match(p: Pattern, match) -> None:
+    click.echo("match: " + " ".join(f"{role}={match.binding[role]}" for role in p.role_names()))
+
+
 def _echo_logging(g: CausalGraph, rec) -> None:
     click.echo(f"must log: {_render_set(g, rec.must_log)}")
     click.echo(f"adjustment set: {_render_set(g, rec.adjustment_set_used)}")
@@ -221,12 +234,10 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @_format_option
-@_guard
-def validate(model: str, fmt: str) -> None:
+def validate(m: Scm, fmt: str) -> None:
     """Parse MODEL and report its shape."""
-    m = _load_model(model)
     if fmt == "json":
         click.echo(to_json(m), nl=False)
         return
@@ -240,24 +251,20 @@ def validate(model: str, fmt: str) -> None:
 
 
 @main.command("eval")
-@click.argument("model")
+@_model_command
 @click.option("--set", "sets", multiple=True, metavar="NAME=VALUE", help="Root variable value; repeatable.")
-@_guard
-def eval_cmd(model: str, sets: tuple[str, ...]) -> None:
+def eval_cmd(m: Scm, sets: tuple[str, ...]) -> None:
     """Evaluate MODEL under a full root assignment."""
-    m = _load_model(model)
     world = evaluate(m, _parse_bindings(m, sets, "--set"))
     for name in m.graph.names:
         click.echo(f"{name}={m.domains[name].render(world[name])}")
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--evidence", multiple=True, metavar="NAME=VALUE", help="Observed value; repeatable.")
-@_guard
-def worlds(model: str, evidence: tuple[str, ...]) -> None:
+def worlds(m: Scm, evidence: tuple[str, ...]) -> None:
     """List the total assignments consistent with the evidence."""
-    m = _load_model(model)
     observed = _parse_bindings(m, evidence, "--evidence")
     # count first, then stream: the checks fail before any output, and no
     # list of worlds is held
@@ -266,7 +273,7 @@ def worlds(model: str, evidence: tuple[str, ...]) -> None:
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--set", "sets", multiple=True, required=True, metavar="NAME=VALUE", help="Intervened value; repeatable.")
 @click.option(
     "--then",
@@ -275,10 +282,8 @@ def worlds(model: str, evidence: tuple[str, ...]) -> None:
     show_default=True,
     help="What to do with the mutilated model.",
 )
-@_guard
-def do(model: str, sets: tuple[str, ...], then: str) -> None:
+def do(m: Scm, sets: tuple[str, ...], then: str) -> None:
     """Cut incoming edges and pin values, then evaluate or export."""
-    m = _load_model(model)
     mutilated = intervene(m, _parse_bindings(m, sets, "--set"))
     if then == "export":
         click.echo(to_dot(mutilated.graph, name=mutilated.name), nl=False)
@@ -289,14 +294,12 @@ def do(model: str, sets: tuple[str, ...], then: str) -> None:
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--evidence", multiple=True, metavar="NAME=VALUE", help="Observed value; repeatable.")
 @click.option("--do", "dos", multiple=True, metavar="NAME=VALUE", help="Counterfactual intervention; repeatable.")
 @click.option("--query", required=True, metavar="NAME[,NAME]", help="Variables to report.")
-@_guard
-def cf(model: str, evidence: tuple[str, ...], dos: tuple[str, ...], query: str) -> None:
+def cf(m: Scm, evidence: tuple[str, ...], dos: tuple[str, ...], query: str) -> None:
     """Answer a counterfactual query."""
-    m = _load_model(model)
     names = _split_names(query)
     if not names:
         raise click.UsageError("--query needs at least one variable name")
@@ -320,14 +323,12 @@ def cf(model: str, evidence: tuple[str, ...], dos: tuple[str, ...], query: str) 
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--x", required=True, metavar="NAME[,NAME]")
 @click.option("--y", required=True, metavar="NAME[,NAME]")
 @click.option("--given", default=None, metavar="NAME[,NAME]")
-@_guard
-def dsep(model: str, x: str, y: str, given: str | None) -> None:
+def dsep(m: Scm, x: str, y: str, given: str | None) -> None:
     """Decide d-separation of --x and --y given --given."""
-    m = _load_model(model)
     xs, ys = _split_names(x), _split_names(y)
     if not xs:
         raise click.UsageError("--x needs at least one variable name")
@@ -337,56 +338,40 @@ def dsep(model: str, x: str, y: str, given: str | None) -> None:
     click.echo(f"d-separated: {'true' if answer else 'false'}")
 
 
-@main.command()
-@click.argument("model")
-@click.option("--x", required=True, metavar="NAME")
-@click.option("--y", required=True, metavar="NAME")
-@click.option("--z", default=None, metavar="NAME[,NAME]", help="Check this set instead of enumerating.")
-@_guard
-def backdoor(model: str, x: str, y: str, z: str | None) -> None:
-    """Check or enumerate back-door adjustment sets."""
-    m = _load_model(model)
-    if z is not None:
-        ok = satisfies_backdoor(m.graph, _split_names(z), x, y)
-        click.echo(f"satisfies backdoor: {'true' if ok else 'false'}")
-        return
-    found = minimal_backdoor_sets(m.graph, x, y)
-    if not found:
-        click.echo("none")
-    for zset in found:
-        click.echo(_render_set(m.graph, zset))
+def _criterion_command(criterion: str, check: str, listing: str, summary: str) -> None:
+    """Define the command that checks --z against `criterion` or lists the sets
+    that meet it. `check` and `listing` name functions of this module, looked
+    up when the command runs, so a wrapper installed after import is called."""
+
+    @main.command(criterion, help=summary)
+    @_model_command
+    @click.option("--x", required=True, metavar="NAME")
+    @click.option("--y", required=True, metavar="NAME")
+    @click.option("--z", default=None, metavar="NAME[,NAME]", help="Check this set instead of enumerating.")
+    def command(m: Scm, x: str, y: str, z: str | None) -> None:
+        if z is not None:
+            ok = globals()[check](m.graph, _split_names(z), x, y)
+            click.echo(f"satisfies {criterion}: {'true' if ok else 'false'}")
+            return
+        found = globals()[listing](m.graph, x, y)
+        if not found:
+            click.echo("none")
+        for zset in found:
+            click.echo(_render_set(m.graph, zset))
 
 
-@main.command()
-@click.argument("model")
-@click.option("--x", required=True, metavar="NAME")
-@click.option("--y", required=True, metavar="NAME")
-@click.option("--z", default=None, metavar="NAME[,NAME]", help="Check this set instead of enumerating.")
-@_guard
-def frontdoor(model: str, x: str, y: str, z: str | None) -> None:
-    """Check or enumerate front-door mediator sets."""
-    m = _load_model(model)
-    if z is not None:
-        ok = satisfies_frontdoor(m.graph, _split_names(z), x, y)
-        click.echo(f"satisfies frontdoor: {'true' if ok else 'false'}")
-        return
-    found = _frontdoor_sets(m.graph, x, y)
-    if not found:
-        click.echo("none")
-    for zset in found:
-        click.echo(_render_set(m.graph, zset))
+_criterion_command("backdoor", "satisfies_backdoor", "minimal_backdoor_sets", "Check or enumerate back-door adjustment sets.")
+_criterion_command("frontdoor", "satisfies_frontdoor", "_frontdoor_sets", "Check or enumerate front-door mediator sets.")
 
 
 @main.command("identify")
-@click.argument("model")
+@_model_command
 @click.option("--x", required=True, metavar="NAME")
 @click.option("--y", required=True, metavar="NAME")
 @click.option("--trust-proxies", is_flag=True, help="Let proxies stand in for their latent principals.")
 @_format_option
-@_guard
-def identify_cmd(model: str, x: str, y: str, trust_proxies: bool, fmt: str) -> None:
+def identify_cmd(m: Scm, x: str, y: str, trust_proxies: bool, fmt: str) -> None:
     """Report how the effect of --x on --y is identified."""
-    m = _load_model(model)
     report = identify(m.graph, x, y, trust_proxies)
     if fmt == "json":
         click.echo(to_json(report), nl=False)
@@ -395,15 +380,13 @@ def identify_cmd(model: str, x: str, y: str, trust_proxies: bool, fmt: str) -> N
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--x", required=True, metavar="NAME")
 @click.option("--y", required=True, metavar="NAME")
 @click.option("--allowed", default=None, metavar="NAME[,NAME]", help="Restrict adjustment sets to these nodes.")
 @_format_option
-@_guard
-def logset(model: str, x: str, y: str, allowed: str | None, fmt: str) -> None:
+def logset(m: Scm, x: str, y: str, allowed: str | None, fmt: str) -> None:
     """Recommend the variables to log for the --x to --y effect."""
-    m = _load_model(model)
     restriction = _split_names(allowed) if allowed is not None else None
     rec = logging_set(m.graph, x, y, allowed=restriction)
     if fmt == "json":
@@ -413,34 +396,27 @@ def logset(model: str, x: str, y: str, allowed: str | None, fmt: str) -> None:
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--pattern", "pattern_spec", required=True, metavar="NAME|FILE")
 @click.option("--hint", "hint_pairs", multiple=True, metavar="ROLE=NODE")
-@_guard
-def match(model: str, pattern_spec: str, hint_pairs: tuple[str, ...]) -> None:
+def match(m: Scm, pattern_spec: str, hint_pairs: tuple[str, ...]) -> None:
     """List the matches of a pattern in MODEL."""
-    m = _load_model(model)
     p = _load_pattern(pattern_spec)
     found = match_pattern(m.graph, p, _parse_hints(p, hint_pairs))
     if not found:
         click.echo("no match")
         return
     for item in found:
-        click.echo(
-            "match: "
-            + " ".join(f"{role}={item.binding[role]}" for role in p.role_names())
-        )
+        _echo_match(p, item)
 
 
 @main.command()
-@click.argument("model")
+@_model_command
 @click.option("--pattern", "pattern_spec", required=True, metavar="NAME|FILE")
 @click.option("--hint", "hint_pairs", multiple=True, metavar="ROLE=NODE")
 @_format_option
-@_guard
-def check(model: str, pattern_spec: str, hint_pairs: tuple[str, ...], fmt: str) -> None:
+def check(m: Scm, pattern_spec: str, hint_pairs: tuple[str, ...], fmt: str) -> None:
     """Match a pattern and decide accountability; exit 1 when negative."""
-    m = _load_model(model)
     p = _load_pattern(pattern_spec)
     first = next(iter_matches(m.graph, p, _parse_hints(p, hint_pairs)), None)
     if first is None:
@@ -451,12 +427,7 @@ def check(model: str, pattern_spec: str, hint_pairs: tuple[str, ...], fmt: str) 
         click.echo(to_json(report), nl=False)
     else:
         click.echo(f"pattern: {report.pattern}")
-        click.echo(
-            "match: "
-            + " ".join(
-                f"{role}={report.match.binding[role]}" for role in p.role_names()
-            )
-        )
+        _echo_match(p, report.match)
         click.echo(f"agent: {report.agent}")
         click.echo(f"effect: {report.effect}")
         click.echo(f"verdict: {report.verdict.value}")

@@ -12,6 +12,7 @@ import re
 
 from ..graph import CausalGraph
 from ..patterns import PatternMatch
+from .dsl import _quote
 
 _BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"graph", "digraph", "subgraph", "node", "edge", "strict"})
@@ -20,11 +21,7 @@ _RESERVED = frozenset({"graph", "digraph", "subgraph", "node", "edge", "strict"}
 def _dot_id(name: str) -> str:
     if _BARE_ID.match(name) and name.lower() not in _RESERVED:
         return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dot_string(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _quote(name)
 
 
 def to_dot(
@@ -41,7 +38,7 @@ def to_dot(
     for node in g.nodes:
         attrs: list[str] = []
         if node.label is not None:
-            attrs.append(f"label={_dot_string(node.label)}")
+            attrs.append(f"label={_quote(node.label)}")
         if not node.kind.observable:
             attrs.append("style=dashed")
         elif node.name in highlighted:

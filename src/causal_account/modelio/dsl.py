@@ -364,9 +364,7 @@ def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
         try:
             check_expr(body, domain, builder.node_domains, builder.domains.values())
         except SemanticError as err:
-            if err.span is None:
-                raise SemanticError(err.args[0], expr_tok.span) from None
-            raise
+            raise SemanticError(err.args[0], expr_tok.span) from None
     elif tok.kind != "end":
         raise ParseError("expected '=', '<-', or end of line", tok.span)
     builder.add_node(Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok)
@@ -521,9 +519,7 @@ def parse_pattern(text: str) -> Pattern:
     try:
         return build_pattern(name_tok.text, tuple(roles.values()), edges)
     except SemanticError as err:
-        if err.span is None:
-            raise SemanticError(err.args[0], name_tok.span) from None
-        raise
+        raise SemanticError(err.args[0], name_tok.span) from None
 
 
 def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:

@@ -23,23 +23,23 @@ BUNDLED_PATTERNS = ("lindberg", "raci")
 _FILES = resources.files(__package__)
 
 
-def _read(filename: str) -> str:
-    ref = _FILES.joinpath(filename)
+def _read(name: str, names: tuple[str, ...], suffix: str) -> str:
+    """The text of bundled file `name + suffix`; KeyError unless `name` is one
+    of `names` and the file exists."""
+    if name not in names:
+        raise KeyError(name)
+    ref = _FILES.joinpath(name + suffix)
     if not ref.is_file():
-        raise KeyError(filename)
+        raise KeyError(name + suffix)
     return ref.read_text(encoding="utf-8")
 
 
 def model_text(name: str) -> str:
-    if name not in BUNDLED_MODELS:
-        raise KeyError(name)
-    return _read(f"{name}.scm.txt")
+    return _read(name, BUNDLED_MODELS, ".scm.txt")
 
 
 def pattern_text(name: str) -> str:
-    if name not in BUNDLED_PATTERNS:
-        raise KeyError(name)
-    return _read(f"{name}.pat.txt")
+    return _read(name, BUNDLED_PATTERNS, ".pat.txt")
 
 
 def load_model(name: str) -> Scm:

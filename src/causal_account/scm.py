@@ -138,20 +138,8 @@ class Expr:
         """
         raise NotImplementedError
 
-    def truth(self, env: Mapping[str, Masks], full: int) -> int:
-        """The worlds where this boolean expression holds."""
-        return self.masks(env, full).get(True, 0)
-
     def children(self) -> tuple["Expr", ...]:
         return ()
-
-
-class _Boolean(Expr):
-    """An operator whose value is always a bool; it compiles to its truth mask."""
-
-    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        truth = self.truth(env, full)
-        return {False: full ^ truth, True: truth}
 
 
 @dataclass(frozen=True)
@@ -171,51 +159,54 @@ class Ref(Expr):
 
 
 @dataclass(frozen=True)
-class Not(_Boolean):
+class Not(Expr):
     a: Expr
 
-    def truth(self, env: Mapping[str, Masks], full: int) -> int:
-        return full ^ self.a.truth(env, full)
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        a = self.a.masks(env, full)
+        return {False: a.get(True, 0), True: a.get(False, 0)}
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a,)
 
 
 @dataclass(frozen=True)
-class And(_Boolean):
+class And(Expr):
     a: Expr
     b: Expr
 
-    def truth(self, env: Mapping[str, Masks], full: int) -> int:
-        return self.a.truth(env, full) & self.b.truth(env, full)
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        truth = self.a.masks(env, full).get(True, 0) & self.b.masks(env, full).get(True, 0)
+        return {False: full ^ truth, True: truth}
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class Or(_Boolean):
+class Or(Expr):
     a: Expr
     b: Expr
 
-    def truth(self, env: Mapping[str, Masks], full: int) -> int:
-        return self.a.truth(env, full) | self.b.truth(env, full)
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
+        truth = self.a.masks(env, full).get(True, 0) | self.b.masks(env, full).get(True, 0)
+        return {False: full ^ truth, True: truth}
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class Eq(_Boolean):
+class Eq(Expr):
     a: Expr
     b: Expr
 
-    def truth(self, env: Mapping[str, Masks], full: int) -> int:
+    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
         a, b = self.a.masks(env, full), self.b.masks(env, full)
         same = 0
         for value, mask in a.items():
             same |= mask & b.get(value, 0)
-        return same
+        return {False: full ^ same, True: same}
 
     def children(self) -> tuple[Expr, ...]:
         return (self.a, self.b)
@@ -228,7 +219,7 @@ class IfThenElse(Expr):
     orelse: Expr
 
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        cond = self.cond.truth(env, full)
+        cond = self.cond.masks(env, full).get(True, 0)
         other = full ^ cond
         out = {v: mask & cond for v, mask in self.then.masks(env, full).items()}
         for value, mask in self.orelse.masks(env, full).items():
@@ -403,6 +394,19 @@ class Scm:
         return all(f.specified for f in self.functions.values())
 
 
+def _check_keys(keys: Iterable[str], names: Iterable[str], missing: str, extra: str) -> None:
+    """Refuse `keys` unless they are exactly `names`, listing the names that
+    lack a key after `missing` and the keys that name none after `extra`."""
+    keys, names = set(keys), set(names)
+    problem = [
+        f"{what} " + ", ".join(sorted(stray))
+        for what, stray in ((missing, names - keys), (extra, keys - names))
+        if stray
+    ]
+    if problem:
+        raise SemanticError("; ".join(problem))
+
+
 def build_scm(
     graph: CausalGraph,
     domains: Mapping[str, Domain],
@@ -416,30 +420,9 @@ def build_scm(
     type-check against parent domains; table bodies must cover the parent
     combinations exactly once; proxies share their principal's domain.
     """
-    node_names = set(graph.names)
-    if set(domains) != node_names:
-        missing = node_names - set(domains)
-        extra = set(domains) - node_names
-        problem = []
-        if missing:
-            problem.append("missing domain for " + ", ".join(sorted(missing)))
-        if extra:
-            problem.append("domain for unknown variable " + ", ".join(sorted(extra)))
-        raise SemanticError("; ".join(problem))
-
-    endo = {n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS}
-    if set(functions) != endo:
-        missing = endo - set(functions)
-        extra = set(functions) - endo
-        problem = []
-        if missing:
-            problem.append("no function for " + ", ".join(sorted(missing)))
-        if extra:
-            problem.append(
-                "function attached to non-endogenous variable "
-                + ", ".join(sorted(extra))
-            )
-        raise SemanticError("; ".join(problem))
+    _check_keys(domains, graph.names, "missing domain for", "domain for unknown variable")
+    endo = [n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS]
+    _check_keys(functions, endo, "no function for", "function attached to non-endogenous variable")
 
     known_domains = list(dict.fromkeys(domains.values()))
     for name_, f in functions.items():
