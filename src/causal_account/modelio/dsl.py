@@ -611,6 +611,19 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# what `_TOKEN_RE` reads as one identifier
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def _writable(name: object, described: str) -> None:
+    """Refuse a name or value, `described` for the message, that the DSL
+    would not read back as itself."""
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise SemanticError(f"cannot serialize: {described} is not a DSL identifier")
+    if name in KEYWORDS:
+        raise SemanticError(f"cannot serialize: {described} is a reserved word")
+
+
 def to_dsl(m: Scm) -> str:
     """Serialize a model back to its DSL form.
 
@@ -619,8 +632,12 @@ def to_dsl(m: Scm) -> str:
     expression: same semantics, different body representation. Models whose
     names collide across the DSL's single namespace (a variable named like a
     domain or one of its values) cannot be written down unambiguously and are
-    rejected.
+    rejected, as are names that are no DSL identifier or a reserved word and
+    values of a domain other than `bool` that are not strings.
     """
+    _writable(m.name, f"model name {m.name!r}")
+    for name in m.graph.names:
+        _writable(name, f"variable {name!r}")
     taken: dict[str, str] = {node.name: "variable" for node in m.graph.nodes}
     seen_domains: list[Domain] = []
     for node in m.graph.nodes:
@@ -634,9 +651,11 @@ def to_dsl(m: Scm) -> str:
                 f"with a {taken[domain.name]}"
             )
         taken[domain.name] = "domain name"
+        if domain == BOOL:
+            continue
+        _writable(domain.name, f"domain name {domain.name!r}")
         for value in domain.values:
-            if not isinstance(value, str):
-                continue
+            _writable(value, f"value {value!r} of domain {domain.name}")
             if value in taken:
                 raise SemanticError(
                     f"cannot serialize: value {value!r} of domain "

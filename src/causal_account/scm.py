@@ -386,6 +386,11 @@ class Scm:
             n.name for n in self.graph.nodes if n.kind is NodeKind.ENDOGENOUS
         )
 
+    @cached_property
+    def _widest(self) -> int:
+        """Number of values of the widest domain; 2 when there is none."""
+        return max((len(d.values) for d in self.domains.values()), default=2)
+
     def domain_of(self, name: str) -> Domain:
         self.graph.require(name)
         return self.domains[name]
@@ -572,8 +577,7 @@ _MASK_BITS = 1 << 23
 
 def _block_size(m: Scm, count: int) -> int:
     """Worlds per block for `m`, whose root space holds `count` worlds."""
-    widest = max((len(d.values) for d in m.domains.values()), default=2)
-    return max(1, min(count, _MASK_BITS // widest))
+    return max(1, min(count, _MASK_BITS // m._widest))
 
 
 def _root_masks(

@@ -631,6 +631,22 @@ class TestToDsl:
             to_dsl(m)
         assert "cannot serialize" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "name, domain, message",
+        [
+            ("if", BOOL, "cannot serialize: variable 'if' is a reserved word"),
+            ("my var", BOOL, "cannot serialize: variable 'my var' is not a DSL identifier"),
+            ("S", Domain("flag", (False, True)),
+             "cannot serialize: value False of domain flag is not a DSL identifier"),
+        ],
+    )
+    def test_unreadable_names_and_values_refused(self, name, domain, message):
+        # each would serialize to text that parses to a different model or not at all
+        m = build_scm(build_graph([(name, "exogenous")], []), {name: domain}, {})
+        with pytest.raises(SemanticError) as err:
+            to_dsl(m)
+        assert str(err.value) == message
+
     @given(st.integers(0, 10_000))
     def test_serialize_parse_serialize_is_stable(self, seed):
         rng = random.Random(seed)
