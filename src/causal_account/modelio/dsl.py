@@ -639,12 +639,8 @@ def to_dsl(m: Scm) -> str:
     for name in m.graph.names:
         _writable(name, f"variable {name!r}")
     taken: dict[str, str] = {node.name: "variable" for node in m.graph.nodes}
-    seen_domains: list[Domain] = []
-    for node in m.graph.nodes:
-        domain = m.domains[node.name]
-        if domain in seen_domains:
-            continue
-        seen_domains.append(domain)
+    # `bool` is predefined, so its name is taken even where no node uses it
+    for domain in dict.fromkeys([BOOL, *(m.domains[name] for name in m.graph.names)]):
         if domain.name in taken:
             raise SemanticError(
                 f"cannot serialize: domain name {domain.name!r} collides "

@@ -638,6 +638,8 @@ class TestToDsl:
             ("my var", BOOL, "cannot serialize: variable 'my var' is not a DSL identifier"),
             ("S", Domain("flag", (False, True)),
              "cannot serialize: value False of domain flag is not a DSL identifier"),
+            ("bool", Domain("speed", ("low", "high")),
+             "cannot serialize: domain name 'bool' collides with a variable"),
         ],
     )
     def test_unreadable_names_and_values_refused(self, name, domain, message):
