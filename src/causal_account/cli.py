@@ -31,6 +31,7 @@ from .errors import (
     ValueOutOfDomain,
 )
 from .graph import CausalGraph, d_separated
+# the back-door and front-door functions are called by name in `_criterion_command`
 from .identify import (
     _frontdoor_sets,
     identify,

@@ -807,11 +807,6 @@ class TestJsonSchemaErrors:
         err = self.decode_err("{nope")
         assert "invalid JSON" in str(err)
 
-    def test_pattern_without_effect_role(self):
-        payload = {"format": "pattern", "name": "p", "roles": [{"name": "A", "kind": "Agent"}], "edges": []}
-        err = self.decode_err(json.dumps(payload))
-        assert str(err) == "$: pattern 'p' needs exactly one Effect role, has 0"
-
     def test_root_must_be_object(self):
         err = self.decode_err("[]")
         assert err.path == "$"
@@ -959,6 +954,8 @@ DECODER_FAULTS = [
      "$.verdict", "unknown verdict 'Guilty'"),
     ("pattern", "set", ("roles", 1), "kind", "Boss",
      "$.roles[1].kind", "unknown role kind 'Boss'"),
+    ("pattern", "set", ("roles", 5), "kind", "Agent",
+     "$", "pattern 'raci' needs exactly one Effect role, has 0"),
     ("scm", "set", ("nodes", 1), "kind", "hidden",
      "$.nodes[1].kind", "unknown node kind 'hidden'"),
     ("accountability", "set", (), "logging", 5,

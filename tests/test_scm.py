@@ -51,7 +51,6 @@ GEAR = Domain("gear", ("low", "top"))
 # (expression, expected domain, message), over a : bool and s : speed
 CHECK_EXPR_ERRORS = [
     (Not(Ref("a")), SPEED, "boolean operator used where domain speed is expected"),
-    (Or(Ref("a"), Ref("a")), SPEED, "boolean operator used where domain speed is expected"),
     (Eq(Ref("s"), Lit("low")), SPEED, "comparison used where domain speed is expected"),
     (Eq(Lit("low"), Lit("low")), BOOL, "cannot determine the domain of this comparison"),
 ]
@@ -203,6 +202,12 @@ class TestExpressions:
         assert infer_domain(Lit(True), var_domains, [BOOL, SPEED]) == BOOL
         assert infer_domain(Lit("low"), var_domains, [BOOL, SPEED]) == SPEED
         assert infer_domain(Not(Ref("A")), var_domains, [BOOL, SPEED]) == BOOL
+        # `low` alone is ambiguous when two domains hold it, so an if-then-else
+        # falls back to its else branch
+        e = IfThenElse(Ref("A"), Lit("low"), Ref("S"))
+        assert infer_domain(e, var_domains, [BOOL, SPEED, GEAR]) == SPEED
+        e = IfThenElse(Ref("A"), Lit("low"), Lit("low"))
+        assert infer_domain(e, var_domains, [BOOL, SPEED, GEAR]) is None
 
     def test_check_expr_rejects_bool_op_on_custom_domain(self):
         with pytest.raises(SemanticError):
@@ -230,15 +235,6 @@ class TestExpressions:
     def test_check_expr_unknown_variable(self):
         with pytest.raises(SemanticError):
             check_expr(Ref("missing"), BOOL, {}, [BOOL])
-
-    def test_infer_domain_of_if_falls_back_to_the_else_branch(self):
-        # `low` alone is ambiguous when two domains hold it
-        var_domains = {"a": BOOL, "s": SPEED}
-        known = [BOOL, SPEED, GEAR]
-        e = IfThenElse(Ref("a"), Lit("low"), Ref("s"))
-        assert infer_domain(e, var_domains, known) == SPEED
-        e = IfThenElse(Ref("a"), Lit("low"), Lit("low"))
-        assert infer_domain(e, var_domains, known) is None
 
     @pytest.mark.parametrize("e, expected, message", CHECK_EXPR_ERRORS)
     def test_check_expr_error_messages(self, e, expected, message):
