@@ -12,7 +12,11 @@ on a root after consistent evidence. It also pins the help of the group and
 of every command and each command run with no argument (at a fixed width of
 80 columns), and the ways a MODEL or `--pattern` argument fails to load: a
 missing model, after `export`'s own option checks, and a `.json` file that
-holds the other kind of payload. Its first line holds the input files
+holds the other kind of payload. It pins how a model or pattern whose
+structure is malformed is refused (cycles, self-loops, edges into roots,
+unknown endpoints, malformed proxies, cyclic templates, trailing input
+after a label) and that a repeated JSON edge collapses. Its first line
+holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
@@ -37,6 +41,26 @@ from causal_account.modelio import parse_model, to_json
 HERE = Path(__file__).resolve().parent
 TRANSCRIPT = HERE / "cli_transcript.jsonl"
 
+
+
+def _json_model(nodes: list[tuple], edges: list[list[str]], functions=()) -> str:
+    """A JSON model named g over boolean `nodes`, each (name, kind) or
+    (name, kind, principal) for a proxy."""
+    return json.dumps(
+        {
+            "format": "scm",
+            "name": "g",
+            "domains": [{"name": "bool", "values": [False, True]}],
+            "nodes": [
+                {"name": n[0], "kind": n[1], "domain": "bool", "proxy_for": (n[2:] or [None])[0]}
+                for n in nodes
+            ],
+            "edges": edges,
+            "functions": list(functions),
+        }
+    )
+
+
 FILES = {
     "bad_char.scm.txt": "model bad\nexo A : bool\nvar B : bool = A $ A\n",
     "bad_ref.scm.txt": "model bad\nexo A : bool\nvar B : bool = A & C\n",
@@ -45,6 +69,42 @@ FILES = {
     "bad_kind.pat.txt": "pattern bad\nrole Agent : Hero\n",
     "tiny.json": to_json(parse_model("model tiny\nexo A : bool\nvar B : bool = !A\n")),
     "lindberg.json": to_json(models.load_pattern("lindberg")),
+    "two_cycle.json": _json_model(
+        [("A", "endogenous"), ("B", "endogenous")], [["A", "B"], ["B", "A"]]
+    ),
+    "stuck_on_cycle.json": _json_model(
+        [("A", "exogenous"), ("B", "endogenous"), ("C", "endogenous"), ("D", "endogenous")],
+        [["A", "B"], ["B", "C"], ["C", "B"], ["C", "D"]],
+    ),
+    "self_loop.json": _json_model([("A", "endogenous")], [["A", "A"]]),
+    "into_root.json": _json_model([("A", "exogenous"), ("B", "exogenous")], [["A", "B"]]),
+    "unknown_endpoint.json": _json_model([("A", "exogenous")], [["A", "Z"]]),
+    "proxy_unknown.json": _json_model([("P", "endogenous", "L")], []),
+    "proxy_not_latent.json": _json_model(
+        [("L", "exogenous"), ("P", "endogenous", "L")], [["L", "P"]]
+    ),
+    "proxy_two_parents.json": _json_model(
+        [("L", "latent"), ("A", "exogenous"), ("P", "endogenous", "L")],
+        [["L", "P"], ["A", "P"]],
+    ),
+    "repeated_edge.json": _json_model(
+        [("A", "exogenous"), ("B", "endogenous")],
+        [["A", "B"], ["A", "B"]],
+        [{"target": "B", "parents": ["A"], "body": None}],
+    ),
+    "cycle.pat.txt": "pattern loop\nrole Agent : Agent\nrole Effect : Effect\n"
+    "edge Agent -> Effect\nedge Effect -> Agent\n",
+    "cycle_pat.json": json.dumps(
+        {
+            "format": "pattern",
+            "name": "loop",
+            "roles": [{"name": "Agent", "kind": "Agent"}, {"name": "Effect", "kind": "Effect"}],
+            "edges": [["Agent", "Effect"], ["Effect", "Agent"]],
+        }
+    ),
+    "trailing_exo.scm.txt": 'model bad\nexo A : bool label "a" extra\n',
+    "trailing_latent.scm.txt": 'model bad\nlatent A : bool label "a" B\n',
+    "trailing_var.scm.txt": 'model bad\nexo A : bool\nvar B : bool label "b" A\n',
 }
 
 USAGE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
@@ -81,6 +141,33 @@ LOADING_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("validate", "lindberg.json")),
 )
 
+# models and patterns refused for their structure: by `build_graph` (JSON
+# models), by `build_pattern` (cyclic templates), or by the line parser
+STRUCTURE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
+    ({}, ("validate", name))
+    for name in (
+        "two_cycle.json",
+        "stuck_on_cycle.json",
+        "self_loop.json",
+        "into_root.json",
+        "unknown_endpoint.json",
+        "proxy_unknown.json",
+        "proxy_not_latent.json",
+        "proxy_two_parents.json",
+        "trailing_exo.scm.txt",
+        "trailing_latent.scm.txt",
+        "trailing_var.scm.txt",
+    )
+) + (
+    ({}, ("match", "titus", "--pattern", "cycle.pat.txt")),
+    ({}, ("match", "titus", "--pattern", "cycle_pat.json")),
+)
+
+# a repeated JSON edge collapses into one
+COLLAPSED_EDGES: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
+    ({}, ("validate", "repeated_edge.json", "--format", "json")),
+)
+
 
 def help_and_usage() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     """`--help` of the group and of each command, then each command with
@@ -114,6 +201,8 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
         + list(CF_REFUSALS)
         + list(LOADING_ERRORS)
         + help_and_usage()
+        + list(STRUCTURE_ERRORS)
+        + list(COLLAPSED_EDGES)
     )
 
 
@@ -125,7 +214,7 @@ def record() -> None:
             Path(name).write_text(text, encoding="utf-8")
         for env, argv in commands():
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
-            if (env, argv) in USAGE_ERRORS + LOADING_ERRORS and entry["code"] != 2:
+            if (env, argv) in USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
             if (env, argv) in CF_REFUSALS and entry["code"] == 0:
                 raise SystemExit(f"expected a refusal from {argv}, got exit 0")
