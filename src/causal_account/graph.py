@@ -257,8 +257,11 @@ class CausalGraph:
 
     @cached_property
     def _topo(self) -> tuple[str, ...]:
-        out, _ = kahn(self.names, self._children)
-        assert len(out) == len(self.nodes), "cycle slipped past construction"
+        """Kahn's order over `_children`; raises CycleError, naming a cycle,
+        if there is none. `build_graph` reads it, so a built graph has one."""
+        out, indeg = kahn(self.names, self._children)
+        if len(out) < len(self.nodes):
+            raise CycleError(_cycle(self._children, indeg))
         return tuple(out)
 
 
@@ -299,8 +302,7 @@ def build_graph(
     by_name = {n.name: n for n in normalized}
     order = {n.name: i for i, n in enumerate(normalized)}
 
-    unique_edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
+    edge_set: set[tuple[str, str]] = set()
     for a, b in edges:
         for endpoint in (a, b):
             if endpoint not in by_name:
@@ -311,13 +313,11 @@ def build_graph(
             raise EdgeIntoExogenous(
                 f"edge {a} -> {b}: {b} is {by_name[b].kind.value} and takes no incoming edges"
             )
-        if (a, b) in edge_seen:
-            continue
-        edge_seen.add((a, b))
-        unique_edges.append((a, b))
-    unique_edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-
-    topo = _check_acyclic(normalized, unique_edges)
+        edge_set.add((a, b))
+    g = CausalGraph(
+        tuple(normalized), tuple(sorted(edge_set, key=lambda e: (order[e[0]], order[e[1]])))
+    )
+    g._topo  # raises CycleError on a cycle
 
     for n in normalized:
         if n.proxy_for is None:
@@ -330,14 +330,10 @@ def build_graph(
                 f"proxy {n.name}: principal {n.proxy_for} must be latent, "
                 f"is {principal.kind.value}"
             )
-        parents = [a for a, b in unique_edges if b == n.name]
-        if parents != [n.proxy_for]:
+        if g._parents[n.name] != (n.proxy_for,):
             raise SemanticError(
                 f"proxy {n.name} must have exactly one incoming edge, from {n.proxy_for}"
             )
-
-    g = CausalGraph(tuple(normalized), tuple(unique_edges))
-    g.__dict__["_topo"] = topo  # fills the cached property: one sort per graph
     return g
 
 
@@ -366,18 +362,9 @@ def kahn(
     return out, indeg
 
 
-def _check_acyclic(
-    nodes: Sequence[Node], edges: Sequence[tuple[str, str]]
-) -> tuple[str, ...]:
-    """Kahn's order of `nodes`, which is `CausalGraph._topo` when `edges` are
-    sorted by declaration order; raises CycleError, naming a cycle, if there
-    is none."""
-    children: dict[str, list[str]] = {n.name: [] for n in nodes}
-    for a, b in edges:
-        children[a].append(b)
-    ordered, indeg = kahn([n.name for n in nodes], children)
-    if len(ordered) == len(nodes):
-        return tuple(ordered)
+def _cycle(children: Mapping[str, Sequence[str]], indeg: Mapping[str, int]) -> list[str]:
+    """A cycle, closed by its first node, among the nodes that `kahn` left
+    with a positive in-degree `indeg`."""
     # walk forward through the leftover subgraph until a node repeats
     stuck = [name for name, d in indeg.items() if d > 0]
     walk = [stuck[0]]
@@ -385,8 +372,7 @@ def _check_acyclic(
     while True:
         nxt = next(c for c in children[walk[-1]] if indeg[c] > 0)
         if nxt in positions:
-            cycle = walk[positions[nxt] :] + [nxt]
-            raise CycleError(cycle)
+            return walk[positions[nxt] :] + [nxt]
         positions[nxt] = len(walk)
         walk.append(nxt)
 

@@ -225,17 +225,19 @@ def _parse_lines(lines: list[list[Token]], table: dict, expected: str, *state) -
 
 class _ModelBuilder:
     def __init__(self) -> None:
-        self.name: str | None = None
         self.domains: dict[str, Domain] = {"bool": BOOL}
         self.nodes: list[Node] = []
         self.node_domains: dict[str, Domain] = {}
-        self.bodies: dict[str, Expr | None] = {}
-        self.explicit_parents: dict[str, tuple[str, ...]] = {}
+        self.edges: list[tuple[str, str]] = []
+        self.functions: dict[str, StructuralFunction] = {}
 
     def declared(self, name: str) -> bool:
         return name in self.node_domains
 
-    def add_node(self, node: Node, domain: Domain, tok: Token) -> None:
+    def add_node(
+        self, node: Node, domain: Domain, tok: Token, parents: tuple = (), body: Expr | None = None
+    ) -> None:
+        """Add `node`, and for an endogenous one its function and in-edges."""
         if self.declared(node.name):
             raise SemanticError(f"{node.name!r} declared twice", tok.span)
         if node.name in self.domains:
@@ -249,6 +251,9 @@ class _ModelBuilder:
                 )
         self.nodes.append(node)
         self.node_domains[node.name] = domain
+        if node.kind is NodeKind.ENDOGENOUS:
+            self.edges.extend((p, node.name) for p in parents)
+            self.functions[node.name] = StructuralFunction(node.name, parents, body)
 
 
 def parse_model(text: str) -> Scm:
@@ -261,13 +266,14 @@ def parse_model(text: str) -> Scm:
     first = _Cursor(lines[0])
     if not first.match("model"):
         raise ParseError("expected 'model <name>' on the first line", first.peek().span)
-    builder.name = _fresh_name(first, "model name").text
+    name = _fresh_name(first, "model name").text
     first.expect_done()
 
     _parse_lines(
         lines[1:], _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
     )
-    return _assemble(builder)
+    graph = build_graph(builder.nodes, builder.edges)
+    return build_scm(graph, builder.node_domains, builder.functions, name)
 
 
 def _duplicate_model_line(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -328,16 +334,9 @@ def _parse_label(cur: _Cursor) -> str | None:
     return None
 
 
-def _parse_simple_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
-    name_tok = _fresh_name(cur, "variable name")
-    cur.expect_punct(":")
-    domain = _parse_domain_ref(cur, builder)
-    label = _parse_label(cur)
-    cur.expect_done()
-    builder.add_node(Node(name_tok.text, kind, label), domain, name_tok)
-
-
-def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
+def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
+    """An `exo`, `latent` or `var` line: name, `:`, domain and label, then for
+    `var` a body or a `<-` parent list."""
     name_tok = _fresh_name(cur, "variable name")
     cur.expect_punct(":")
     domain = _parse_domain_ref(cur, builder)
@@ -346,7 +345,9 @@ def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     tok = cur.peek()
     body: Expr | None = None
     parents: list[str] = []  # named by the `<-` form; a bare declaration has none
-    if cur.match("<-"):
+    if kind is not NodeKind.ENDOGENOUS:
+        cur.expect_done()
+    elif cur.match("<-"):
         while True:
             p = cur.expect_ident("parent name")
             if not builder.declared(p.text):
@@ -365,12 +366,10 @@ def _parse_var_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
             check_expr(body, domain, builder.node_domains, builder.domains.values())
         except SemanticError as err:
             raise SemanticError(err.args[0], expr_tok.span) from None
+        parents = list(expr_refs(body))
     elif tok.kind != "end":
         raise ParseError("expected '=', '<-', or end of line", tok.span)
-    builder.add_node(Node(name_tok.text, NodeKind.ENDOGENOUS, label), domain, name_tok)
-    builder.bodies[name_tok.text] = body
-    if body is None:
-        builder.explicit_parents[name_tok.text] = tuple(parents)
+    builder.add_node(Node(name_tok.text, kind, label), domain, name_tok, tuple(parents), body)
 
 
 def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -394,17 +393,18 @@ def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
         Node(name_tok.text, NodeKind.ENDOGENOUS, label, proxy_for=principal.text),
         builder.node_domains[principal.text],
         name_tok,
+        (principal.text,),
+        Ref(principal.text),
     )
-    builder.bodies[name_tok.text] = Ref(principal.text)
 
 
 # the parser of each model line, by its first keyword
 _MODEL_LINES = {
     "model": _duplicate_model_line,
     "domain": _parse_domain_line,
-    "exo": partial(_parse_simple_decl, kind=NodeKind.EXOGENOUS),
-    "latent": partial(_parse_simple_decl, kind=NodeKind.LATENT),
-    "var": _parse_var_decl,
+    "exo": partial(_parse_decl, kind=NodeKind.EXOGENOUS),
+    "latent": partial(_parse_decl, kind=NodeKind.LATENT),
+    "var": partial(_parse_decl, kind=NodeKind.ENDOGENOUS),
     "proxy": _parse_proxy_decl,
 }
 
@@ -477,25 +477,6 @@ def _parse_atom(cur: _Cursor, builder: _ModelBuilder) -> Expr:
                 return Lit(tok.text)
         raise SemanticError(f"unknown name {tok.text!r}", tok.span)
     raise ParseError("expected an expression", tok.span)
-
-
-def _assemble(builder: _ModelBuilder) -> Scm:
-    edges: list[tuple[str, str]] = []
-    functions: dict[str, StructuralFunction] = {}
-    for node in builder.nodes:
-        if node.kind is not NodeKind.ENDOGENOUS:
-            continue
-        body = builder.bodies[node.name]
-        if body is None:
-            parents = builder.explicit_parents[node.name]
-        else:
-            parents = expr_refs(body)
-        for p in parents:
-            edges.append((p, node.name))
-        functions[node.name] = StructuralFunction(node.name, parents, body)
-    graph = build_graph(builder.nodes, edges)
-    assert builder.name is not None
-    return build_scm(graph, builder.node_domains, functions, builder.name)
 
 
 # -- pattern documents -----------------------------------------------------

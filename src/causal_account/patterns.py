@@ -86,7 +86,8 @@ class Pattern:
     def _arcs(self) -> tuple[Arcs, Arcs]:
         """The template edges by role position: each role in topological
         order with its successors, then each role in reverse topological
-        order with its predecessors, leaving out roles with none."""
+        order with its predecessors, leaving out roles with none. Raises
+        SemanticError if the template has a cycle; `build_pattern` reads it."""
         names = self.role_names()
         position = {name: i for i, name in enumerate(names)}
         succs: dict[str, list[str]] = {name: [] for name in names}
@@ -95,6 +96,8 @@ class Pattern:
             succs[a].append(b)
             preds[b].append(a)
         topo = kahn(names, succs)[0]
+        if len(topo) < len(names):
+            raise SemanticError(f"pattern {self.name!r} template contains a cycle")
 
         def positions(order: Iterable[str], neighbours: dict[str, list[str]]) -> Arcs:
             return tuple(
@@ -153,14 +156,10 @@ def build_pattern(
         if (a, b) not in edges:
             edges.append((a, b))
 
-    children: dict[str, list[str]] = {n: [] for n in names}
-    for a, b in edges:
-        children[a].append(b)
-    if len(kahn(names, children)[0]) < len(names):
-        raise SemanticError(f"pattern {name!r} template contains a cycle")
-
     constraints = frozenset({"unique-accountable"} if accountables else set())
-    return Pattern(name, tuple(normalized), tuple(edges), constraints)
+    p = Pattern(name, tuple(normalized), tuple(edges), constraints)
+    p._arcs  # raises SemanticError on a cyclic template
+    return p
 
 
 @functools.cache

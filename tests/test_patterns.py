@@ -5,6 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import causal_account.patterns as patterns_module
+
 from causal_account import (
     BACKWARD,
     EnumerationLimit,
@@ -161,6 +163,19 @@ class TestBuildPattern:
                 [("A", "Generic"), ("B", "Generic"), ("E", RoleKind.EFFECT)],
                 [("A", "B"), ("B", "A")],
             )
+
+    def test_one_topological_sort_per_pattern(self, monkeypatch, uber):
+        """`build_pattern` refuses a cyclic template through `Pattern._arcs`,
+        so the template is sorted once, and matching reads the same arcs."""
+        kahn = patterns_module.kahn
+        for p in builtin_patterns():
+            calls = []
+            monkeypatch.setattr(patterns_module, "kahn", lambda *a: calls.append(a) or kahn(*a))
+            built = build_pattern(p.name, p.roles, p.template_edges)
+            match_pattern(uber.graph, built)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert built == p
 
     def test_unknown_role_lookup(self):
         with pytest.raises(PatternArityError):
