@@ -365,12 +365,17 @@ def kahn(
 def _cycle(children: Mapping[str, Sequence[str]], indeg: Mapping[str, int]) -> list[str]:
     """A cycle, closed by its first node, among the nodes that `kahn` left
     with a positive in-degree `indeg`."""
-    # walk forward through the leftover subgraph until a node repeats
     stuck = [name for name, d in indeg.items() if d > 0]
-    walk = [stuck[0]]
-    positions = {stuck[0]: 0}
+    # drop the nodes that only hang below a cycle, which have no stuck child
+    live = set(stuck)
+    while dead := {name for name in live if live.isdisjoint(children[name])}:
+        live -= dead
+    # walk forward through what is left until a node repeats
+    start = next(name for name in stuck if name in live)
+    walk = [start]
+    positions = {start: 0}
     while True:
-        nxt = next(c for c in children[walk[-1]] if indeg[c] > 0)
+        nxt = next(c for c in children[walk[-1]] if c in live)
         if nxt in positions:
             return walk[positions[nxt] :] + [nxt]
         positions[nxt] = len(walk)

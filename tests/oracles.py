@@ -440,6 +440,33 @@ def random_dag(
     return build_graph(nodes, edges)
 
 
+def first_stuck_walk(names, edges) -> list[str] | None:
+    """The cycle that `build_graph` named before it dropped the nodes that
+    hang below a cycle: Kahn's sort over the distinct `edges`, then a walk
+    from the first node left over, in the order of `names`, to the first
+    child left over, each time, until a node repeats. None where the walk
+    reaches a node with no child left over."""
+    order = {name: i for i, name in enumerate(names)}
+    children = {a: sorted({d for c, d in edges if c == a}, key=order.get) for a in names}
+    indeg = dict.fromkeys(names, 0)
+    for a in names:
+        for b in children[a]:
+            indeg[b] += 1
+    queue = [a for a in names if indeg[a] == 0]
+    while queue:
+        for b in children[queue.pop()]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                queue.append(b)
+    walk = [next(a for a in names if indeg[a] > 0)]
+    while walk[-1] not in walk[:-1]:
+        left = [b for b in children[walk[-1]] if indeg[b] > 0]
+        if not left:
+            return None
+        walk.append(left[0])
+    return walk[walk.index(walk[-1]) :]
+
+
 def sampled_pairs(
     n_nodes: int, edge_probability: float
 ) -> tuple[CausalGraph, list[tuple[str, str]]]:

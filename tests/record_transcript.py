@@ -76,6 +76,10 @@ FILES = {
         [("A", "exogenous"), ("B", "endogenous"), ("C", "endogenous"), ("D", "endogenous")],
         [["A", "B"], ["B", "C"], ["C", "B"], ["C", "D"]],
     ),
+    "below_cycle.json": _json_model(
+        [("D", "endogenous"), ("B", "endogenous"), ("C", "endogenous")],
+        [["B", "C"], ["C", "B"], ["C", "D"]],
+    ),
     "self_loop.json": _json_model([("A", "endogenous")], [["A", "A"]]),
     "into_root.json": _json_model([("A", "exogenous"), ("B", "exogenous")], [["A", "B"]]),
     "unknown_endpoint.json": _json_model([("A", "exogenous")], [["A", "Z"]]),
@@ -157,6 +161,7 @@ STRUCTURE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
         "trailing_exo.scm.txt",
         "trailing_latent.scm.txt",
         "trailing_var.scm.txt",
+        "below_cycle.json",
     )
 ) + (
     ({}, ("match", "titus", "--pattern", "cycle.pat.txt")),

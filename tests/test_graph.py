@@ -38,7 +38,13 @@ from causal_account import (
 from causal_account import graph as graph_module
 from causal_account.graph import d_connected
 
-from oracles import brute_simple_paths, nx_d_separated, random_dag, to_networkx
+from oracles import (
+    brute_simple_paths,
+    first_stuck_walk,
+    nx_d_separated,
+    random_dag,
+    to_networkx,
+)
 
 
 def diamond():
@@ -47,6 +53,15 @@ def diamond():
         [("A", "exogenous"), ("B", "endogenous"), ("C", "endogenous"), ("D", "endogenous")],
         [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
     )
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """Node names in a drawn declaration order, and edges in both directions
+    between distinct nodes, so that most graphs have a cycle."""
+    names = draw(st.permutations([f"n{i + 1}" for i in range(draw(st.integers(2, 8)))]))
+    pairs = [(a, b) for a in names for b in names if a != b]
+    return names, draw(st.lists(st.sampled_from(pairs), max_size=3 * len(names)))
 
 
 @st.composite
@@ -168,6 +183,32 @@ class TestBuildGraph:
                 [("A", "B"), ("B", "C"), ("C", "B"), ("C", "D")],
             )
         assert err.value.cycle == ["B", "C", "B"]
+
+    def test_cycle_walk_skips_a_first_stuck_node_below_the_cycle(self):
+        # D, the first stuck node, only hangs below the cycle, and has no
+        # stuck child to walk on to
+        with pytest.raises(CycleError) as err:
+            build_graph(
+                [(n, "endogenous") for n in "DBC"], [("B", "C"), ("C", "B"), ("C", "D")]
+            )
+        assert err.value.cycle == ["B", "C", "B"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclic_graphs())
+    def test_cycle_error_names_a_simple_cycle_of_edges(self, graph):
+        names, edges = graph
+        try:
+            build_graph([(n, "endogenous") for n in names], edges)
+        except CycleError as err:
+            cycle = err.cycle
+        else:
+            assert nx.is_directed_acyclic_graph(nx.DiGraph(edges))
+            return
+        assert cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        assert all(edge in edges for edge in zip(cycle, cycle[1:]))
+        oracle = first_stuck_walk(names, edges)
+        assert oracle is None or cycle == oracle
 
     def test_duplicate_edges_collapse(self):
         g = build_graph(
