@@ -234,6 +234,15 @@ class _ModelBuilder:
     def declared(self, name: str) -> bool:
         return name in self.node_domains
 
+    def refuse_value(self, tok: Token) -> None:
+        """Refuse a variable or domain named like a value: bare literals would
+        be ambiguous."""
+        for other in self.domains.values():
+            if tok.text in other.values:
+                raise SemanticError(
+                    f"{tok.text!r} is already a value of domain {other.name}", tok.span
+                )
+
     def add_node(
         self, node: Node, domain: Domain, tok: Token, parents: tuple = (), body: Expr | None = None
     ) -> None:
@@ -242,13 +251,7 @@ class _ModelBuilder:
             raise SemanticError(f"{node.name!r} declared twice", tok.span)
         if node.name in self.domains:
             raise SemanticError(f"{node.name!r} is already a domain name", tok.span)
-        # a variable named like a value would make bare literals ambiguous
-        for other in self.domains.values():
-            if node.name in other.values:
-                raise SemanticError(
-                    f"{node.name!r} is already a value of domain {other.name}",
-                    tok.span,
-                )
+        self.refuse_value(tok)
         self.nodes.append(node)
         self.node_domains[node.name] = domain
         if node.kind is NodeKind.ENDOGENOUS:
@@ -288,6 +291,7 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
         raise SemanticError(
             f"{name_tok.text!r} is already a variable name", name_tok.span
         )
+    builder.refuse_value(name_tok)
     cur.expect_punct("{")
     values: list[str] = []
     while True:
@@ -298,6 +302,8 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
             raise SemanticError(
                 f"value {v.text!r} is already a variable name", v.span
             )
+        if v.text in builder.domains or v.text == name_tok.text:
+            raise SemanticError(f"value {v.text!r} is already a domain name", v.span)
         for other in builder.domains.values():
             if v.text in other.values:
                 raise SemanticError(
@@ -613,12 +619,16 @@ def to_dsl(m: Scm) -> str:
     expression: same semantics, different body representation. Models whose
     names collide across the DSL's single namespace (a variable named like a
     domain or one of its values) cannot be written down unambiguously and are
-    rejected, as are names that are no DSL identifier or a reserved word and
-    values of a domain other than `bool` that are not strings.
+    rejected, as are names that are no DSL identifier or a reserved word,
+    values of a domain other than `bool` that are not strings, and labels
+    that hold a line break.
     """
     _writable(m.name, f"model name {m.name!r}")
-    for name in m.graph.names:
-        _writable(name, f"variable {name!r}")
+    for node in m.graph.nodes:
+        _writable(node.name, f"variable {node.name!r}")
+        # a DSL string has no escape for any boundary `splitlines` splits on
+        if node.label is not None and len(f"{node.label}.".splitlines()) > 1:
+            raise SemanticError(f"cannot serialize: label of {node.name} holds a line break")
     taken: dict[str, str] = {node.name: "variable" for node in m.graph.nodes}
     # `bool` is predefined, so its name is taken even where no node uses it
     for domain in dict.fromkeys([BOOL, *(m.domains[name] for name in m.graph.names)]):

@@ -15,8 +15,8 @@ missing model, after `export`'s own option checks, and a `.json` file that
 holds the other kind of payload. It pins how a model or pattern whose
 structure is malformed is refused (cycles, self-loops, edges into roots,
 unknown endpoints, malformed proxies, cyclic templates, trailing input
-after a label) and that a repeated JSON edge collapses. Its first line
-holds the input files
+after a label, a domain or a value named like a value or a domain), and
+that a repeated JSON edge collapses. Its first line holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
@@ -40,7 +40,6 @@ from causal_account.modelio import parse_model, to_json
 
 HERE = Path(__file__).resolve().parent
 TRANSCRIPT = HERE / "cli_transcript.jsonl"
-
 
 
 def _json_model(nodes: list[tuple], edges: list[list[str]], functions=()) -> str:
@@ -76,6 +75,8 @@ FILES = {
         [("A", "exogenous"), ("B", "endogenous"), ("C", "endogenous"), ("D", "endogenous")],
         [["A", "B"], ["B", "C"], ["C", "B"], ["C", "D"]],
     ),
+    "domain_like_value.scm.txt": "model bad\ndomain color { red, green }\ndomain red { a, b }\n",
+    "value_like_domain.scm.txt": "model bad\ndomain x { bool, other }\n",
     "below_cycle.json": _json_model(
         [("D", "endogenous"), ("B", "endogenous"), ("C", "endogenous")],
         [["B", "C"], ["C", "B"], ["C", "D"]],
@@ -162,6 +163,8 @@ STRUCTURE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
         "trailing_latent.scm.txt",
         "trailing_var.scm.txt",
         "below_cycle.json",
+        "domain_like_value.scm.txt",
+        "value_like_domain.scm.txt",
     )
 ) + (
     ({}, ("match", "titus", "--pattern", "cycle.pat.txt")),

@@ -303,6 +303,14 @@ DSL_ERRORS = [
     (parse_pattern,
      "pattern p\nrole A : Agent\nrole B : Agent\nrole E : Effect\nedge A -> B\nedge B -> A",
      SemanticError, "pattern 'p' template contains a cycle", (1, 9, 1)),
+    (parse_model, "model m\ndomain color { red, green }\ndomain red { a, b }",
+     SemanticError, "'red' is already a value of domain color", (3, 8, 3)),
+    (parse_model, "model m\ndomain color { red, green }\ndomain shade { color, dark }",
+     SemanticError, "value 'color' is already a domain name", (3, 16, 5)),
+    (parse_model, "model m\ndomain x { bool, other }",
+     SemanticError, "value 'bool' is already a domain name", (2, 12, 4)),
+    (parse_model, "model m\ndomain x { y, x }",
+     SemanticError, "value 'x' is already a domain name", (2, 15, 1)),
 ]
 
 
@@ -648,6 +656,15 @@ class TestToDsl:
         with pytest.raises(SemanticError) as err:
             to_dsl(m)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("label", ["two\nlines", "page\x0cbreak", "line\u2028separator"])
+    def test_line_broken_label_refused(self, label):
+        # the line would be read back as two, and the DSL's strings have no
+        # escape for a line break
+        m = build_scm(build_graph([("A", "exogenous", label)], []), {"A": BOOL}, {})
+        with pytest.raises(SemanticError) as err:
+            to_dsl(m)
+        assert str(err.value) == "cannot serialize: label of A holds a line break"
 
     @given(st.integers(0, 10_000))
     def test_serialize_parse_serialize_is_stable(self, seed):
