@@ -157,19 +157,21 @@ class CausalGraph:
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
 
+    # `build_graph` sorts the edges by source, then target, in declaration
+    # order, so the parents and the children of each node come out in it
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
         res: dict[str, list[str]] = {n.name: [] for n in self.nodes}
         for a, b in self.edges:
             res[b].append(a)
-        return {k: tuple(sorted(v, key=self._order.__getitem__)) for k, v in res.items()}
+        return {k: tuple(v) for k, v in res.items()}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         res: dict[str, list[str]] = {n.name: [] for n in self.nodes}
         for a, b in self.edges:
             res[a].append(b)
-        return {k: tuple(sorted(v, key=self._order.__getitem__)) for k, v in res.items()}
+        return {k: tuple(v) for k, v in res.items()}
 
     @cached_property
     def _steps(self) -> tuple[dict[str, tuple[tuple[str, Direction], ...]], ...]:
