@@ -368,7 +368,8 @@ def _cycle(children: Mapping[str, Sequence[str]], indeg: Mapping[str, int]) -> l
     """A cycle, closed by its first node, among the nodes that `kahn` left
     with a positive in-degree `indeg`."""
     stuck = [name for name, d in indeg.items() if d > 0]
-    # drop the nodes that only hang below a cycle, which have no stuck child
+    # drop, until none is left, the nodes with no stuck child left: they only
+    # hang below a cycle, and a walk from them would come to a dead end
     live = set(stuck)
     while dead := {name for name in live if live.isdisjoint(children[name])}:
         live -= dead
