@@ -5,8 +5,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import causal_account.patterns as patterns_module
-
 from causal_account import (
     BACKWARD,
     EnumerationLimit,
@@ -30,6 +28,7 @@ from causal_account import (
     match_pattern,
     validate_match,
 )
+from causal_account import patterns as patterns_module
 
 from oracles import (
     brute_bindings,
