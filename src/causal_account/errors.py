@@ -44,6 +44,10 @@ class InvalidNodeName(GraphError, ValueError):
     """A node name is empty or not a string."""
 
 
+class InvalidNodeSpec(GraphError, ValueError):
+    """A node spec is no Node and no (name, kind[, label]) tuple of a known kind."""
+
+
 class InvalidPath(GraphError):
     """A path object does not describe a simple path of this graph."""
 
@@ -94,6 +98,10 @@ class NotIdentifiable(CausalAccountError):
 
 class PatternError(CausalAccountError):
     """Problem with an accountability pattern or a pattern query."""
+
+
+class InvalidRoleSpec(PatternError, ValueError):
+    """A role spec is no Role and no (name, kind) pair of a known kind."""
 
 
 class PatternArityError(PatternError):

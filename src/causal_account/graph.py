@@ -32,6 +32,7 @@ from .errors import (
     EdgeIntoExogenous,
     EnumerationLimit,
     InvalidNodeName,
+    InvalidNodeSpec,
     InvalidPath,
     OverlapError,
     SemanticError,
@@ -274,11 +275,14 @@ def _normalize_node(spec: NodeSpec) -> Node:
     if isinstance(spec, Node):
         node = spec
     else:
-        name, kind, *rest = spec
-        if not isinstance(kind, NodeKind):
-            kind = NodeKind(str(kind).lower())
-        label = rest[0] if rest else None
-        node = Node(name, kind, label)
+        try:
+            name, kind, *label = spec if isinstance(spec, (tuple, list)) and len(spec) < 4 else ()
+            kind = kind if isinstance(kind, NodeKind) else NodeKind(str(kind).lower())
+        except ValueError:
+            raise InvalidNodeSpec(
+                f"node spec {spec!r} is no Node and no (name, kind[, label]) of a known kind"
+            ) from None
+        node = Node(name, kind, *label)
     if not node.name or not isinstance(node.name, str):
         raise InvalidNodeName(f"invalid node name {node.name!r}")
     return node

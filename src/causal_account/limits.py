@@ -1,10 +1,14 @@
-"""Enumeration caps.
+"""Enumeration caps and the expression nesting limit.
 
 Exhaustive search is fine at desk scale but every enumeration here has an
 exponential worst case, so each one is capped. The caps measured as a power of
 two (the root combinations of world enumeration, the sets a back-door or
 front-door listing finds) can be overridden with the CAUSAL_ACCOUNT_MAX_ENUM
 environment variable; the others are per-call arguments.
+
+MAX_EXPR_DEPTH is no cap on work, and nothing overrides it: it bounds how
+deeply a function body nests, so that no walker over a body reaches Python's
+recursion limit. A chain of one operator is one level however long it is.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ DEFAULT_SET_CAP = 16
 DEFAULT_PATH_LIMIT = 100_000
 # complete role bindings the pattern matcher may examine
 DEFAULT_MATCH_CAP = 10_000
+# levels a function body may nest, each walker recursing once per level
+MAX_EXPR_DEPTH = 100
 
 
 def enumeration_cap(default: int) -> int:

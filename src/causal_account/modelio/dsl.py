@@ -35,6 +35,7 @@ from functools import partial
 
 from ..errors import ParseError, SemanticError
 from ..graph import Node, NodeKind, build_graph
+from ..limits import MAX_EXPR_DEPTH
 from ..patterns import Pattern, Role, RoleKind, build_pattern
 from ..scm import (
     BOOL,
@@ -51,6 +52,7 @@ from ..scm import (
     StructuralFunction,
     Table,
     build_scm,
+    check_depth,
     check_expr,
     expr_refs,
 )
@@ -155,7 +157,7 @@ class _Cursor:
             self.pos += 1
         return tok
 
-    def expect_punct(self, text: str) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text:
             raise ParseError(f"expected {text!r}", tok.span)
@@ -292,7 +294,7 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
             f"{name_tok.text!r} is already a variable name", name_tok.span
         )
     builder.refuse_value(name_tok)
-    cur.expect_punct("{")
+    cur.expect("{")
     values: list[str] = []
     while True:
         v = _fresh_name(cur, "domain value")
@@ -313,7 +315,7 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
         values.append(v.text)
         if not cur.match(","):
             break
-    cur.expect_punct("}")
+    cur.expect("}")
     cur.expect_done()
     if len(values) < 2:
         raise SemanticError(
@@ -344,7 +346,7 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
     """An `exo`, `latent` or `var` line: name, `:`, domain and label, then for
     `var` a body or a `<-` parent list."""
     name_tok = _fresh_name(cur, "variable name")
-    cur.expect_punct(":")
+    cur.expect(":")
     domain = _parse_domain_ref(cur, builder)
     label = _parse_label(cur)
 
@@ -369,6 +371,7 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
         body = _parse_expr(cur, builder)
         cur.expect_done()
         try:
+            check_depth(body, f"function of {name_tok.text}")
             check_expr(body, domain, builder.node_domains, builder.domains.values())
         except SemanticError as err:
             raise SemanticError(err.args[0], expr_tok.span) from None
@@ -380,9 +383,7 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
 
 def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     name_tok = _fresh_name(cur, "proxy name")
-    tok = cur.peek()
-    if not cur.match("for"):
-        raise ParseError("expected 'for'", tok.span)
+    cur.expect("for")
     principal = cur.expect_ident("principal name")
     if not builder.declared(principal.text):
         raise SemanticError(f"unknown variable {principal.text!r}", principal.span)
@@ -428,40 +429,44 @@ _MODEL_LINES = {
 _BINARY = (("|", Or), ("&", And), ("==", Eq))
 
 
-def _parse_expr(cur: _Cursor, builder: _ModelBuilder) -> Expr:
-    if cur.match("if"):
-        cond = _parse_expr(cur, builder)
-        tok = cur.peek()
-        if not cur.match("then"):
-            raise ParseError("expected 'then'", tok.span)
-        then = _parse_expr(cur, builder)
-        tok = cur.peek()
-        if not cur.match("else"):
-            raise ParseError("expected 'else'", tok.span)
-        orelse = _parse_expr(cur, builder)
+def _opens(cur: _Cursor, text: str, depth: int) -> bool:
+    """Consume `text`, a `(`, `!` or `if`, if it comes next; it opens level `depth + 1`."""
+    if depth == MAX_EXPR_DEPTH and cur.peek().text == text:
+        raise ParseError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels", cur.peek().span)
+    return cur.match(text)
+
+
+def _parse_expr(cur: _Cursor, builder: _ModelBuilder, depth: int = 0) -> Expr:
+    if _opens(cur, "if", depth):
+        cond = _parse_expr(cur, builder, depth + 1)
+        cur.expect("then")
+        then = _parse_expr(cur, builder, depth + 1)
+        cur.expect("else")
+        orelse = _parse_expr(cur, builder, depth + 1)
         return IfThenElse(cond, then, orelse)
-    return _parse_binary(cur, builder, 0)
+    return _parse_binary(cur, builder, 0, depth)
 
 
-def _parse_binary(cur: _Cursor, builder: _ModelBuilder, level: int) -> Expr:
+def _parse_binary(cur: _Cursor, builder: _ModelBuilder, level: int, depth: int) -> Expr:
     """Entry `level` of `_BINARY` and all that binds tighter: the later
-    entries, then `!`, then atoms."""
+    entries, then `!`, then atoms. A chain of one operator is one node."""
     if level == len(_BINARY):
-        if cur.match("!"):
-            return Not(_parse_binary(cur, builder, level))
-        return _parse_atom(cur, builder)
+        if _opens(cur, "!", depth):
+            return Not(_parse_binary(cur, builder, level, depth + 1))
+        return _parse_atom(cur, builder, depth)
     op, cls = _BINARY[level]
-    left = _parse_binary(cur, builder, level + 1)
+    terms = [_parse_binary(cur, builder, level + 1, depth)]
     while cur.match(op):
-        left = cls(left, _parse_binary(cur, builder, level + 1))
-    return left
+        terms.append(_parse_binary(cur, builder, level + 1, depth))
+    return cls(*terms) if len(terms) > 1 else terms[0]
 
 
-def _parse_atom(cur: _Cursor, builder: _ModelBuilder) -> Expr:
+def _parse_atom(cur: _Cursor, builder: _ModelBuilder, depth: int) -> Expr:
     tok = cur.peek()
-    if cur.match("("):
-        inner = _parse_expr(cur, builder)
-        cur.expect_punct(")")
+    if _opens(cur, "(", depth):
+        # a parenthesized `if` is one level, like the node it stands for
+        inner = _parse_expr(cur, builder, depth + (cur.peek().text != "if"))
+        cur.expect(")")
         return inner
     if tok.kind == "ident":
         if tok.text == "true":
@@ -511,7 +516,7 @@ def parse_pattern(text: str) -> Pattern:
 
 def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
     r_name = _fresh_name(cur, "role name")
-    cur.expect_punct(":")
+    cur.expect(":")
     kind_tok = cur.expect_ident("role kind")
     cur.expect_done()
     kind = ROLE_KIND_NAMES.get(kind_tok.text)
@@ -530,7 +535,7 @@ def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
 
 def _parse_edge_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
     a = cur.expect_ident("role name")
-    cur.expect_punct("->")
+    cur.expect("->")
     b = cur.expect_ident("role name")
     cur.expect_done()
     for endpoint in (a, b):
@@ -552,9 +557,7 @@ def _render_expr(e: Expr, ctx: int) -> str:
     """Render `e` inside a context of binding level `ctx`: 0 for if-then-else,
     i for entry i of `_BINARY` counting from 1, and one more for `!`."""
     if isinstance(e, Lit):
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        return str(e.value)
+        return Domain.render(e.value)
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, Not):
@@ -567,30 +570,27 @@ def _render_expr(e: Expr, ctx: int) -> str:
         return f"({text})" if ctx > 0 else text
     for level, (op, cls) in enumerate(_BINARY, start=1):
         if isinstance(e, cls):
-            text = f"{_render_expr(e.a, level)} {op} {_render_expr(e.b, level + 1)}"
+            # a first term of the same operator was absorbed into the chain,
+            # so every term binds one level tighter than the operator
+            text = f" {op} ".join(_render_expr(t, level + 1) for t in e.terms)
             return f"({text})" if ctx > level else text
     raise SemanticError(f"cannot render expression node {type(e).__name__}")
 
 
 def _table_to_expr(
-    parents: tuple[str, ...],
-    rows: dict[tuple, object],
-    domains: dict[str, Domain],
-    prefix: tuple = (),
+    parents: tuple[str, ...], rows: dict[tuple, object], domains: dict[str, Domain], prefix=()
 ) -> Expr:
+    """`rows` as conditionals on `parents`, the first outermost: one `if` per
+    value but the last, testing a bool parent itself."""
     if not parents:
         return Lit(rows[prefix])  # type: ignore[arg-type]
-    head, rest = parents[0], parents[1:]
-    domain = domains[head]
-
-    def branch(value) -> Expr:
-        return _table_to_expr(rest, rows, domains, prefix + (value,))
-
+    head, domain = parents[0], domains[parents[0]]
+    branch = {v: _table_to_expr(parents[1:], rows, domains, prefix + (v,)) for v in domain.values}
     if domain == BOOL:
-        return IfThenElse(Ref(head), branch(True), branch(False))
-    result = branch(domain.values[-1])
+        return IfThenElse(Ref(head), branch[True], branch[False])
+    result = branch[domain.values[-1]]
     for value in reversed(domain.values[:-1]):
-        result = IfThenElse(Eq(Ref(head), Lit(value)), branch(value), result)
+        result = IfThenElse(Eq(Ref(head), Lit(value)), branch[value], result)
     return result
 
 
@@ -620,8 +620,9 @@ def to_dsl(m: Scm) -> str:
     names collide across the DSL's single namespace (a variable named like a
     domain or one of its values) cannot be written down unambiguously and are
     rejected, as are names that are no DSL identifier or a reserved word,
-    values of a domain other than `bool` that are not strings, and labels
-    that hold a line break.
+    values of a domain other than `bool` that are not strings, labels that
+    hold a line break, and tables whose rewrite would nest deeper than
+    MAX_EXPR_DEPTH levels.
     """
     _writable(m.name, f"model name {m.name!r}")
     for node in m.graph.nodes:
@@ -631,7 +632,8 @@ def to_dsl(m: Scm) -> str:
             raise SemanticError(f"cannot serialize: label of {node.name} holds a line break")
     taken: dict[str, str] = {node.name: "variable" for node in m.graph.nodes}
     # `bool` is predefined, so its name is taken even where no node uses it
-    for domain in dict.fromkeys([BOOL, *(m.domains[name] for name in m.graph.names)]):
+    domains = list(dict.fromkeys([BOOL, *(m.domains[name] for name in m.graph.names)]))
+    for domain in domains:
         if domain.name in taken:
             raise SemanticError(
                 f"cannot serialize: domain name {domain.name!r} collides "
@@ -649,41 +651,26 @@ def to_dsl(m: Scm) -> str:
                     f"{domain.name} collides with a {taken[value]}"
                 )
             taken[value] = f"value of domain {domain.name}"
-    out: list[str] = [f"model {m.name}", ""]
-    emitted_domains: set[str] = set()
-    for node in m.graph.nodes:
-        domain = m.domains[node.name]
-        if domain != BOOL and domain.name not in emitted_domains:
-            emitted_domains.add(domain.name)
-            out.append(
-                f"domain {domain.name} {{ " + ", ".join(map(str, domain.values)) + " }"
-            )
-    if emitted_domains:
+    out = [f"model {m.name}", ""]
+    out += [f"domain {d.name} {{ " + ", ".join(map(str, d.values)) + " }" for d in domains[1:]]
+    if len(domains) > 1:
         out.append("")
 
+    keywords = {NodeKind.EXOGENOUS: "exo", NodeKind.LATENT: "latent", NodeKind.ENDOGENOUS: "var"}
     for node in m.graph.nodes:
-        domain = m.domains[node.name]
         label = f" label {_quote(node.label)}" if node.label is not None else ""
         if node.proxy_for is not None:
             out.append(f"proxy {node.name} for {node.proxy_for}{label}")
             continue
-        if node.kind is NodeKind.EXOGENOUS:
-            out.append(f"exo {node.name} : {domain.name}{label}")
-        elif node.kind is NodeKind.LATENT:
-            out.append(f"latent {node.name} : {domain.name}{label}")
-        else:
-            f = m.functions[node.name]
-            head = f"var {node.name} : {domain.name}{label}"
-            if f.body is None:
-                if f.parents:
-                    out.append(head + " <- " + ", ".join(f.parents))
-                else:
-                    out.append(head)
-            else:
-                body = f.body
-                if isinstance(body, Table):
-                    body = _table_to_expr(
-                        f.parents, dict(body.rows), m.domains
-                    )
-                out.append(head + " = " + _render_expr(body, 0))
+        line = f"{keywords[node.kind]} {node.name} : {m.domains[node.name].name}{label}"
+        f = m.functions.get(node.name)
+        body = f and f.body
+        if isinstance(body, Table):
+            body = _table_to_expr(f.parents, dict(body.rows), m.domains)
+            check_depth(body, f"cannot serialize: function of {node.name}")
+        if body is not None:
+            line += " = " + _render_expr(body, 0)
+        elif f is not None and f.parents:
+            line += " <- " + ", ".join(f.parents)
+        out.append(line)
     return "\n".join(out) + "\n"

@@ -20,6 +20,7 @@ between their parts.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from typing import Any, Callable, Container
 
 from ..errors import CausalAccountError, SchemaError
@@ -29,6 +30,7 @@ from ..identify import (
     IdentificationStatus,
     LoggingRecommendation,
 )
+from ..limits import MAX_EXPR_DEPTH
 from ..patterns import (
     AccountabilityReport,
     Pattern,
@@ -203,19 +205,19 @@ _PATH = _record(Path, nodes=_STRS, directions=_tuple_of((_same, _decode_directio
 
 # -- expressions -----------------------------------------------------------
 
-# op -> (class, {JSON key: attribute}), for encoding and decoding alike;
-# `else` is a Python keyword, so IfThenElse keeps that branch in `orelse`
-_EXPRS: dict[str, tuple[type, dict[str, str]]] = {
-    "lit": (Lit, {"value": "value"}),
-    "ref": (Ref, {"name": "name"}),
-    "not": (Not, {"a": "a"}),
-    "and": (And, {"a": "a", "b": "b"}),
-    "or": (Or, {"a": "a", "b": "b"}),
-    "eq": (Eq, {"a": "a", "b": "b"}),
-    "if": (IfThenElse, {"cond": "cond", "then": "then", "else": "orelse"}),
+# op -> (class, JSON keys): a literal or a reference holds its field under its
+# key, every other node its operands, `children()`, under its keys in order
+_EXPRS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "lit": (Lit, ("value",)),
+    "ref": (Ref, ("name",)),
+    "not": (Not, ("a",)),
+    "and": (And, ("a", "b")),
+    "or": (Or, ("a", "b")),
+    "eq": (Eq, ("a", "b")),
+    "if": (IfThenElse, ("cond", "then", "else")),
 }
-# every other key holds an operand
 _LEAVES = {"value": _VALUE, "name": _STR}
+_CHAINS = (And, Or, Eq)
 _EXPR_KEYS = {"op", "rows"}.union(*(keys for _, keys in _EXPRS.values()))
 
 
@@ -238,37 +240,45 @@ def _encode_expr(e: Expr | Table) -> dict[str, Any]:
         return {"op": "table", "rows": _ROWS[0](e.rows)}
     for op, (cls, keys) in _EXPRS.items():
         if isinstance(e, cls):
-            return {"op": op} | {
-                key: _LEAVES.get(key, _OPERAND)[0](getattr(e, attr))
-                for key, attr in keys.items()
-            }
-    raise SchemaError(f"cannot serialize expression node {type(e).__name__}")
+            break
+    else:
+        raise SchemaError(f"cannot serialize expression node {type(e).__name__}")
+    if keys[0] in _LEAVES:
+        return {"op": op, keys[0]: getattr(e, keys[0])}
+    operands = [_encode_expr(child) for child in e.children()]
+    if isinstance(e, _CHAINS):
+        # a chain is written as the left-nested binary tree it stands for
+        return reduce(lambda a, b: {"op": op, "a": a, "b": b}, operands)
+    return {"op": op, **dict(zip(keys, operands))}
 
 
-def _decode_expr(raw: Any, path: str) -> Expr | Table:
+def _decode_expr(raw: Any, path: str, depth: int = MAX_EXPR_DEPTH) -> Expr | Table:
+    """Decode the expression at `path`, which may nest `depth` more levels; a
+    table only as a whole function body, where `depth` is the limit."""
     obj = _obj(raw, path, _EXPR_KEYS)
     op = _STR[1](_get(obj, "op", path), f"{path}.op")
     if op == "table":
+        # a table is a function body of its own; it cannot nest
+        if depth < MAX_EXPR_DEPTH:
+            raise SchemaError("a table cannot nest inside an expression", path)
         return Table(_ROWS[1](_get(obj, "rows", path), f"{path}.rows"))
     if op not in _EXPRS:
         raise SchemaError(f"unknown expression op {op!r}", f"{path}.op")
     cls, keys = _EXPRS[op]
-    return cls(
-        **{
-            attr: _LEAVES.get(key, _OPERAND)[1](_get(obj, key, path), f"{path}.{key}")
-            for key, attr in keys.items()
-        }
-    )
+    if keys[0] in _LEAVES:
+        return cls(_LEAVES[keys[0]][1](_get(obj, keys[0], path), f"{path}.{keys[0]}"))
+    if depth == 0:
+        raise SchemaError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels", path)
+    spine = [(obj, path)]  # a chain's objects of this op down its `a` side
+    while cls in _CHAINS and _obj(_get(obj, "a", path), f"{path}.a", _EXPR_KEYS).get("op") == op:
+        obj, path = obj["a"], f"{path}.a"
+        spine.append((obj, path))
+    operands = [_decode_expr(_get(obj, key, path), f"{path}.{key}", depth - 1) for key in keys]
+    for obj, path in reversed(spine[:-1]):
+        operands.append(_decode_expr(_get(obj, "b", path), f"{path}.b", depth - 1))
+    return cls(*operands)
 
 
-def _decode_operand(raw: Any, path: str) -> Expr:
-    e = _decode_expr(raw, path)
-    if isinstance(e, Table):
-        raise SchemaError("a table cannot nest inside an expression", path)
-    return e
-
-
-_OPERAND: Codec = (_encode_expr, _decode_operand)
 _EXPR: Codec = (_encode_expr, _decode_expr)
 
 
@@ -464,11 +474,24 @@ _FORMATS: dict[str, tuple[type, Callable[[Any], Any], Callable[[Any, str], Any]]
 FORMATS = tuple(_FORMATS)
 
 
+def _dumps(data: Any) -> str | None:
+    """Canonical JSON text of `data`; None where `json` recurses too deep."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        return None
+
+
 def to_json(obj: object) -> str:
     """Serialize a supported object to canonical JSON text."""
     for cls, encode, _ in _FORMATS.values():
         if isinstance(obj, cls):
-            return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+            if (text := _dumps(data := encode(obj))) is not None:
+                return text
+            # `json` recurses once per nested object, a chain once per term,
+            # and only the functions of a model nest that deep
+            deep = (f["target"] for f in data["functions"] if not _dumps({"f": [f]}))
+            raise SchemaError(f"function of {next(deep)} nests too deep for JSON")
     raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -478,6 +501,8 @@ def from_json(text: str) -> object:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise SchemaError("JSON nests too deep to read") from None
     fmt = _STR[1](_get(_expect(raw, dict, "an object", "$"), "format", "$"), "$.format")
     if fmt not in _FORMATS:
         raise SchemaError(

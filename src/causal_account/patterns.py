@@ -29,7 +29,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EnumerationLimit, InvalidMatch, PatternArityError, SemanticError
+from .errors import (
+    EnumerationLimit,
+    InvalidMatch,
+    InvalidRoleSpec,
+    PatternArityError,
+    SemanticError,
+)
 from .graph import FORWARD, CausalGraph, Path, _neighbourhood, _path, between, kahn
 from .identify import (
     _BOTH_FAIL,
@@ -125,9 +131,13 @@ def build_pattern(
         if isinstance(r, Role):
             normalized.append(r)
         else:
-            rname, kind = r
-            if not isinstance(kind, RoleKind):
-                kind = RoleKind(str(kind))
+            try:
+                rname, kind = r if isinstance(r, (tuple, list)) else ()
+                kind = kind if isinstance(kind, RoleKind) else RoleKind(str(kind))
+            except ValueError:
+                raise InvalidRoleSpec(
+                    f"role spec {r!r} is no Role and no (name, kind) of a known kind"
+                ) from None
             normalized.append(Role(rname, kind))
     names = [r.name for r in normalized]
     if len(set(names)) != len(names):

@@ -38,11 +38,12 @@ answer graph-level queries but refuse evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import and_, itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -58,7 +59,7 @@ from .errors import (
     ValueOutOfDomain,
 )
 from .graph import CausalGraph, NodeKind, _mask, _neighbourhood, build_graph
-from .limits import DEFAULT_WORLD_CAP, ENV_VAR, enumeration_cap
+from .limits import DEFAULT_WORLD_CAP, ENV_VAR, MAX_EXPR_DEPTH, enumeration_cap
 
 Value = bool | str
 Assignment = dict[str, Value]
@@ -109,7 +110,8 @@ class Domain:
         """Position of each value in `values`."""
         return {v: k for k, v in enumerate(self.values)}
 
-    def render(self, value: Value) -> str:
+    @staticmethod
+    def render(value: Value) -> str:
         if isinstance(value, bool):
             return "true" if value else "false"
         return str(value)
@@ -120,9 +122,7 @@ BOOL = Domain("bool", (False, True))
 
 def _show(value: Value) -> str:
     """Render a value for error messages."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value)
+    return Domain.render(value) if isinstance(value, bool) else repr(value)
 
 
 # -- expression bodies -----------------------------------------------------
@@ -170,46 +170,50 @@ class Not(Expr):
         return (self.a,)
 
 
-@dataclass(frozen=True)
-class And(Expr):
-    a: Expr
-    b: Expr
+@dataclass(frozen=True, init=False)
+class _Chain(Expr):
+    """A run of one left-associative operator, stored flat. A first term of
+    the same class is absorbed, so `Or(Or(a, b), c) == Or(a, b, c)`; `a` and
+    `b` are the operands of the binary tree the chain stands for."""
+
+    terms: tuple[Expr, ...]
+
+    def __init__(self, first: Expr, *rest: Expr) -> None:
+        head = first.terms if type(first) is type(self) else (first,)
+        object.__setattr__(self, "terms", head + rest)
+
+    @property
+    def a(self) -> Expr:
+        return type(self)(*self.terms[:-1]) if len(self.terms) > 2 else self.terms[0]
+
+    @property
+    def b(self) -> Expr:
+        return self.terms[-1]
 
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        truth = self.a.masks(env, full).get(True, 0) & self.b.masks(env, full).get(True, 0)
+        truth = reduce(self._op, (t.masks(env, full).get(True, 0) for t in self.terms))
         return {False: full ^ truth, True: truth}
 
     def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
+        return self.terms
 
 
-@dataclass(frozen=True)
-class Or(Expr):
-    a: Expr
-    b: Expr
+class And(_Chain):
+    _op = and_
 
+
+class Or(_Chain):
+    _op = or_
+
+
+class Eq(_Chain):
     def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        truth = self.a.masks(env, full).get(True, 0) | self.b.masks(env, full).get(True, 0)
-        return {False: full ^ truth, True: truth}
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class Eq(Expr):
-    a: Expr
-    b: Expr
-
-    def masks(self, env: Mapping[str, Masks], full: int) -> Masks:
-        a, b = self.a.masks(env, full), self.b.masks(env, full)
-        same = 0
-        for value, mask in a.items():
-            same |= mask & b.get(value, 0)
-        return {False: full ^ same, True: same}
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.a, self.b)
+        left = self.terms[0].masks(env, full)
+        for term in self.terms[1:]:
+            right = term.masks(env, full)
+            same = reduce(or_, (mask & right.get(v, 0) for v, mask in left.items()), 0)
+            left = {False: full ^ same, True: same}
+        return left
 
 
 @dataclass(frozen=True)
@@ -232,17 +236,25 @@ class IfThenElse(Expr):
 
 def expr_refs(e: Expr) -> tuple[str, ...]:
     """Variable references in `e`, in first-occurrence order."""
-    seen: list[str] = []
+    seen: dict[str, None] = {}
 
     def walk(node: Expr) -> None:
         if isinstance(node, Ref):
-            if node.name not in seen:
-                seen.append(node.name)
+            seen[node.name] = None
         for child in node.children():
             walk(child)
 
     walk(e)
     return tuple(seen)
+
+
+def check_depth(e: Expr, what: str, depth: int = MAX_EXPR_DEPTH) -> None:
+    """Refuse `e`, named `what`, if it nests more than `depth` levels: one per
+    node but a literal or a reference, a chain of any length included."""
+    for child in e.children():
+        if depth == 0:
+            raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels")
+        check_depth(child, what, depth - 1)
 
 
 def infer_domain(
@@ -306,13 +318,14 @@ def check_expr(
             raise SemanticError(
                 f"comparison used where domain {expected.name} is expected"
             )
-        side = infer_domain(e.a, var_domains, known) or infer_domain(
-            e.b, var_domains, known
+        side = infer_domain(e.terms[0], var_domains, known) or infer_domain(
+            e.terms[1], var_domains, known
         )
         if side is None:
             raise SemanticError("cannot determine the domain of this comparison")
-        check_expr(e.a, side, var_domains, known)
-        check_expr(e.b, side, var_domains, known)
+        # `a == b == c` compares `a == b`, a bool, with `c`
+        for k, term in enumerate(e.terms):
+            check_expr(term, side if k < 2 else BOOL, var_domains, known)
         return
     if isinstance(e, IfThenElse):
         check_expr(e.cond, BOOL, var_domains, known)
@@ -432,9 +445,7 @@ def build_scm(
     known_domains = list(dict.fromkeys(domains.values()))
     for name_, f in functions.items():
         if f.target != name_:
-            raise SemanticError(
-                f"function stored under {name_!r} targets {f.target!r}"
-            )
+            raise SemanticError(f"function stored under {name_!r} targets {f.target!r}")
         if set(f.parents) != set(graph.parents(name_)):
             raise SemanticError(
                 f"parents of {name_} disagree with the graph: function has "
@@ -444,8 +455,8 @@ def build_scm(
         if len(set(f.parents)) != len(f.parents):
             raise SemanticError(f"function of {name_} repeats a parent")
         if isinstance(f.body, Expr):
-            refs = set(expr_refs(f.body))
-            stray = refs - set(f.parents)
+            check_depth(f.body, f"function of {name_}")
+            stray = set(expr_refs(f.body)) - set(f.parents)
             if stray:
                 raise SemanticError(
                     f"function of {name_} references non-parents: "
@@ -454,9 +465,7 @@ def build_scm(
             parent_domains = {p: domains[p] for p in f.parents}
             check_expr(f.body, domains[name_], parent_domains, known_domains)
         elif isinstance(f.body, Table):
-            expected_rows = 1
-            for p in f.parents:
-                expected_rows *= len(domains[p].values)
+            expected_rows = math.prod(len(domains[p].values) for p in f.parents)
             seen_inputs = set()
             for inputs, output in f.body.rows:
                 if len(inputs) != len(f.parents):
@@ -557,9 +566,7 @@ def world_count(m: Scm) -> int:
 
 def _combinations(m: Scm, roots: Iterable[str]) -> int:
     """Number of combinations of the values of `roots`, refused past the cap."""
-    combinations = 1
-    for name in roots:
-        combinations *= len(m.domains[name].values)
+    combinations = math.prod(len(m.domains[name].values) for name in roots)
     cap = enumeration_cap(DEFAULT_WORLD_CAP)
     if combinations > 2**cap:
         raise EnumerationLimit(
