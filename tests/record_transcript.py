@@ -15,8 +15,9 @@ missing model, after `export`'s own option checks, and a `.json` file that
 holds the other kind of payload. It pins how a model or pattern whose
 structure is malformed is refused (cycles, self-loops, edges into roots,
 unknown endpoints, malformed proxies, cyclic templates, trailing input
-after a label, a domain or a value named like a value or a domain), and
-that a repeated JSON edge collapses. Its first line holds the input files
+after a label, a domain or a value named like a value or a domain, a
+comparison of two values of a domain that no variable uses), and that a
+repeated JSON edge collapses. Its first line holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
@@ -110,6 +111,35 @@ FILES = {
     "trailing_exo.scm.txt": 'model bad\nexo A : bool label "a" extra\n',
     "trailing_latent.scm.txt": 'model bad\nlatent A : bool label "a" B\n',
     "trailing_var.scm.txt": 'model bad\nexo A : bool\nvar B : bool label "b" A\n',
+    # `slow == slow` compares values of a domain that no variable uses
+    "unused_domain.scm.txt": "model bad\ndomain Speed { slow, fast }\nexo A : bool\n"
+    "var X : bool = slow == slow\n",
+    "unused_domain.json": json.dumps(
+        {
+            "format": "scm",
+            "name": "bad",
+            "domains": [
+                {"name": "bool", "values": [False, True]},
+                {"name": "Speed", "values": ["slow", "fast"]},
+            ],
+            "nodes": [
+                {"name": "A", "kind": "exogenous", "domain": "bool"},
+                {"name": "X", "kind": "endogenous", "domain": "bool"},
+            ],
+            "edges": [],
+            "functions": [
+                {
+                    "target": "X",
+                    "parents": [],
+                    "body": {
+                        "op": "eq",
+                        "a": {"op": "lit", "value": "slow"},
+                        "b": {"op": "lit", "value": "slow"},
+                    },
+                }
+            ],
+        }
+    ),
 }
 
 USAGE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
@@ -165,6 +195,8 @@ STRUCTURE_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
         "below_cycle.json",
         "domain_like_value.scm.txt",
         "value_like_domain.scm.txt",
+        "unused_domain.scm.txt",
+        "unused_domain.json",
     )
 ) + (
     ({}, ("match", "titus", "--pattern", "cycle.pat.txt")),
