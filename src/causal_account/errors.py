@@ -121,10 +121,11 @@ class ParseError(CausalAccountError):
 
 
 class SemanticError(CausalAccountError):
-    """Input parsed but violates a semantic rule."""
+    """Input parsed but violates a semantic rule; `subject` names the body at fault."""
 
-    def __init__(self, message: str, span=None):
+    def __init__(self, message: str, span=None, subject: str | None = None):
         self.span = span
+        self.subject = subject
         super().__init__(message if span is None else f"{span}: {message}")
 
 

@@ -52,9 +52,7 @@ from ..scm import (
     StructuralFunction,
     Table,
     build_scm,
-    check_depth,
     check_expr,
-    expr_refs,
 )
 
 KEYWORDS = frozenset(
@@ -232,6 +230,7 @@ class _ModelBuilder:
         self.node_domains: dict[str, Domain] = {}
         self.edges: list[tuple[str, str]] = []
         self.functions: dict[str, StructuralFunction] = {}
+        self.body_tokens: dict[str, Token] = {}  # the first token of each body, by subject
 
     def declared(self, name: str) -> bool:
         return name in self.node_domains
@@ -278,7 +277,13 @@ def parse_model(text: str) -> Scm:
         lines[1:], _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
     )
     graph = build_graph(builder.nodes, builder.edges)
-    return build_scm(graph, builder.node_domains, builder.functions, name)
+    try:
+        return build_scm(graph, builder.node_domains, builder.functions, name)
+    except SemanticError as err:
+        # `build_scm` infers a literal's domain over the nodes' domains only
+        if err.subject not in builder.body_tokens:
+            raise
+        raise SemanticError(err.args[0], builder.body_tokens[err.subject].span) from None
 
 
 def _duplicate_model_line(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -367,15 +372,15 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
                 break
         cur.expect_done()
     elif cur.match("="):
-        expr_tok = cur.peek()
+        what = f"function of {name_tok.text}"
+        expr_tok = builder.body_tokens[what] = cur.peek()
         body = _parse_expr(cur, builder)
         cur.expect_done()
         try:
-            check_depth(body, f"function of {name_tok.text}")
-            check_expr(body, domain, builder.node_domains, builder.domains.values())
+            refs = check_expr(body, domain, builder.node_domains, builder.domains.values(), what)
         except SemanticError as err:
             raise SemanticError(err.args[0], expr_tok.span) from None
-        parents = list(expr_refs(body))
+        parents = list(refs)
     elif tok.kind != "end":
         raise ParseError("expected '=', '<-', or end of line", tok.span)
     builder.add_node(Node(name_tok.text, kind, label), domain, name_tok, tuple(parents), body)
@@ -667,7 +672,8 @@ def to_dsl(m: Scm) -> str:
         body = f and f.body
         if isinstance(body, Table):
             body = _table_to_expr(f.parents, dict(body.rows), m.domains)
-            check_depth(body, f"cannot serialize: function of {node.name}")
+            what = f"cannot serialize: function of {node.name}"
+            check_expr(body, m.domains[node.name], m.domains, domains, what)
         if body is not None:
             line += " = " + _render_expr(body, 0)
         elif f is not None and f.parents:

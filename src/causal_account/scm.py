@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import and_, itemgetter, or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationLimit,
@@ -234,33 +234,14 @@ class IfThenElse(Expr):
         return (self.cond, self.then, self.orelse)
 
 
-def expr_refs(e: Expr) -> tuple[str, ...]:
-    """Variable references in `e`, in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Ref):
-            seen[node.name] = None
-        for child in node.children():
-            walk(child)
-
-    walk(e)
-    return tuple(seen)
-
-
-def check_depth(e: Expr, what: str, depth: int = MAX_EXPR_DEPTH) -> None:
-    """Refuse `e`, named `what`, if it nests more than `depth` levels: one per
-    node but a literal or a reference, a chain of any length included."""
-    for child in e.children():
-        if depth == 0:
-            raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels")
-        check_depth(child, what, depth - 1)
-
-
 def infer_domain(
-    e: Expr, var_domains: Mapping[str, Domain], known_domains: Iterable[Domain]
+    e: Expr,
+    var_domains: Mapping[str, Domain],
+    known_domains: Iterable[Domain],
+    depth: int = MAX_EXPR_DEPTH,
 ) -> Domain | None:
-    """Best-effort domain of an expression; None when a bare literal is ambiguous."""
+    """Best-effort domain of an expression; None when a bare literal is
+    ambiguous, or past `depth` levels, which `check_expr` refuses."""
     if isinstance(e, (Not, And, Or, Eq)):
         return BOOL
     if isinstance(e, Ref):
@@ -270,9 +251,9 @@ def infer_domain(
             return BOOL
         candidates = [d for d in known_domains if e.value in d.values]
         return candidates[0] if len(candidates) == 1 else None
-    if isinstance(e, IfThenElse):
-        return infer_domain(e.then, var_domains, known_domains) or infer_domain(
-            e.orelse, var_domains, known_domains
+    if isinstance(e, IfThenElse) and depth:
+        return infer_domain(e.then, var_domains, known_domains, depth - 1) or infer_domain(
+            e.orelse, var_domains, known_domains, depth - 1
         )
     return None
 
@@ -281,58 +262,70 @@ def check_expr(
     e: Expr,
     expected: Domain,
     var_domains: Mapping[str, Domain],
-    known_domains: Iterable[Domain],
-) -> None:
-    """Type-check `e` against the domain the context expects.
+    known_domains: Collection[Domain],
+    what: str = "expression",
+) -> tuple[str, ...]:
+    """Check `e`, called `what`, against the domain the context expects, in
+    one walk, and return the variables it references in first-occurrence order.
 
     Boolean operators demand and produce bool; `==` compares two values of one
     domain and produces bool; if-then-else needs a bool condition and branches
-    of the expected domain. Raises SemanticError on any mismatch.
+    of the expected domain. Raises SemanticError, with `what` as its subject,
+    as soon as the walk meets nesting deeper than MAX_EXPR_DEPTH levels (one
+    per node but a literal or a reference, a chain of any length included);
+    after it, for references outside `var_domains`, then for the first type
+    mismatch in pre-order.
     """
-    known = tuple(known_domains)
+    refs: dict[str, None] = {}
+    errors: list[str] = []
+    _check(e, expected, MAX_EXPR_DEPTH, var_domains, known_domains, what, refs, errors)
+    stray = sorted(name for name in refs if name not in var_domains)
+    if stray:
+        errors.insert(0, f"{what} references non-parents: " + ", ".join(stray))
+    if errors:
+        raise SemanticError(errors[0], subject=what)
+    return tuple(refs)
+
+
+def _check(e, expected, depth, var_domains, known, what, refs, errors) -> None:
+    """Visit `e` for `check_expr` with `depth` levels left below it: add its
+    references to `refs` and its type errors to `errors`, in pre-order."""
+    if isinstance(e, Ref):
+        refs[e.name] = None
+        actual = var_domains.get(e.name, expected)
+        if actual != expected:
+            errors.append(f"variable {e.name} has domain {actual.name}, expected {expected.name}")
+        return
     if isinstance(e, Lit):
         if e.value not in expected:
-            raise SemanticError(
-                f"value {_show(e.value)} does not belong to domain {expected.name}"
-            )
+            errors.append(f"value {_show(e.value)} does not belong to domain {expected.name}")
         return
-    if isinstance(e, Ref):
-        actual = var_domains.get(e.name)
-        if actual is None:
-            raise SemanticError(f"unknown variable {e.name!r}")
-        if actual != expected:
-            raise SemanticError(
-                f"variable {e.name} has domain {actual.name}, expected {expected.name}"
-            )
+    if depth == 0 and e.children():
+        raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels", subject=what)
+    depth -= 1
+    if isinstance(e, IfThenElse):
+        _check(e.cond, BOOL, depth, var_domains, known, what, refs, errors)
+        _check(e.then, expected, depth, var_domains, known, what, refs, errors)
+        _check(e.orelse, expected, depth, var_domains, known, what, refs, errors)
         return
-    if isinstance(e, (Not, And, Or)):
-        if expected != BOOL:
-            raise SemanticError(
-                f"boolean operator used where domain {expected.name} is expected"
-            )
-        for child in e.children():
-            check_expr(child, BOOL, var_domains, known)
-        return
+    side = BOOL
     if isinstance(e, Eq):
         if expected != BOOL:
-            raise SemanticError(
-                f"comparison used where domain {expected.name} is expected"
-            )
-        side = infer_domain(e.terms[0], var_domains, known) or infer_domain(
-            e.terms[1], var_domains, known
+            errors.append(f"comparison used where domain {expected.name} is expected")
+        side = infer_domain(e.terms[0], var_domains, known, depth) or infer_domain(
+            e.terms[1], var_domains, known, depth
         )
         if side is None:
-            raise SemanticError("cannot determine the domain of this comparison")
-        # `a == b == c` compares `a == b`, a bool, with `c`
-        for k, term in enumerate(e.terms):
-            check_expr(term, side if k < 2 else BOOL, var_domains, known)
-        return
-    if isinstance(e, IfThenElse):
-        check_expr(e.cond, BOOL, var_domains, known)
-        check_expr(e.then, expected, var_domains, known)
-        check_expr(e.orelse, expected, var_domains, known)
-        return
-    raise SemanticError(f"unsupported expression node {type(e).__name__}")
+            errors.append("cannot determine the domain of this comparison")
+            side = BOOL  # only the first error is reported
+    elif isinstance(e, (Not, And, Or)):
+        if expected != BOOL:
+            errors.append(f"boolean operator used where domain {expected.name} is expected")
+    else:
+        errors.append(f"unsupported expression node {type(e).__name__}")
+    # `a == b == c` compares `a == b`, a bool, with `c`
+    for k, child in enumerate(e.children()):
+        _check(child, side if k < 2 else BOOL, depth, var_domains, known, what, refs, errors)
 
 
 @dataclass(frozen=True)
@@ -442,7 +435,7 @@ def build_scm(
     endo = [n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS]
     _check_keys(functions, endo, "no function for", "function attached to non-endogenous variable")
 
-    known_domains = list(dict.fromkeys(domains.values()))
+    known = list(dict.fromkeys(domains.values()))
     for name_, f in functions.items():
         if f.target != name_:
             raise SemanticError(f"function stored under {name_!r} targets {f.target!r}")
@@ -455,15 +448,8 @@ def build_scm(
         if len(set(f.parents)) != len(f.parents):
             raise SemanticError(f"function of {name_} repeats a parent")
         if isinstance(f.body, Expr):
-            check_depth(f.body, f"function of {name_}")
-            stray = set(expr_refs(f.body)) - set(f.parents)
-            if stray:
-                raise SemanticError(
-                    f"function of {name_} references non-parents: "
-                    + ", ".join(sorted(stray))
-                )
             parent_domains = {p: domains[p] for p in f.parents}
-            check_expr(f.body, domains[name_], parent_domains, known_domains)
+            check_expr(f.body, domains[name_], parent_domains, known, f"function of {name_}")
         elif isinstance(f.body, Table):
             expected_rows = math.prod(len(domains[p].values) for p in f.parents)
             seen_inputs = set()

@@ -30,7 +30,8 @@ from causal_account import (
     build_graph,
     build_scm,
 )
-from causal_account.scm import expr_refs
+
+from oracles import expr_refs
 
 _LABELS = (
     None,

@@ -10,6 +10,10 @@ with `nx_satisfies_frontdoor`, so that only the listing is under test; and
 `identify_then_filter` filters the report of the library's `identify`, which
 is itself compared with brute force, so that only the restriction of
 `check_accountability` is under test.
+
+`brute_check_body` is the check of an expression body as three walks,
+depth, references and types, each written on its own; `scm.check_expr`
+does all three in one walk and must refuse with the same message.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import networkx as nx
 
 from causal_account import (
     BACKWARD,
+    BOOL,
     FORWARD,
     AccountabilityReport,
     And,
@@ -44,6 +49,7 @@ from causal_account import (
     PatternMatch,
     Ref,
     RoleKind,
+    SemanticError,
     SourceSpan,
     Table,
     UnspecifiedFunction,
@@ -53,7 +59,7 @@ from causal_account import (
     intervene,
     satisfies_frontdoor,
 )
-from causal_account.limits import DEFAULT_MATCH_CAP, DEFAULT_PATH_LIMIT
+from causal_account.limits import DEFAULT_MATCH_CAP, DEFAULT_PATH_LIMIT, MAX_EXPR_DEPTH
 
 
 def to_networkx(g: CausalGraph) -> nx.DiGraph:
@@ -522,6 +528,114 @@ def all_dags(n_nodes: int):
             for name in names
         ]
         yield build_graph(nodes, edges)
+
+
+def expr_refs(e) -> tuple[str, ...]:
+    """Variable references in `e`, in first-occurrence order."""
+    seen: dict[str, None] = {}
+
+    def walk(node) -> None:
+        if isinstance(node, Ref):
+            seen[node.name] = None
+        for child in node.children():
+            walk(child)
+
+    walk(e)
+    return tuple(seen)
+
+
+def check_depth(e, what: str, depth: int = MAX_EXPR_DEPTH) -> None:
+    """Refuse `e`, named `what`, if it nests more than `depth` levels: one per
+    node but a literal or a reference, a chain of any length included."""
+    for child in e.children():
+        if depth == 0:
+            raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels")
+        check_depth(child, what, depth - 1)
+
+
+def _show(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def _infer_domain(e, var_domains, known_domains):
+    """Best-effort domain of an expression; None when a bare literal is ambiguous."""
+    if isinstance(e, (Not, And, Or, Eq)):
+        return BOOL
+    if isinstance(e, Ref):
+        return var_domains.get(e.name)
+    if isinstance(e, Lit):
+        if isinstance(e.value, bool):
+            return BOOL
+        candidates = [d for d in known_domains if e.value in d.values]
+        return candidates[0] if len(candidates) == 1 else None
+    if isinstance(e, IfThenElse):
+        return _infer_domain(e.then, var_domains, known_domains) or _infer_domain(
+            e.orelse, var_domains, known_domains
+        )
+    return None
+
+
+def check_expr(e, expected, var_domains, known_domains) -> None:
+    """Type-check `e` against the domain the context expects, raising
+    SemanticError at the first mismatch in pre-order."""
+    known = tuple(known_domains)
+    if isinstance(e, Lit):
+        if e.value not in expected:
+            raise SemanticError(
+                f"value {_show(e.value)} does not belong to domain {expected.name}"
+            )
+        return
+    if isinstance(e, Ref):
+        actual = var_domains.get(e.name)
+        if actual is None:
+            raise SemanticError(f"unknown variable {e.name!r}")
+        if actual != expected:
+            raise SemanticError(
+                f"variable {e.name} has domain {actual.name}, expected {expected.name}"
+            )
+        return
+    if isinstance(e, (Not, And, Or)):
+        if expected != BOOL:
+            raise SemanticError(
+                f"boolean operator used where domain {expected.name} is expected"
+            )
+        for child in e.children():
+            check_expr(child, BOOL, var_domains, known)
+        return
+    if isinstance(e, Eq):
+        if expected != BOOL:
+            raise SemanticError(
+                f"comparison used where domain {expected.name} is expected"
+            )
+        side = _infer_domain(e.terms[0], var_domains, known) or _infer_domain(
+            e.terms[1], var_domains, known
+        )
+        if side is None:
+            raise SemanticError("cannot determine the domain of this comparison")
+        # `a == b == c` compares `a == b`, a bool, with `c`
+        for k, term in enumerate(e.terms):
+            check_expr(term, side if k < 2 else BOOL, var_domains, known)
+        return
+    if isinstance(e, IfThenElse):
+        check_expr(e.cond, BOOL, var_domains, known)
+        check_expr(e.then, expected, var_domains, known)
+        check_expr(e.orelse, expected, var_domains, known)
+        return
+    raise SemanticError(f"unsupported expression node {type(e).__name__}")
+
+
+def brute_check_body(e, expected, var_domains, known_domains, what) -> tuple[str, ...]:
+    """The references of body `e`, called `what`, after its three checks in
+    their order: nesting depth, references outside `var_domains`, types."""
+    check_depth(e, what)
+    refs = expr_refs(e)
+    stray = set(refs) - set(var_domains)
+    if stray:
+        raise SemanticError(f"{what} references non-parents: " + ", ".join(sorted(stray)))
+    check_expr(e, expected, var_domains, known_domains)
+    return refs
 
 
 def _brute_value(e, env):

@@ -329,6 +329,14 @@ class TestParseModel:
         assert m.name == "m"
         assert m.graph.nodes == ()
 
+    def test_refusal_by_build_scm_is_placed_at_the_body(self):
+        # the parser reads `slow` as a value of Speed, a domain no variable
+        # uses, so only `build_scm`, which knows the nodes' domains, refuses
+        text = "model bad\ndomain Speed { slow, fast }\nexo A : bool\nvar X : bool = slow == slow\n"
+        with pytest.raises(SemanticError) as err:
+            parse_model(text)
+        assert str(err.value) == "line 4, column 16: cannot determine the domain of this comparison"
+
     def test_comments_and_blank_lines(self):
         m = parse_model(
             "# leading comment\n"

@@ -40,10 +40,17 @@ from causal_account import (
 )
 from causal_account import graph as graph_module, scm
 from causal_account.errors import NonRootAssignment
-from causal_account.scm import check_expr, expr_refs, infer_domain, iter_worlds
+from causal_account.limits import MAX_EXPR_DEPTH
+from causal_account.scm import check_expr, infer_domain, iter_worlds
 
 from generators import pad_roots, random_scm
-from oracles import brute_consistent_worlds, brute_counterfactual, brute_evaluate
+from oracles import (
+    brute_check_body,
+    brute_consistent_worlds,
+    brute_counterfactual,
+    brute_evaluate,
+    expr_refs,
+)
 
 SPEED = Domain("speed", ("low", "high"))
 GEAR = Domain("gear", ("low", "top"))
@@ -53,6 +60,7 @@ CHECK_EXPR_ERRORS = [
     (Not(Ref("a")), SPEED, "boolean operator used where domain speed is expected"),
     (Eq(Ref("s"), Lit("low")), SPEED, "comparison used where domain speed is expected"),
     (Eq(Lit("low"), Lit("low")), BOOL, "cannot determine the domain of this comparison"),
+    (Ref("missing"), BOOL, "expression references non-parents: missing"),
 ]
 
 # (nodes, edges, domains, functions, message) that build_scm refuses
@@ -195,6 +203,7 @@ class TestExpressions:
     def test_refs_first_occurrence_order(self):
         e = And(Ref("B"), Or(Ref("A"), Ref("B")))
         assert expr_refs(e) == ("B", "A")
+        assert check_expr(e, BOOL, {"A": BOOL, "B": BOOL}, [BOOL]) == ("B", "A")
 
     def test_infer_domain(self):
         var_domains = {"A": BOOL, "S": SPEED}
@@ -232,15 +241,114 @@ class TestExpressions:
         with pytest.raises(SemanticError):
             check_expr(e, BOOL, {"A": BOOL, "S": SPEED}, [BOOL, SPEED])
 
-    def test_check_expr_unknown_variable(self):
-        with pytest.raises(SemanticError):
-            check_expr(Ref("missing"), BOOL, {}, [BOOL])
-
     @pytest.mark.parametrize("e, expected, message", CHECK_EXPR_ERRORS)
     def test_check_expr_error_messages(self, e, expected, message):
         with pytest.raises(SemanticError) as err:
             check_expr(e, expected, {"a": BOOL, "s": SPEED}, [BOOL, SPEED, GEAR])
         assert str(err.value) == message
+
+    def test_check_expr_refuses_deep_comparison_sides(self):
+        # the side of `==` is inferred through `then` branches before the
+        # walk reaches them; that inference must stop at the limit too
+        deep = Lit("low")
+        for _ in range(5000):
+            deep = IfThenElse(Ref("a"), deep, Lit("low"))
+        with pytest.raises(SemanticError) as err:
+            check_expr(Eq(Lit("low"), deep), BOOL, {"a": BOOL}, [SPEED, GEAR], "f")
+        assert str(err.value) == f"f nests deeper than {MAX_EXPR_DEPTH} levels"
+
+
+COLOR = Domain("color", ("red", "green"))
+# variables of every domain, and two names no variable set ever holds
+BODY_VARS = {"a": BOOL, "b": BOOL, "s": SPEED, "t": SPEED, "g": GEAR, "c": COLOR}
+BODY_NAMES = (*BODY_VARS, "x", "y")
+BODY_DOMAINS = (BOOL, SPEED, GEAR, COLOR)
+BODY_VARS_OF = {d: [n for n, nd in BODY_VARS.items() if nd == d] for d in BODY_DOMAINS}
+
+
+def _random_leaf(rng: random.Random, domain: Domain):
+    """A literal or reference, of `domain` but now and then of any domain or
+    a name outside every variable set."""
+    roll = rng.random()
+    if roll < 0.04:
+        return Ref(rng.choice(BODY_NAMES))
+    if roll < 0.08:
+        domain = rng.choice(BODY_DOMAINS)
+    if rng.random() < 0.5:
+        return Ref(rng.choice(BODY_VARS_OF[domain]))
+    return Lit(rng.choice(domain.values))
+
+
+def _random_body(rng: random.Random, domain: Domain, size: int):
+    """A body of about `size` nodes meant for `domain`; one node in twenty
+    is built for a domain drawn at random instead."""
+    if rng.random() < 0.05:
+        domain = rng.choice(BODY_DOMAINS)
+    if size <= 1:
+        return _random_leaf(rng, domain)
+    if domain != BOOL or rng.random() < 0.2:
+        cond, then, orelse = (_random_body(rng, d, size // 3) for d in (BOOL, domain, domain))
+        return IfThenElse(cond, then, orelse)
+    kind = rng.choice((Not, And, Or, Eq))
+    if kind is Not:
+        return Not(_random_body(rng, BOOL, size - 1))
+    n = rng.randint(2, 4)
+    side = rng.choice(BODY_DOMAINS) if kind is Eq else BOOL
+    terms = [_random_body(rng, side if k < 2 else BOOL, size // n) for k in range(n)]
+    return kind(*terms)
+
+
+# ways to put `e` one level down beside `leaf`, as an operand no chain absorbs
+_WRAPS = (
+    lambda leaf, e: Not(e),
+    lambda leaf, e: And(leaf, e),
+    lambda leaf, e: Or(leaf, e),
+    lambda leaf, e: Eq(leaf, e),
+    lambda leaf, e: IfThenElse(e, leaf, leaf),
+    lambda leaf, e: IfThenElse(leaf, e, leaf),
+    lambda leaf, e: IfThenElse(leaf, leaf, e),
+)
+
+
+def _nest(rng: random.Random, e, levels: int):
+    """`e` below `levels` more nodes, beside leaves of random domains."""
+    for _ in range(levels):
+        e = rng.choice(_WRAPS)(_random_leaf(rng, rng.choice(BODY_DOMAINS)), e)
+    return e
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except SemanticError as err:
+        return str(err)
+
+
+def test_check_expr_agrees_with_the_three_reference_walks():
+    """One walk refuses with the message of the first failing check among
+    depth, stray references and types, or returns the same references."""
+    rng = random.Random(2222)
+    counts: collections.Counter = collections.Counter()
+    differ = []
+    for case in range(10_000):
+        expected = rng.choice(BODY_DOMAINS)
+        if case % 4:
+            body = _random_body(rng, expected, rng.randint(1, 40))
+        else:
+            levels = (MAX_EXPR_DEPTH - 1, MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1, 150)[case // 4 % 4]
+            body = _nest(rng, _random_leaf(rng, rng.choice(BODY_DOMAINS)), levels)
+        var_domains = {n: d for n, d in BODY_VARS.items() if rng.random() < 0.95}
+        known = [d for d in BODY_DOMAINS if rng.random() < 0.8]
+        args = (body, expected, var_domains, known, "function of v")
+        want, got = _outcome(brute_check_body, *args), _outcome(check_expr, *args)
+        if got != want:
+            differ.append((case, got, want))
+        if isinstance(want, tuple):
+            counts["accepted"] += 1
+        else:
+            counts[next((k for k in ("nests", "non-parents") if k in want), "ill-typed")] += 1
+    assert differ == []
+    assert min(counts[k] for k in ("accepted", "nests", "non-parents", "ill-typed")) > 1000, counts
 
 
 class TestBuildScm:
