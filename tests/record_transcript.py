@@ -108,6 +108,12 @@ FILES = {
             "edges": [["Agent", "Effect"], ["Effect", "Agent"]],
         }
     ),
+    "bogus_constraints.json": json.dumps(
+        {
+            **json.loads(to_json(models.load_pattern("lindberg"))),
+            "constraints": ["unique-accountable", "bogus"],
+        }
+    ),
     "trailing_exo.scm.txt": 'model bad\nexo A : bool label "a" extra\n',
     "trailing_latent.scm.txt": 'model bad\nlatent A : bool label "a" B\n',
     "trailing_var.scm.txt": 'model bad\nexo A : bool\nvar B : bool label "b" A\n',
@@ -208,6 +214,11 @@ COLLAPSED_EDGES: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("validate", "repeated_edge.json", "--format", "json")),
 )
 
+# a JSON pattern whose constraints are not the ones its roles imply
+PATTERN_CONSTRAINTS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
+    ({}, ("match", "titus", "--pattern", "bogus_constraints.json")),
+)
+
 
 def help_and_usage() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     """`--help` of the group and of each command, then each command with
@@ -243,6 +254,7 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
         + help_and_usage()
         + list(STRUCTURE_ERRORS)
         + list(COLLAPSED_EDGES)
+        + list(PATTERN_CONSTRAINTS)
     )
 
 
