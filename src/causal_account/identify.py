@@ -289,6 +289,28 @@ def _identifiable_by_criteria(g: CausalGraph, x: str, y: str) -> bool:
     return satisfies_frontdoor(g, members, x, y)
 
 
+def _report(
+    x: str, y: str, paths: tuple[Path, ...], sets: tuple[frozenset[str], ...],
+    frontdoor_sets: tuple[frozenset[str], ...], identifiable: bool, notes: Iterable[str],
+) -> IdentificationReport:
+    """The report on the effect of `x` on `y` from what the caller listed:
+    IdentifiableBackdoor when `sets` holds a back-door set, else
+    IdentifiableFrontdoor when `frontdoor_sets` holds one, else
+    NotIdentifiableByCriteria. The notes count the back-door `paths`, say
+    that both criteria fail unless the effect is `identifiable`, and end with
+    the caller's own `notes`."""
+    if sets:
+        status = IdentificationStatus.BACKDOOR
+    elif frontdoor_sets:
+        status = IdentificationStatus.FRONTDOOR
+    else:
+        status = IdentificationStatus.NOT_IDENTIFIABLE
+    head = [f"{len(paths)} back-door path(s) from {x} to {y}"]
+    if not identifiable:
+        head.append(_BOTH_FAIL)
+    return IdentificationReport(x, y, paths, sets, frontdoor_sets, status, (*head, *notes))
+
+
 def identify(
     g: CausalGraph, x: str, y: str, trust_proxies: bool = False
 ) -> IdentificationReport:
@@ -303,14 +325,7 @@ def identify(
     backdoor_sets = tuple(minimal_backdoor_sets(g, x, y, trust_proxies))
     frontdoor_sets = tuple(_frontdoor_sets(g, x, y))
 
-    notes = [f"{len(bpaths)} back-door path(s) from {x} to {y}"]
-    if backdoor_sets:
-        status = IdentificationStatus.BACKDOOR
-    elif frontdoor_sets:
-        status = IdentificationStatus.FRONTDOOR
-    else:
-        status = IdentificationStatus.NOT_IDENTIFIABLE
-        notes.append(_BOTH_FAIL)
+    notes: list[str] = []
     if trust_proxies:
         proxies_used = sorted(
             {
@@ -327,15 +342,8 @@ def identify(
                 f"{g.node(name).proxy_for}; adjusting through a proxy only "
                 "partially controls for the real variable"
             )
-    return IdentificationReport(
-        treatment=x,
-        outcome=y,
-        backdoor_paths=bpaths,
-        minimal_backdoor_sets=backdoor_sets,
-        frontdoor_sets=frontdoor_sets,
-        status=status,
-        notes=tuple(notes),
-    )
+    identifiable = bool(backdoor_sets or frontdoor_sets)
+    return _report(x, y, bpaths, backdoor_sets, frontdoor_sets, identifiable, notes)
 
 
 def confounded(g: CausalGraph, x: str, y: str) -> bool:

@@ -38,13 +38,12 @@ from .errors import (
 )
 from .graph import FORWARD, CausalGraph, Path, _neighbourhood, _path, between, kahn
 from .identify import (
-    _BOTH_FAIL,
     IdentificationReport,
-    IdentificationStatus,
     LoggingRecommendation,
     _backdoor_sets,
     _identifiable_by_criteria,
     _recommendation,
+    _report,
     backdoor_paths,
 )
 from .limits import DEFAULT_MATCH_CAP
@@ -457,28 +456,14 @@ def check_accountability(
 
     paths = tuple(backdoor_paths(g, agent, effect))
     sets = tuple(_backdoor_sets(g, agent, effect, False, admissible))
-    notes = [f"{len(paths)} back-door path(s) from {agent} to {effect}"]
-    status = IdentificationStatus.BACKDOOR
-    if not sets:
-        status = IdentificationStatus.NOT_IDENTIFIABLE
-        if not _identifiable_by_criteria(g, agent, effect):
-            notes.append(_BOTH_FAIL)
-    notes.append("controls restricted to {" + ", ".join(g.sort_names(admissible)) + "}")
-    report = IdentificationReport(
-        treatment=agent,
-        outcome=effect,
-        backdoor_paths=paths,
-        minimal_backdoor_sets=sets,
-        frontdoor_sets=(),
-        status=status,
-        notes=tuple(notes),
-    )
+    identifiable = bool(sets) or _identifiable_by_criteria(g, agent, effect)
+    restricted = "controls restricted to {" + ", ".join(g.sort_names(admissible)) + "}"
     return AccountabilityReport(
         pattern=p.name,
         match=m,
         agent=agent,
         effect=effect,
-        identification=report,
+        identification=_report(agent, effect, paths, sets, (), identifiable, [restricted]),
         verdict=Verdict.ACCOUNTABLE if sets else Verdict.NOT_ATTRIBUTABLE,
         logging=_recommendation(g, agent, effect, sets[0]) if sets else None,
     )
