@@ -172,15 +172,16 @@ class Not(Expr):
 
 @dataclass(frozen=True, init=False)
 class _Chain(Expr):
-    """A run of one left-associative operator, stored flat. A first term of
-    the same class is absorbed, so `Or(Or(a, b), c) == Or(a, b, c)`; `a` and
-    `b` are the operands of the binary tree the chain stands for."""
+    """A run of one left-associative operator over two or more terms, stored
+    flat. A first term of the same class is absorbed, so
+    `Or(Or(a, b), c) == Or(a, b, c)`; `a` and `b` are the operands of the
+    binary tree the chain stands for."""
 
     terms: tuple[Expr, ...]
 
-    def __init__(self, first: Expr, *rest: Expr) -> None:
+    def __init__(self, first: Expr, second: Expr, *rest: Expr) -> None:
         head = first.terms if type(first) is type(self) else (first,)
-        object.__setattr__(self, "terms", head + rest)
+        object.__setattr__(self, "terms", (*head, second, *rest))
 
     @property
     def a(self) -> Expr:

@@ -118,6 +118,13 @@ class TestChainNodes:
         assert e.a.a == a and e.a.b == b
         assert Or(a, Or(b, c)).b == Or(b, c)
 
+    @pytest.mark.parametrize("cls", [And, Or, Eq])
+    def test_a_chain_of_one_term_is_refused(self, cls):
+        with pytest.raises(TypeError):
+            cls(Ref("a"))
+        with pytest.raises(TypeError):
+            cls(cls(Ref("a"), Ref("b")))
+
     @pytest.mark.parametrize("op, fold", [("|", or_), ("&", and_), ("==", eq)])
     def test_a_chain_evaluates_as_the_left_fold(self, op, fold):
         m = parse_model(HEAD + f" {op} ".join("abba") + "\n")
