@@ -397,9 +397,13 @@ def _decode_pattern(raw: Any, path: str) -> Pattern:
     # the constraints follow from the roles, so they are checked, not read
     fields = _PATTERN[1](raw, path)
     try:
-        return build_pattern(fields["name"], fields["roles"], fields["edges"])
+        p = build_pattern(fields["name"], fields["roles"], fields["edges"])
     except CausalAccountError as err:
         raise SchemaError(str(err), path) from None
+    if fields.get("constraints", p.constraints) != p.constraints:
+        message = f"expected {sorted(p.constraints)}, the constraints the roles imply"
+        raise SchemaError(message, f"{path}.constraints")
+    return p
 
 
 # -- reports ---------------------------------------------------------------

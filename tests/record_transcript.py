@@ -16,7 +16,8 @@ holds the other kind of payload. It pins how a model or pattern whose
 structure is malformed is refused (cycles, self-loops, edges into roots,
 unknown endpoints, malformed proxies, cyclic templates, trailing input
 after a label, a domain or a value named like a value or a domain, a
-comparison of two values of a domain that no variable uses), and that a
+comparison of two values of a domain that no variable uses, a JSON
+pattern whose constraints are not the ones its roles imply), and that a
 repeated JSON edge collapses. Its first line holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
@@ -214,7 +215,7 @@ COLLAPSED_EDGES: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("validate", "repeated_edge.json", "--format", "json")),
 )
 
-# a JSON pattern whose constraints are not the ones its roles imply
+# a JSON pattern whose constraints are not the ones its roles imply is refused
 PATTERN_CONSTRAINTS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("match", "titus", "--pattern", "bogus_constraints.json")),
 )
@@ -266,7 +267,8 @@ def record() -> None:
             Path(name).write_text(text, encoding="utf-8")
         for env, argv in commands():
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
-            if (env, argv) in USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS and entry["code"] != 2:
+            refused = USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS + PATTERN_CONSTRAINTS
+            if (env, argv) in refused and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
             if (env, argv) in CF_REFUSALS and entry["code"] == 0:
                 raise SystemExit(f"expected a refusal from {argv}, got exit 0")

@@ -792,6 +792,11 @@ class TestJsonReports:
         assert from_json(text) == raci
         assert to_json(from_json(text)) == text
 
+    def test_a_pattern_without_constraints_reads_them_off_its_roles(self, raci):
+        payload = json.loads(to_json(raci))
+        del payload["constraints"]
+        assert from_json(json.dumps(payload)) == raci
+
     def test_identification_round_trip(self, uber):
         report = identify(uber.graph, "Driver", "Accident")
         text = to_json(report)
@@ -1033,6 +1038,10 @@ DECODER_FAULTS = [
      "$.edges[0][1]", "expected a string"),
     ("pattern", "set", ("constraints",), 0, 3,
      "$.constraints[0]", "expected a string"),
+    ("pattern", "append", ("constraints",), None, "bogus",
+     "$.constraints", "expected ['unique-accountable'], the constraints the roles imply"),
+    ("pattern", "set", (), "constraints", [],
+     "$.constraints", "expected ['unique-accountable'], the constraints the roles imply"),
     ("pattern", "set", ("roles", 0), "extra", 1,
      "$.roles[0]", "unexpected key 'extra'"),
     ("accountability", "pop", ("identification",), "notes", None,
