@@ -108,13 +108,11 @@ def graph_parts(text: str) -> tuple[list[Node], list[tuple[str, ...]]]:
     return nodes, [tuple(edge.split(">")) for edge in tail.split()]
 
 
-def _first_match(g, name: str):
-    return next(iter_matches(g, builtin_pattern(name)), None)
-
-
 def _check(g, case: dict):
-    m = _first_match(g, case["pattern"])
-    return None if m is None else check_accountability(g, builtin_pattern(case["pattern"]), m)
+    """`check_accountability` on the first match, None when there is none."""
+    p = builtin_pattern(case["pattern"])
+    m = next(iter_matches(g, p), None)
+    return None if m is None else check_accountability(g, p, m)
 
 
 def _matches(g, case: dict) -> list:
@@ -166,6 +164,7 @@ def outcome(case: dict) -> dict:
 
 
 def graph_cases(rng: random.Random):
+    # the replay imports this module and needs no generator
     from oracles import random_dag, with_proxies
 
     g = with_proxies(rng, random_dag(rng, rng.randint(5, 11), 0.3, 0.2))
