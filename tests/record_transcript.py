@@ -17,8 +17,9 @@ structure is malformed is refused (cycles, self-loops, edges into roots,
 unknown endpoints, malformed proxies, cyclic templates, trailing input
 after a label, a domain or a value named like a value or a domain, a
 comparison of two values of a domain that no variable uses, a JSON
-pattern whose constraints are not the ones its roles imply), and that a
-repeated JSON edge collapses. Its first line holds the input files
+pattern whose constraints are not the ones its roles imply), that a
+repeated JSON edge collapses, and which error wins in a model that holds
+two. Its first line holds the input files
 the commands read, by relative name; each further line holds one command:
 argv, the environment it sets, exit code, stdout and stderr. The argv list is written
 into the file, so the replay needs nothing but the file.
@@ -121,6 +122,14 @@ FILES = {
     # `slow == slow` compares values of a domain that no variable uses
     "unused_domain.scm.txt": "model bad\ndomain Speed { slow, fast }\nexo A : bool\n"
     "var X : bool = slow == slow\n",
+    # two errors each: an ill-typed body on line 4 or 5, then a later line
+    # refused or an earlier comparison of values no variable uses
+    "two_errors_syntax.scm.txt": "model bad\ndomain Level { lo, hi }\nexo A : bool\n"
+    "var B : bool = A == lo\nvar C : bool = A &\n",
+    "two_errors_redeclared.scm.txt": "model bad\ndomain Level { lo, hi }\nexo A : bool\n"
+    "var B : bool = A == lo\nexo A : bool\n",
+    "two_errors_unused.scm.txt": "model bad\ndomain Speed { slow, fast }\n"
+    "domain Level { lo, hi }\nexo A : bool\nvar B : bool = (slow == fast) | (A == lo)\n",
     "unused_domain.json": json.dumps(
         {
             "format": "scm",
@@ -220,6 +229,16 @@ PATTERN_CONSTRAINTS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = (
     ({}, ("match", "titus", "--pattern", "bogus_constraints.json")),
 )
 
+# models with two errors: which one is reported shows the order of the checks
+TWO_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
+    ({}, ("validate", name))
+    for name in (
+        "two_errors_syntax.scm.txt",
+        "two_errors_redeclared.scm.txt",
+        "two_errors_unused.scm.txt",
+    )
+)
+
 
 def help_and_usage() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     """`--help` of the group and of each command, then each command with
@@ -256,6 +275,7 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
         + list(STRUCTURE_ERRORS)
         + list(COLLAPSED_EDGES)
         + list(PATTERN_CONSTRAINTS)
+        + list(TWO_ERRORS)
     )
 
 
@@ -267,7 +287,9 @@ def record() -> None:
             Path(name).write_text(text, encoding="utf-8")
         for env, argv in commands():
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
-            refused = USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS + PATTERN_CONSTRAINTS
+            refused = (
+                USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS + PATTERN_CONSTRAINTS + TWO_ERRORS
+            )
             if (env, argv) in refused and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
             if (env, argv) in CF_REFUSALS and entry["code"] == 0:
