@@ -39,7 +39,7 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
-from .limits import DEFAULT_PATH_LIMIT, ENV_VAR
+from .limits import DEFAULT_PATH_LIMIT, ENV_VAR, _over_cap
 
 FORWARD: Literal["forward"] = "forward"
 BACKWARD: Literal["backward"] = "backward"
@@ -493,7 +493,7 @@ def _minimal_separators(
         return set()
     seen, todo = {first}, [first]
     while todo:
-        if len(seen) > 1 << cap:
+        if _over_cap(len(seen), cap):
             message = f"more than 2^{cap} minimal sets (override with {ENV_VAR})"
             raise EnumerationLimit(message)
         separator = todo.pop()

@@ -55,7 +55,7 @@ from .graph import (
     d_connected,
     simple_paths,
 )
-from .limits import DEFAULT_SET_CAP, ENV_VAR, enumeration_cap
+from .limits import DEFAULT_SET_CAP, ENV_VAR, _over_cap, enumeration_cap
 
 
 class IdentificationStatus(enum.Enum):
@@ -202,7 +202,7 @@ def _backdoor_sets(
         for bit in _bits(bits):
             stand_ins.setdefault(bit, []).append(name)
     choices = [[stand_ins[bit] for bit in _bits(s)] for s in separators]
-    if sum(math.prod(map(len, lists)) for lists in choices) > 1 << cap:
+    if _over_cap(sum(math.prod(map(len, lists)) for lists in choices), cap):
         message = f"more than 2^{cap} candidate sets (override with {ENV_VAR})"
         raise EnumerationLimit(message)
     candidates = {

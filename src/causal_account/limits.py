@@ -44,3 +44,8 @@ def enumeration_cap(default: int) -> int:
     if value < 0:
         raise InvalidSetting(f"{ENV_VAR} must be non-negative, got {value}")
     return value
+
+
+def _over_cap(count: int, cap: int) -> bool:
+    """Whether `count` exceeds 2^cap, without building 2^cap when `count` is shorter."""
+    return count.bit_length() > cap and count > 1 << cap

@@ -208,16 +208,27 @@ def _split_lines(text: str) -> list[list[Token]]:
     return lines
 
 
-def _parse_lines(lines: list[list[Token]], table: dict, expected: str, *state) -> None:
-    """Parse each line with the entry of `table` named by its first token.
-    The keys are keywords, so a string or punctuation token names none."""
-    for tokens in lines:
+def _parse_document(text: str, kind: str, table: dict, expected: str, *state) -> Token:
+    """Read the `<kind> <name>` header of a document, then parse each later
+    line with the entry of `table` named by its first token, and return the
+    name's token. The keys are keywords, so a string or punctuation token
+    names none."""
+    lines = _split_lines(text)
+    if not lines:
+        raise ParseError(f"empty input, expected a {kind} declaration", SourceSpan(1, 1))
+    first = _Cursor(lines[0])
+    if not first.match(kind):
+        raise ParseError(f"expected '{kind} <name>' on the first line", first.peek().span)
+    name_tok = _fresh_name(first, f"{kind} name")
+    first.expect_done()
+    for tokens in lines[1:]:
         cur = _Cursor(tokens)
         tok = cur.advance()
         parse = table.get(tok.text)
         if parse is None:
             raise ParseError(expected, tok.span)
         parse(cur, *state)
+    return name_tok
 
 
 # -- model documents -------------------------------------------------------
@@ -226,11 +237,13 @@ def _parse_lines(lines: list[list[Token]], table: dict, expected: str, *state) -
 class _ModelBuilder:
     def __init__(self) -> None:
         self.domains: dict[str, Domain] = {"bool": BOOL}
+        self.values: dict[str, Domain] = {}  # the domain of each value, by its text
         self.nodes: list[Node] = []
         self.node_domains: dict[str, Domain] = {}
         self.edges: list[tuple[str, str]] = []
         self.functions: dict[str, StructuralFunction] = {}
         self.body_tokens: dict[str, Token] = {}  # the first token of each body, by subject
+        self.refs: dict[str, None] = {}  # the variables the body being read names, in order
 
     def declared(self, name: str) -> bool:
         return name in self.node_domains
@@ -238,11 +251,11 @@ class _ModelBuilder:
     def refuse_value(self, tok: Token) -> None:
         """Refuse a variable or domain named like a value: bare literals would
         be ambiguous."""
-        for other in self.domains.values():
-            if tok.text in other.values:
-                raise SemanticError(
-                    f"{tok.text!r} is already a value of domain {other.name}", tok.span
-                )
+        other = self.values.get(tok.text)
+        if other is not None:
+            raise SemanticError(
+                f"{tok.text!r} is already a value of domain {other.name}", tok.span
+            )
 
     def add_node(
         self, node: Node, domain: Domain, tok: Token, parents: tuple = (), body: Expr | None = None
@@ -261,26 +274,19 @@ class _ModelBuilder:
 
 
 def parse_model(text: str) -> Scm:
-    """Parse a model document into a validated Scm."""
-    lines = _split_lines(text)
-    if not lines:
-        raise ParseError("empty input, expected a model declaration", SourceSpan(1, 1))
+    """Parse a model document into a validated Scm.
+
+    Every line is read before any body is type-checked, so a line's syntax or
+    naming error comes before a body's type error, which `build_scm` finds
+    and which is reported at the body's first token."""
     builder = _ModelBuilder()
-
-    first = _Cursor(lines[0])
-    if not first.match("model"):
-        raise ParseError("expected 'model <name>' on the first line", first.peek().span)
-    name = _fresh_name(first, "model name").text
-    first.expect_done()
-
-    _parse_lines(
-        lines[1:], _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
+    name_tok = _parse_document(
+        text, "model", _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
     )
     graph = build_graph(builder.nodes, builder.edges)
     try:
-        return build_scm(graph, builder.node_domains, builder.functions, name)
+        return build_scm(graph, builder.node_domains, builder.functions, name_tok.text)
     except SemanticError as err:
-        # `build_scm` infers a literal's domain over the nodes' domains only
         if err.subject not in builder.body_tokens:
             raise
         raise SemanticError(err.args[0], builder.body_tokens[err.subject].span) from None
@@ -311,30 +317,20 @@ def _parse_domain_line(cur: _Cursor, builder: _ModelBuilder) -> None:
             )
         if v.text in builder.domains or v.text == name_tok.text:
             raise SemanticError(f"value {v.text!r} is already a domain name", v.span)
-        for other in builder.domains.values():
-            if v.text in other.values:
-                raise SemanticError(
-                    f"value {v.text!r} already belongs to domain {other.name}",
-                    v.span,
-                )
+        other = builder.values.get(v.text)
+        if other is not None:
+            raise SemanticError(f"value {v.text!r} already belongs to domain {other.name}", v.span)
         values.append(v.text)
         if not cur.match(","):
             break
     cur.expect("}")
     cur.expect_done()
-    if len(values) < 2:
-        raise SemanticError(
-            f"domain {name_tok.text!r} needs at least two values", name_tok.span
-        )
-    builder.domains[name_tok.text] = Domain(name_tok.text, tuple(values))
-
-
-def _parse_domain_ref(cur: _Cursor, builder: _ModelBuilder) -> Domain:
-    tok = cur.expect_ident("domain name")
-    domain = builder.domains.get(tok.text)
-    if domain is None:
-        raise SemanticError(f"unknown domain {tok.text!r}", tok.span)
-    return domain
+    try:
+        domain = Domain(name_tok.text, tuple(values))
+    except ValueError as err:  # fewer than two values: the loop refused a repeat
+        raise SemanticError(str(err), name_tok.span) from None
+    builder.domains[domain.name] = domain
+    builder.values.update(dict.fromkeys(values, domain))
 
 
 def _parse_label(cur: _Cursor) -> str | None:
@@ -352,7 +348,10 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
     `var` a body or a `<-` parent list."""
     name_tok = _fresh_name(cur, "variable name")
     cur.expect(":")
-    domain = _parse_domain_ref(cur, builder)
+    domain_tok = cur.expect_ident("domain name")
+    domain = builder.domains.get(domain_tok.text)
+    if domain is None:
+        raise SemanticError(f"unknown domain {domain_tok.text!r}", domain_tok.span)
     label = _parse_label(cur)
 
     tok = cur.peek()
@@ -372,15 +371,12 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
                 break
         cur.expect_done()
     elif cur.match("="):
-        what = f"function of {name_tok.text}"
-        expr_tok = builder.body_tokens[what] = cur.peek()
+        # `build_scm` type-checks the body, so the parser only collects its parents
+        builder.body_tokens[f"function of {name_tok.text}"] = cur.peek()
+        builder.refs = {}
         body = _parse_expr(cur, builder)
         cur.expect_done()
-        try:
-            refs = check_expr(body, domain, builder.node_domains, builder.domains.values(), what)
-        except SemanticError as err:
-            raise SemanticError(err.args[0], expr_tok.span) from None
-        parents = list(refs)
+        parents = list(builder.refs)
     elif tok.kind != "end":
         raise ParseError("expected '=', '<-', or end of line", tok.span)
     builder.add_node(Node(name_tok.text, kind, label), domain, name_tok, tuple(parents), body)
@@ -487,10 +483,10 @@ def _parse_atom(cur: _Cursor, builder: _ModelBuilder, depth: int) -> Expr:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
         cur.advance()
         if builder.declared(tok.text):
+            builder.refs[tok.text] = None
             return Ref(tok.text)
-        for domain in builder.domains.values():
-            if tok.text in domain.values:
-                return Lit(tok.text)
+        if tok.text in builder.values:
+            return Lit(tok.text)
         raise SemanticError(f"unknown name {tok.text!r}", tok.span)
     raise ParseError("expected an expression", tok.span)
 
@@ -500,19 +496,11 @@ def _parse_atom(cur: _Cursor, builder: _ModelBuilder, depth: int) -> Expr:
 
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern document into a validated Pattern."""
-    lines = _split_lines(text)
-    if not lines:
-        raise ParseError("empty input, expected a pattern declaration", SourceSpan(1, 1))
-
-    first = _Cursor(lines[0])
-    if not first.match("pattern"):
-        raise ParseError("expected 'pattern <name>' on the first line", first.peek().span)
-    name_tok = _fresh_name(first, "pattern name")
-    first.expect_done()
-
     roles: dict[str, Role] = {}
     edges: list[tuple[str, str]] = []
-    _parse_lines(lines[1:], _PATTERN_LINES, "expected 'role' or 'edge'", roles, edges)
+    name_tok = _parse_document(
+        text, "pattern", _PATTERN_LINES, "expected 'role' or 'edge'", roles, edges
+    )
     try:
         return build_pattern(name_tok.text, tuple(roles.values()), edges)
     except SemanticError as err:

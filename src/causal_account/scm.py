@@ -59,7 +59,7 @@ from .errors import (
     ValueOutOfDomain,
 )
 from .graph import CausalGraph, NodeKind, _mask, _neighbourhood, build_graph
-from .limits import DEFAULT_WORLD_CAP, ENV_VAR, MAX_EXPR_DEPTH, enumeration_cap
+from .limits import DEFAULT_WORLD_CAP, ENV_VAR, MAX_EXPR_DEPTH, _over_cap, enumeration_cap
 
 Value = bool | str
 Assignment = dict[str, Value]
@@ -555,7 +555,7 @@ def _combinations(m: Scm, roots: Iterable[str]) -> int:
     """Number of combinations of the values of `roots`, refused past the cap."""
     combinations = math.prod(len(m.domains[name].values) for name in roots)
     cap = enumeration_cap(DEFAULT_WORLD_CAP)
-    if combinations > 2**cap:
+    if _over_cap(combinations, cap):
         raise EnumerationLimit(
             f"{combinations} root combinations exceed the cap of 2^{cap} "
             f"(override with {ENV_VAR})"

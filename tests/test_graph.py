@@ -388,6 +388,7 @@ class TestPaths:
     def test_path_str(self):
         p = Path(("A", "B", "C"), (FORWARD, BACKWARD))
         assert str(p) == "A -> B <- C"
+        assert str(Path((), ())) == "(empty path)"
 
     def test_path_direction_count_checked(self):
         with pytest.raises(InvalidPath):
@@ -401,6 +402,8 @@ class TestPaths:
             Path(("A", "B", "A"), (FORWARD, BACKWARD)).validate(g)
         with pytest.raises(InvalidPath):
             Path(("A", "Z"), (FORWARD,)).validate(g)
+        with pytest.raises(InvalidPath, match="^empty path$"):
+            Path((), ()).validate(g)
 
 
 class TestBlocking:

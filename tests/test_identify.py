@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from causal_account import (
     backdoor_paths,
     build_graph,
     confounded,
+    consistent_worlds,
     identify,
     logging_set,
     minimal_backdoor_sets,
@@ -377,6 +379,20 @@ class TestMinimalBackdoorSets:
             minimal_backdoor_sets(g, "x", "y", trust_proxies=True)
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "5")
         assert len(minimal_backdoor_sets(g, "x", "y", trust_proxies=True)) == 27
+
+    def test_a_huge_cap_is_never_built(self, uber, monkeypatch):
+        # 2^cap takes cap/8 bytes, 12.5 MB here; the world cap, the separator
+        # cap and the candidate cap compare bit lengths first
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "100000000")
+        g = latent_fan(3, 3)
+        tracemalloc.start()
+        try:
+            assert len(consistent_worlds(uber, {})) == 2 ** len(uber.root_names)
+            assert len(minimal_backdoor_sets(g, "x", "y", trust_proxies=True)) == 27
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_trusted_proxies_of_five_latents_in_budget(self):
         # 9^5 = 59,049 minimal sets; comparing each with the smaller ones

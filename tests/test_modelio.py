@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from causal_account import (
     And,
     Domain,
     Eq,
+    Expr,
     IfThenElse,
     Lit,
     Node,
@@ -38,6 +40,8 @@ from causal_account import (
     to_dsl,
     to_json,
 )
+from causal_account import models, scm
+from causal_account.modelio import dsl
 from causal_account.modelio.dsl import _split_lines, _tokenize_line, _unquote
 from causal_account.models import model_text
 
@@ -155,6 +159,18 @@ def test_documents_split_into_the_lines_of_splitlines(lines, breaks, stray):
         for tokens in _split_lines(text)
     ]
     assert got == expected
+
+
+@pytest.mark.parametrize("name", models.BUNDLED_MODELS)
+def test_each_body_is_type_checked_once(name):
+    """`parse_model` leaves the type check to `build_scm`: one `check_expr`
+    call per expression body, a proxy's included."""
+    with mock.patch.object(scm, "check_expr", wraps=scm.check_expr) as in_scm:
+        with mock.patch.object(dsl, "check_expr", wraps=dsl.check_expr) as in_dsl:
+            m = parse_model(model_text(name))
+    bodies = sum(isinstance(f.body, Expr) for f in m.functions.values())
+    assert bodies > 0
+    assert in_scm.call_count + in_dsl.call_count == bodies
 
 
 # every error the DSL raises, with its message and its (line, column, length)
@@ -974,6 +990,7 @@ def _dig(payload, keys):
 
 
 TABLE_WITHOUT_OUTPUT = {"op": "table", "rows": [{"inputs": [True]}]}
+TABLE_WITH_TWO_INPUTS = {"op": "table", "rows": [{"inputs": [True, False], "output": True}]}
 NOT_WITHOUT_OPERAND = {"op": "not"}
 
 # (source, action, keys of the container, key, value, error path, message)
@@ -1006,6 +1023,8 @@ DECODER_FAULTS = [
      "$.backdoor_paths[1].nodes[2]", "expected a string"),
     ("scm", "set", ("functions", 1), "body", TABLE_WITHOUT_OUTPUT,
      "$.functions[1].body.rows[0]", "missing key 'output'"),
+    ("scm", "set", ("functions", 1), "body", TABLE_WITH_TWO_INPUTS,
+     "$", "table row of ED has 2 inputs for 1 parent(s)"),
     ("scm", "set", ("functions", 1), "body", NOT_WITHOUT_OPERAND,
      "$.functions[1].body", "missing key 'a'"),
     ("scm", "set", ("functions", 1, "body"), "op", 1,

@@ -9,12 +9,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import causal_account
 from causal_account import (
     BOOL,
     And,
     Domain,
     EnumerationLimit,
     Eq,
+    Expr,
     IfThenElse,
     InconsistentEvidence,
     InterveneOnExogenous,
@@ -33,15 +35,17 @@ from causal_account import (
     ValueOutOfDomain,
     build_graph,
     build_scm,
+    consistent_world_count,
     consistent_worlds,
     counterfactual,
     evaluate,
     intervene,
+    iter_worlds,
 )
 from causal_account import graph as graph_module, scm
 from causal_account.errors import NonRootAssignment
 from causal_account.limits import MAX_EXPR_DEPTH
-from causal_account.scm import check_expr, infer_domain, iter_worlds
+from causal_account.scm import check_expr, infer_domain
 
 from generators import pad_roots, random_scm
 from oracles import (
@@ -62,6 +66,10 @@ CHECK_EXPR_ERRORS = [
     (Eq(Lit("low"), Lit("low")), BOOL, "cannot determine the domain of this comparison"),
     (Ref("missing"), BOOL, "expression references non-parents: missing"),
 ]
+
+class Foo(Expr):
+    """An expression node the library does not define."""
+
 
 # (nodes, edges, domains, functions, message) that build_scm refuses
 BUILD_SCM_ERRORS = [
@@ -89,6 +97,14 @@ BUILD_SCM_ERRORS = [
      {"L": BOOL, "P": SPEED},
      {"P": StructuralFunction("P", ("L",), None)},
      "proxy P must share the domain of L"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"b": StructuralFunction("b", ("a",), Table((((True, False), True),)))},
+     "table row of b has 2 inputs for 1 parent(s)"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": BOOL},
+     {"b": StructuralFunction("b", ("a",), Foo())},
+     "unsupported expression node Foo"),
 ]
 
 
@@ -588,6 +604,11 @@ class TestEvaluate:
 
 
 class TestConsistentWorlds:
+    def test_world_functions_are_exported(self):
+        for name in ("consistent_world_count", "iter_worlds"):
+            assert name in causal_account.__all__
+            assert getattr(causal_account, name) is getattr(scm, name)
+
     def test_no_evidence_lists_all(self, titus):
         worlds = consistent_worlds(titus, {})
         assert [w["I"] for w in worlds] == [False, True]
@@ -921,7 +942,7 @@ class TestCounterfactual:
         assert counterfactual(m, {"y": True}, {"x": False}, ["y"]) == {"y": frozenset({False})}
         # listing and counting worlds still take every root
         with pytest.raises(EnumerationLimit, match=r"^67108864 root combinations"):
-            scm.consistent_world_count(m, {"y": True})
+            consistent_world_count(m, {"y": True})
 
     def test_the_cap_counts_the_requisite_roots(self, monkeypatch):
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "1")
