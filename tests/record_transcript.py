@@ -19,10 +19,15 @@ after a label, a domain or a value named like a value or a domain, a
 comparison of two values of a domain that no variable uses, a JSON
 pattern whose constraints are not the ones its roles imply), that a
 repeated JSON edge collapses, and which error wins in a model that holds
-two. Its first line holds the input files
-the commands read, by relative name; each further line holds one command:
-argv, the environment it sets, exit code, stdout and stderr. The argv list is written
-into the file, so the replay needs nothing but the file.
+two. It pins, through the text and the JSON reader alike, the refusal of
+each structure rule of the builders: a repeated role, a second Accountable
+or Effect role, a self-loop and an unknown role in a template; a repeated
+node, a table row of the wrong arity, parents that disagree with the edges,
+and a proxy for a root or off its principal's domain in a model. Its first
+line holds the input files the commands read, by relative name; each
+further line holds one command: argv, the environment it sets, exit code,
+stdout and stderr. The argv list is written into the file, so the replay
+needs nothing but the file.
 
 Regenerate it only with a change meant to alter output, and say in
 CHANGES.md which lines changed and why.
@@ -59,6 +64,18 @@ def _json_model(nodes: list[tuple], edges: list[list[str]], functions=()) -> str
             ],
             "edges": edges,
             "functions": list(functions),
+        }
+    )
+
+
+def _json_pattern(roles: list[tuple[str, str]], edges: list[list[str]]) -> str:
+    """A JSON pattern named bad over (name, kind) `roles`."""
+    return json.dumps(
+        {
+            "format": "pattern",
+            "name": "bad",
+            "roles": [{"name": name, "kind": kind} for name, kind in roles],
+            "edges": edges,
         }
     )
 
@@ -130,6 +147,69 @@ FILES = {
     "var B : bool = A == lo\nexo A : bool\n",
     "two_errors_unused.scm.txt": "model bad\ndomain Speed { slow, fast }\n"
     "domain Level { lo, hi }\nexo A : bool\nvar B : bool = (slow == fast) | (A == lo)\n",
+    "repeat_role.pat.txt": "pattern bad\nrole Agent : Agent\nrole Effect : Effect\n"
+    "role Agent : Mediator\nedge Agent -> Effect\n",
+    "two_accountable.pat.txt": "pattern bad\nrole Boss : Accountable\nrole Agent : Agent\n"
+    "role Chief : Accountable\nrole Effect : Effect\nedge Agent -> Effect\n",
+    "two_effects.pat.txt": "pattern bad\nrole Agent : Agent\nrole Effect : Effect\n"
+    "role Harm : Effect\nedge Agent -> Effect\n",
+    "self_loop.pat.txt": "pattern bad\nrole Agent : Agent\nrole Effect : Effect\n"
+    "edge Agent -> Effect\nedge Effect -> Effect\n",
+    "repeat_role_pat.json": _json_pattern(
+        [("Agent", "Agent"), ("Effect", "Effect"), ("Agent", "Mediator")], [["Agent", "Effect"]]
+    ),
+    "two_accountable_pat.json": _json_pattern(
+        [("Boss", "Accountable"), ("Agent", "Agent"), ("Chief", "Accountable"), ("Effect", "Effect")],
+        [["Agent", "Effect"]],
+    ),
+    "two_effects_pat.json": _json_pattern(
+        [("Agent", "Agent"), ("Effect", "Effect"), ("Harm", "Effect")], [["Agent", "Effect"]]
+    ),
+    "self_loop_pat.json": _json_pattern(
+        [("Agent", "Agent"), ("Effect", "Effect")], [["Agent", "Effect"], ["Effect", "Effect"]]
+    ),
+    "unknown_role_pat.json": _json_pattern(
+        [("Agent", "Agent"), ("Effect", "Effect")], [["Agent", "Effect"], ["Agent", "Nobody"]]
+    ),
+    "duplicate_node.json": _json_model(
+        [("A", "exogenous"), ("B", "endogenous"), ("A", "exogenous")],
+        [["A", "B"]],
+        [{"target": "B", "parents": ["A"], "body": None}],
+    ),
+    "table_arity.json": _json_model(
+        [("A", "exogenous"), ("B", "endogenous")],
+        [["A", "B"]],
+        [
+            {
+                "target": "B",
+                "parents": ["A"],
+                "body": {"op": "table", "rows": [{"inputs": [True, False], "output": True}]},
+            }
+        ],
+    ),
+    "parents_disagree.json": _json_model(
+        [("A", "exogenous"), ("C", "exogenous"), ("B", "endogenous")],
+        [["A", "B"]],
+        [{"target": "B", "parents": ["C"], "body": None}],
+    ),
+    "proxy_domain.json": json.dumps(
+        {
+            "format": "scm",
+            "name": "g",
+            "domains": [
+                {"name": "bool", "values": [False, True]},
+                {"name": "Level", "values": ["lo", "hi"]},
+            ],
+            "nodes": [
+                {"name": "L", "kind": "latent", "domain": "Level"},
+                {"name": "P", "kind": "endogenous", "domain": "bool", "proxy_for": "L"},
+            ],
+            "edges": [["L", "P"]],
+            "functions": [{"target": "P", "parents": ["L"], "body": None}],
+        }
+    ),
+    "proxy_exo.scm.txt": "model bad\nexo A : bool\nproxy P for A\n",
+    "redeclared_then_syntax.scm.txt": "model bad\nexo A : bool\nexo A : bool\nvar B : bool = A &\n",
     "unused_domain.json": json.dumps(
         {
             "format": "scm",
@@ -239,6 +319,33 @@ TWO_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
     )
 )
 
+# models and patterns that break one of the builders' structure rules,
+# through both readers; the last model also breaks the syntax on a later line
+BUILDER_ERRORS: tuple[tuple[dict[str, str], tuple[str, ...]], ...] = tuple(
+    ({}, ("match", "titus", "--pattern", name))
+    for name in (
+        "repeat_role.pat.txt",
+        "two_accountable.pat.txt",
+        "two_effects.pat.txt",
+        "self_loop.pat.txt",
+        "repeat_role_pat.json",
+        "two_accountable_pat.json",
+        "two_effects_pat.json",
+        "self_loop_pat.json",
+        "unknown_role_pat.json",
+    )
+) + tuple(
+    ({}, ("validate", name))
+    for name in (
+        "duplicate_node.json",
+        "table_arity.json",
+        "parents_disagree.json",
+        "proxy_domain.json",
+        "proxy_exo.scm.txt",
+        "redeclared_then_syntax.scm.txt",
+    )
+)
+
 
 def help_and_usage() -> list[tuple[dict[str, str], tuple[str, ...]]]:
     """`--help` of the group and of each command, then each command with
@@ -276,6 +383,7 @@ def commands() -> list[tuple[dict[str, str], tuple[str, ...]]]:
         + list(COLLAPSED_EDGES)
         + list(PATTERN_CONSTRAINTS)
         + list(TWO_ERRORS)
+        + list(BUILDER_ERRORS)
     )
 
 
@@ -288,7 +396,12 @@ def record() -> None:
         for env, argv in commands():
             entry = {"argv": list(argv), "env": env, **invoke(runner, argv, env)}
             refused = (
-                USAGE_ERRORS + LOADING_ERRORS + STRUCTURE_ERRORS + PATTERN_CONSTRAINTS + TWO_ERRORS
+                USAGE_ERRORS
+                + LOADING_ERRORS
+                + STRUCTURE_ERRORS
+                + PATTERN_CONSTRAINTS
+                + TWO_ERRORS
+                + BUILDER_ERRORS
             )
             if (env, argv) in refused and entry["code"] != 2:
                 raise SystemExit(f"expected exit 2 from {argv}, got {entry['code']}")
