@@ -9,7 +9,13 @@ from __future__ import annotations
 
 
 class CausalAccountError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. `subject` names the
+    element at fault, if a builder knows it: ("node", name), ("edge", (a, b)),
+    ("function", target) or ("role", name); readers place the error there."""
+
+    def __init__(self, *args, subject: tuple | None = None):
+        super().__init__(*args)
+        self.subject = subject
 
 
 class GraphError(CausalAccountError):
@@ -17,11 +23,12 @@ class GraphError(CausalAccountError):
 
 
 class CycleError(GraphError):
-    """The directed graph contains a cycle."""
+    """The directed graph contains a cycle; the subject is the edge that closes it."""
 
     def __init__(self, cycle: list[str]):
         self.cycle = list(cycle)
-        super().__init__("graph contains a cycle: " + " -> ".join(self.cycle))
+        message = "graph contains a cycle: " + " -> ".join(self.cycle)
+        super().__init__(message, subject=("edge", tuple(cycle[-2:])))
 
 
 class DuplicateNode(GraphError):
@@ -121,12 +128,11 @@ class ParseError(CausalAccountError):
 
 
 class SemanticError(CausalAccountError):
-    """Input parsed but violates a semantic rule; `subject` names the body at fault."""
+    """Input parsed but violates a semantic rule."""
 
-    def __init__(self, message: str, span=None, subject: str | None = None):
+    def __init__(self, message: str, span=None, subject: tuple | None = None):
         self.span = span
-        self.subject = subject
-        super().__init__(message if span is None else f"{span}: {message}")
+        super().__init__(message if span is None else f"{span}: {message}", subject=subject)
 
 
 class SchemaError(CausalAccountError):

@@ -284,7 +284,9 @@ def _normalize_node(spec: NodeSpec) -> Node:
             ) from None
         node = Node(name, kind, *label)
     if not node.name or not isinstance(node.name, str):
-        raise InvalidNodeName(f"invalid node name {node.name!r}")
+        raise InvalidNodeName(f"invalid node name {node.name!r}", subject=("node", node.name))
+    if node.label is not None and not isinstance(node.label, str):
+        raise InvalidNodeSpec(f"node spec {spec!r} has a label that is not a string")
     return node
 
 
@@ -296,28 +298,30 @@ def build_graph(
     Nodes may be Node objects, (name, kind) pairs, or (name, kind, label)
     triples; kind may be a NodeKind or its string value. Edges are ordered
     pairs of names. Duplicate edges collapse (edges form a set); everything
-    else invalid raises: DuplicateNode, UnknownEndpoint, EdgeIntoExogenous,
-    or CycleError (which names the cycle).
+    else invalid raises, naming the node or edge at fault as `subject`:
+    DuplicateNode, UnknownEndpoint, EdgeIntoExogenous, or CycleError.
     """
     normalized = [_normalize_node(s) for s in nodes]
     seen: set[str] = set()
     for n in normalized:
         if n.name in seen:
-            raise DuplicateNode(f"node {n.name!r} declared twice")
+            raise DuplicateNode(f"node {n.name!r} declared twice", subject=("node", n.name))
         seen.add(n.name)
     by_name = {n.name: n for n in normalized}
     order = {n.name: i for i, n in enumerate(normalized)}
 
     edge_set: set[tuple[str, str]] = set()
     for a, b in edges:
+        at = ("edge", (a, b))
         for endpoint in (a, b):
             if endpoint not in by_name:
-                raise UnknownEndpoint(f"edge {a} -> {b}: unknown node {endpoint!r}")
+                raise UnknownEndpoint(f"edge {a} -> {b}: unknown node {endpoint!r}", subject=at)
         if a == b:
             raise CycleError([a, a])
         if by_name[b].kind.is_root:
             raise EdgeIntoExogenous(
-                f"edge {a} -> {b}: {b} is {by_name[b].kind.value} and takes no incoming edges"
+                f"edge {a} -> {b}: {b} is {by_name[b].kind.value} and takes no incoming edges",
+                subject=at,
             )
         edge_set.add((a, b))
     g = CausalGraph(
@@ -329,16 +333,19 @@ def build_graph(
         if n.proxy_for is None:
             continue
         principal = by_name.get(n.proxy_for)
+        at = ("node", n.name)
         if principal is None:
-            raise UnknownEndpoint(f"proxy {n.name}: unknown principal {n.proxy_for!r}")
+            raise UnknownEndpoint(f"proxy {n.name}: unknown principal {n.proxy_for!r}", subject=at)
         if principal.kind is not NodeKind.LATENT:
             raise SemanticError(
                 f"proxy {n.name}: principal {n.proxy_for} must be latent, "
-                f"is {principal.kind.value}"
+                f"is {principal.kind.value}",
+                subject=at,
             )
         if g._parents[n.name] != (n.proxy_for,):
             raise SemanticError(
-                f"proxy {n.name} must have exactly one incoming edge, from {n.proxy_for}"
+                f"proxy {n.name} must have exactly one incoming edge, from {n.proxy_for}",
+                subject=at,
             )
     return g
 

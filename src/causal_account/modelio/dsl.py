@@ -24,8 +24,9 @@ Pattern grammar:
     role <name> : <kind>
     edge <role> -> <role>
 
-Every parse error carries a 1-based source span.
-"""
+Every parse error carries a 1-based source span. A builder's refusal is placed
+at the name of the variable or role, the first token of the body, or the
+first role of the edge it names."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from ..errors import ParseError, SemanticError
+from ..errors import CausalAccountError, ParseError, SemanticError
 from ..graph import Node, NodeKind, build_graph
 from ..limits import MAX_EXPR_DEPTH
 from ..patterns import Pattern, Role, RoleKind, build_pattern
@@ -242,7 +243,7 @@ class _ModelBuilder:
         self.node_domains: dict[str, Domain] = {}
         self.edges: list[tuple[str, str]] = []
         self.functions: dict[str, StructuralFunction] = {}
-        self.body_tokens: dict[str, Token] = {}  # the first token of each body, by subject
+        self.places: dict[tuple, Token] = {}  # where each variable and body was written, by subject
         self.refs: dict[str, None] = {}  # the variables the body being read names, in order
 
     def declared(self, name: str) -> bool:
@@ -261,13 +262,12 @@ class _ModelBuilder:
         self, node: Node, domain: Domain, tok: Token, parents: tuple = (), body: Expr | None = None
     ) -> None:
         """Add `node`, and for an endogenous one its function and in-edges."""
-        if self.declared(node.name):
-            raise SemanticError(f"{node.name!r} declared twice", tok.span)
         if node.name in self.domains:
             raise SemanticError(f"{node.name!r} is already a domain name", tok.span)
         self.refuse_value(tok)
         self.nodes.append(node)
         self.node_domains[node.name] = domain
+        self.places["node", node.name] = tok
         if node.kind is NodeKind.ENDOGENOUS:
             self.edges.extend((p, node.name) for p in parents)
             self.functions[node.name] = StructuralFunction(node.name, parents, body)
@@ -276,20 +276,18 @@ class _ModelBuilder:
 def parse_model(text: str) -> Scm:
     """Parse a model document into a validated Scm.
 
-    Every line is read before any body is type-checked, so a line's syntax or
-    naming error comes before a body's type error, which `build_scm` finds
-    and which is reported at the body's first token."""
+    Every line is read before `build_graph` and `build_scm` check the
+    structure, so a line's syntax or naming error comes before a structure
+    error, such as a variable declared twice or an ill-typed body."""
     builder = _ModelBuilder()
     name_tok = _parse_document(
         text, "model", _MODEL_LINES, "expected one of: domain, exo, latent, var, proxy", builder
     )
-    graph = build_graph(builder.nodes, builder.edges)
     try:
+        graph = build_graph(builder.nodes, builder.edges)
         return build_scm(graph, builder.node_domains, builder.functions, name_tok.text)
-    except SemanticError as err:
-        if err.subject not in builder.body_tokens:
-            raise
-        raise SemanticError(err.args[0], builder.body_tokens[err.subject].span) from None
+    except CausalAccountError as err:  # placed at the element it names, else at the name
+        raise SemanticError(str(err), builder.places.get(err.subject, name_tok).span) from None
 
 
 def _duplicate_model_line(cur: _Cursor, builder: _ModelBuilder) -> None:
@@ -372,7 +370,7 @@ def _parse_decl(cur: _Cursor, builder: _ModelBuilder, kind: NodeKind) -> None:
         cur.expect_done()
     elif cur.match("="):
         # `build_scm` type-checks the body, so the parser only collects its parents
-        builder.body_tokens[f"function of {name_tok.text}"] = cur.peek()
+        builder.places["function", name_tok.text] = cur.peek()
         builder.refs = {}
         body = _parse_expr(cur, builder)
         cur.expect_done()
@@ -388,13 +386,6 @@ def _parse_proxy_decl(cur: _Cursor, builder: _ModelBuilder) -> None:
     principal = cur.expect_ident("principal name")
     if not builder.declared(principal.text):
         raise SemanticError(f"unknown variable {principal.text!r}", principal.span)
-    principal_node = next(n for n in builder.nodes if n.name == principal.text)
-    if principal_node.kind is not NodeKind.LATENT:
-        raise SemanticError(
-            f"proxy principal {principal.text} must be latent, is "
-            f"{principal_node.kind.value}",
-            principal.span,
-        )
     label = _parse_label(cur)
     cur.expect_done()
     builder.add_node(
@@ -496,18 +487,19 @@ def _parse_atom(cur: _Cursor, builder: _ModelBuilder, depth: int) -> Expr:
 
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern document into a validated Pattern."""
-    roles: dict[str, Role] = {}
+    roles: list[Role] = []
     edges: list[tuple[str, str]] = []
+    places: dict[tuple, Token] = {}  # where each role and edge was written, by subject
     name_tok = _parse_document(
-        text, "pattern", _PATTERN_LINES, "expected 'role' or 'edge'", roles, edges
+        text, "pattern", _PATTERN_LINES, "expected 'role' or 'edge'", roles, edges, places
     )
     try:
-        return build_pattern(name_tok.text, tuple(roles.values()), edges)
-    except SemanticError as err:
-        raise SemanticError(err.args[0], name_tok.span) from None
+        return build_pattern(name_tok.text, roles, edges)
+    except CausalAccountError as err:  # placed at the element it names, else at the name
+        raise SemanticError(str(err), places.get(err.subject, name_tok).span) from None
 
 
-def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
+def _parse_role_line(cur: _Cursor, roles: list[Role], edges: list, places: dict) -> None:
     r_name = _fresh_name(cur, "role name")
     cur.expect(":")
     kind_tok = cur.expect_ident("role kind")
@@ -519,24 +511,20 @@ def _parse_role_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
             + ", ".join(sorted(ROLE_KIND_NAMES)),
             kind_tok.span,
         )
-    if r_name.text in roles:
-        raise SemanticError(f"role {r_name.text!r} declared twice", r_name.span)
-    if kind is RoleKind.ACCOUNTABLE and any(r.kind is kind for r in roles.values()):
-        raise SemanticError("a pattern allows at most one Accountable role", r_name.span)
-    roles[r_name.text] = Role(r_name.text, kind)
+    roles.append(Role(r_name.text, kind))
+    places["role", r_name.text] = r_name
 
 
-def _parse_edge_line(cur: _Cursor, roles: dict[str, Role], edges: list) -> None:
+def _parse_edge_line(cur: _Cursor, roles: list[Role], edges: list, places: dict) -> None:
     a = cur.expect_ident("role name")
     cur.expect("->")
     b = cur.expect_ident("role name")
     cur.expect_done()
     for endpoint in (a, b):
-        if endpoint.text not in roles:
+        if ("role", endpoint.text) not in places:
             raise SemanticError(f"unknown role {endpoint.text!r}", endpoint.span)
-    if a.text == b.text:
-        raise SemanticError("self-loop edge", a.span)
     edges.append((a.text, b.text))
+    places["edge", (a.text, b.text)] = a
 
 
 # the parser of each pattern line, by its first keyword

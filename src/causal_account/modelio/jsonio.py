@@ -14,14 +14,14 @@ JSON data, and a decoder, from JSON data at a path back to the object. Codecs
 are built from a few combinators (strings, values, optionals, arrays, name
 sets, enums, objects and records), so one declaration drives both directions.
 Only models and patterns add hand-written checks, for the cross-references
-between their parts.
+between their parts; `_placed` reports a builder's error at its subject.
 """
 
 from __future__ import annotations
 
 import json
 from functools import reduce
-from typing import Any, Callable, Container
+from typing import Any, Callable, Container, Iterable
 
 from ..errors import CausalAccountError, SchemaError
 from ..graph import Node, NodeKind, Path, build_graph
@@ -284,6 +284,14 @@ _EXPR: Codec = (_encode_expr, _decode_expr)
 
 # -- models and patterns ---------------------------------------------------
 
+
+def _placed(err: CausalAccountError, path: str, **keys: Iterable) -> SchemaError:
+    """A builder's `err` at its subject (kind, key): the last element of the
+    array `<kind>s` at `path` whose key, in `keys[kind]`, is `key`; else at `path`."""
+    places = {(k, key): f"{path}.{k}s[{i}]" for k, ks in keys.items() for i, key in enumerate(ks)}
+    return SchemaError(str(err), places.get(err.subject, path))
+
+
 _SCM = _object(
     ("format",),
     format=_format("scm"),
@@ -351,8 +359,6 @@ def _decode_scm(raw: Any, path: str) -> Scm:
         n_path = f"{path}.nodes[{i}]"
         if n["domain"] not in domains:
             raise SchemaError(f"unknown domain {n['domain']!r}", f"{n_path}.domain")
-        if n["name"] in node_domains:
-            raise SchemaError(f"node {n['name']!r} declared twice", n_path)
         nodes.append(Node(n["name"], n["kind"], n.get("label"), n.get("proxy_for")))
         node_domains[n["name"]] = domains[n["domain"]]
 
@@ -368,7 +374,8 @@ def _decode_scm(raw: Any, path: str) -> Scm:
         graph = build_graph(nodes, fields["edges"])
         return build_scm(graph, node_domains, functions, fields["name"])
     except CausalAccountError as err:
-        raise SchemaError(str(err), path) from None
+        names = [n.name for n in nodes]  # `functions` holds no target twice
+        raise _placed(err, path, node=names, edge=fields["edges"], function=functions) from None
 
 
 _PATTERN = _object(
@@ -399,7 +406,8 @@ def _decode_pattern(raw: Any, path: str) -> Pattern:
     try:
         p = build_pattern(fields["name"], fields["roles"], fields["edges"])
     except CausalAccountError as err:
-        raise SchemaError(str(err), path) from None
+        roles = [r.name for r in fields["roles"]]
+        raise _placed(err, path, role=roles, edge=fields["edges"]) from None
     if fields.get("constraints", p.constraints) != p.constraints:
         message = f"expected {sorted(p.constraints)}, the constraints the roles imply"
         raise SchemaError(message, f"{path}.constraints")

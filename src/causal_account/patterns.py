@@ -36,7 +36,7 @@ from .errors import (
     PatternArityError,
     SemanticError,
 )
-from .graph import FORWARD, CausalGraph, Path, _neighbourhood, _path, between, kahn
+from .graph import FORWARD, CausalGraph, Path, _cycle, _neighbourhood, _path, between, kahn
 from .identify import (
     IdentificationReport,
     LoggingRecommendation,
@@ -92,7 +92,8 @@ class Pattern:
         """The template edges by role position: each role in topological
         order with its successors, then each role in reverse topological
         order with its predecessors, leaving out roles with none. Raises
-        SemanticError if the template has a cycle; `build_pattern` reads it."""
+        SemanticError, naming the edge that closes a cycle, if the template
+        has one; `build_pattern` reads it."""
         names = self.role_names()
         position = {name: i for i, name in enumerate(names)}
         succs: dict[str, list[str]] = {name: [] for name in names}
@@ -100,9 +101,10 @@ class Pattern:
         for a, b in self.template_edges:
             succs[a].append(b)
             preds[b].append(a)
-        topo = kahn(names, succs)[0]
+        topo, indeg = kahn(names, succs)
         if len(topo) < len(names):
-            raise SemanticError(f"pattern {self.name!r} template contains a cycle")
+            at = ("edge", tuple(_cycle(succs, indeg)[-2:]))
+            raise SemanticError(f"pattern {self.name!r} template contains a cycle", subject=at)
 
         def positions(order: Iterable[str], neighbours: dict[str, list[str]]) -> Arcs:
             return tuple(
@@ -121,9 +123,9 @@ def build_pattern(
 ) -> Pattern:
     """Validate and build a Pattern.
 
-    Role names must be unique, the template must be acyclic with no
-    self-loops, there must be exactly one Effect role, and at most one
-    Accountable role.
+    Role names must be unique, the template must be acyclic with no self-loops, there
+    must be exactly one Effect role, and at most one Accountable role. An error's
+    `subject` names the role (a second one of a name or kind) or the edge at fault.
     """
     normalized: list[Role] = []
     for r in roles:
@@ -141,27 +143,30 @@ def build_pattern(
     names = [r.name for r in normalized]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
-        raise SemanticError(f"role {dup!r} declared twice")
+        raise SemanticError(f"role {dup!r} declared twice", subject=("role", dup))
 
     effects = [r for r in normalized if r.kind is RoleKind.EFFECT]
     if len(effects) != 1:
         raise SemanticError(
-            f"pattern {name!r} needs exactly one Effect role, has {len(effects)}"
+            f"pattern {name!r} needs exactly one Effect role, has {len(effects)}",
+            subject=("role", effects[1].name) if effects else None,
         )
     accountables = [r for r in normalized if r.kind is RoleKind.ACCOUNTABLE]
     if len(accountables) > 1:
         raise SemanticError(
-            f"pattern {name!r} allows at most one Accountable role, has "
-            f"{len(accountables)}"
+            f"pattern {name!r} allows at most one Accountable role, has {len(accountables)}",
+            subject=("role", accountables[1].name),
         )
 
     edges: list[tuple[str, str]] = []
     for a, b in template_edges:
+        at = ("edge", (a, b))
         for endpoint in (a, b):
             if endpoint not in names:
-                raise SemanticError(f"template edge {a} -> {b}: unknown role {endpoint!r}")
+                message = f"template edge {a} -> {b}: unknown role {endpoint!r}"
+                raise SemanticError(message, subject=at)
         if a == b:
-            raise SemanticError(f"template edge {a} -> {a} is a self-loop")
+            raise SemanticError(f"template edge {a} -> {a} is a self-loop", subject=at)
         if (a, b) not in edges:
             edges.append((a, b))
 

@@ -271,11 +271,10 @@ def check_expr(
 
     Boolean operators demand and produce bool; `==` compares two values of one
     domain and produces bool; if-then-else needs a bool condition and branches
-    of the expected domain. Raises SemanticError, with `what` as its subject,
-    as soon as the walk meets nesting deeper than MAX_EXPR_DEPTH levels (one
-    per node but a literal or a reference, a chain of any length included);
-    after it, for references outside `var_domains`, then for the first type
-    mismatch in pre-order.
+    of the expected domain. Raises SemanticError as soon as the walk meets
+    nesting deeper than MAX_EXPR_DEPTH levels (one per node but a literal or
+    a reference, a chain of any length included); after it, for references
+    outside `var_domains`, then for the first type mismatch in pre-order.
     """
     refs: dict[str, None] = {}
     errors: list[str] = []
@@ -284,7 +283,7 @@ def check_expr(
     if stray:
         errors.insert(0, f"{what} references non-parents: " + ", ".join(stray))
     if errors:
-        raise SemanticError(errors[0], subject=what)
+        raise SemanticError(errors[0])
     return tuple(refs)
 
 
@@ -302,7 +301,7 @@ def _check(e, expected, depth, var_domains, known, what, refs, errors) -> None:
             errors.append(f"value {_show(e.value)} does not belong to domain {expected.name}")
         return
     if depth == 0 and e.children():
-        raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels", subject=what)
+        raise SemanticError(f"{what} nests deeper than {MAX_EXPR_DEPTH} levels")
     depth -= 1
     if isinstance(e, IfThenElse):
         _check(e.cond, BOOL, depth, var_domains, known, what, refs, errors)
@@ -427,10 +426,10 @@ def build_scm(
 ) -> Scm:
     """Validate model invariants and assemble an Scm.
 
-    Every node needs a domain; endogenous nodes need exactly one function
-    whose parents equal the node's graph parents; expression bodies must
-    type-check against parent domains; table bodies must cover the parent
-    combinations exactly once; proxies share their principal's domain.
+    Every node needs a domain; endogenous nodes need exactly one function whose parents
+    equal the node's graph parents; expression bodies must type-check against parent
+    domains; table bodies must cover the parent combinations exactly once; proxies share
+    their principal's domain. An error's `subject` names the function or proxy at fault.
     """
     _check_keys(domains, graph.names, "missing domain for", "domain for unknown variable")
     endo = [n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS]
@@ -438,52 +437,57 @@ def build_scm(
 
     known = list(dict.fromkeys(domains.values()))
     for name_, f in functions.items():
-        if f.target != name_:
-            raise SemanticError(f"function stored under {name_!r} targets {f.target!r}")
-        if set(f.parents) != set(graph.parents(name_)):
-            raise SemanticError(
-                f"parents of {name_} disagree with the graph: function has "
-                f"({', '.join(f.parents) or 'none'}), graph has "
-                f"({', '.join(graph.parents(name_)) or 'none'})"
-            )
-        if len(set(f.parents)) != len(f.parents):
-            raise SemanticError(f"function of {name_} repeats a parent")
-        if isinstance(f.body, Expr):
-            parent_domains = {p: domains[p] for p in f.parents}
-            check_expr(f.body, domains[name_], parent_domains, known, f"function of {name_}")
-        elif isinstance(f.body, Table):
-            expected_rows = math.prod(len(domains[p].values) for p in f.parents)
-            seen_inputs = set()
-            for inputs, output in f.body.rows:
-                if len(inputs) != len(f.parents):
-                    raise SemanticError(
-                        f"table row of {name_} has {len(inputs)} inputs for "
-                        f"{len(f.parents)} parent(s)"
-                    )
-                for p, v in zip(f.parents, inputs):
-                    if v not in domains[p]:
-                        raise SemanticError(
-                            f"table of {name_}: {_show(v)} is not in domain "
-                            f"{domains[p].name} of parent {p}"
-                        )
-                if inputs in seen_inputs:
-                    raise SemanticError(f"table of {name_} repeats a row")
-                seen_inputs.add(inputs)
-                if output not in domains[name_]:
-                    raise SemanticError(
-                        f"table of {name_} outputs a value outside domain "
-                        f"{domains[name_].name}"
-                    )
-            if len(seen_inputs) != expected_rows:
+        try:
+            if f.target != name_:
+                raise SemanticError(f"function stored under {name_!r} targets {f.target!r}")
+            if set(f.parents) != set(graph.parents(name_)):
                 raise SemanticError(
-                    f"table of {name_} covers {len(seen_inputs)} of "
-                    f"{expected_rows} parent combinations"
+                    f"parents of {name_} disagree with the graph: function has "
+                    f"({', '.join(f.parents) or 'none'}), graph has "
+                    f"({', '.join(graph.parents(name_)) or 'none'})"
                 )
+            if len(set(f.parents)) != len(f.parents):
+                raise SemanticError(f"function of {name_} repeats a parent")
+            if isinstance(f.body, Expr):
+                parent_domains = {p: domains[p] for p in f.parents}
+                check_expr(f.body, domains[name_], parent_domains, known, f"function of {name_}")
+            elif isinstance(f.body, Table):
+                expected_rows = math.prod(len(domains[p].values) for p in f.parents)
+                seen_inputs = set()
+                for inputs, output in f.body.rows:
+                    if len(inputs) != len(f.parents):
+                        raise SemanticError(
+                            f"table row of {name_} has {len(inputs)} inputs for "
+                            f"{len(f.parents)} parent(s)"
+                        )
+                    for p, v in zip(f.parents, inputs):
+                        if v not in domains[p]:
+                            raise SemanticError(
+                                f"table of {name_}: {_show(v)} is not in domain "
+                                f"{domains[p].name} of parent {p}"
+                            )
+                    if inputs in seen_inputs:
+                        raise SemanticError(f"table of {name_} repeats a row")
+                    seen_inputs.add(inputs)
+                    if output not in domains[name_]:
+                        raise SemanticError(
+                            f"table of {name_} outputs a value outside domain "
+                            f"{domains[name_].name}"
+                        )
+                if len(seen_inputs) != expected_rows:
+                    raise SemanticError(
+                        f"table of {name_} covers {len(seen_inputs)} of "
+                        f"{expected_rows} parent combinations"
+                    )
+        except SemanticError as err:
+            err.subject = ("function", name_)
+            raise
 
     for node in graph.nodes:
         if node.proxy_for is not None and domains[node.name] != domains[node.proxy_for]:
             raise SemanticError(
-                f"proxy {node.name} must share the domain of {node.proxy_for}"
+                f"proxy {node.name} must share the domain of {node.proxy_for}",
+                subject=("node", node.name),
             )
 
     return Scm(graph, domains, functions, name)

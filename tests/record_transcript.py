@@ -23,7 +23,9 @@ two. It pins, through the text and the JSON reader alike, the refusal of
 each structure rule of the builders: a repeated role, a second Accountable
 or Effect role, a self-loop and an unknown role in a template; a repeated
 node, a table row of the wrong arity, parents that disagree with the edges,
-and a proxy for a root or off its principal's domain in a model. Its first
+and a proxy for a root or off its principal's domain in a model. Each such
+refusal shows where the reader places it: at the line and column, or the
+JSON path, of the node, edge, role or function the builder names. Its first
 line holds the input files the commands read, by relative name; each
 further line holds one command: argv, the environment it sets, exit code,
 stdout and stderr. The argv list is written into the file, so the replay

@@ -164,7 +164,7 @@ class TestValidate:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(payload))
         res = invoke(runner, "validate", str(path))
-        assert_usage_error(res, "$: invalid node name ''")
+        assert_usage_error(res, "$.nodes[4]: invalid node name ''")
 
     def test_unknown_name_usage_error(self, runner):
         res = invoke(runner, "validate", "nope")

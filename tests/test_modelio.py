@@ -230,7 +230,7 @@ DSL_ERRORS = [
     (parse_model, "model m\ndomain one { single }",
      SemanticError, "domain 'one' needs at least two values", (2, 8, 3)),
     (parse_model, "model m\nexo A : bool\nexo A : bool",
-     SemanticError, "'A' declared twice", (3, 5, 1)),
+     SemanticError, "node 'A' declared twice", (3, 5, 1)),
     (parse_model, SPEED_HEADER + "var speed : bool = true",
      SemanticError, "'speed' is already a domain name", (4, 5, 5)),
     (parse_model, SPEED_HEADER + "var low : bool = true",
@@ -254,7 +254,7 @@ DSL_ERRORS = [
     (parse_model, "model m\nproxy P for L",
      SemanticError, "unknown variable 'L'", (2, 13, 1)),
     (parse_model, "model m\nexo A : bool\nproxy P for A",
-     SemanticError, "proxy principal A must be latent, is exogenous", (3, 13, 1)),
+     SemanticError, "proxy P: principal A must be latent, is exogenous", (3, 7, 1)),
     (parse_model, "model m\nlatent L : bool\nproxy P for L label",
      ParseError, "expected a quoted label", (3, 20, 1)),
     (parse_model, "model m\nexo A : bool\nvar B : bool = if A else A",
@@ -278,7 +278,7 @@ DSL_ERRORS = [
     (parse_model, "model m\n\t exo A\xa0:\u3000speed",
      SemanticError, "unknown domain 'speed'", (2, 11, 5)),
     (parse_model, "model m   \nexo A : bool  \t\n\nexo A : bool   # again",
-     SemanticError, "'A' declared twice", (4, 5, 1)),
+     SemanticError, "node 'A' declared twice", (4, 5, 1)),
     (parse_model, "model m\x0cexo A : bool\x0bvar B : bool = A\x1f&\u2003B",
      SemanticError, "unknown name 'B'", (3, 20, 1)),
     (parse_pattern, "",
@@ -296,14 +296,14 @@ DSL_ERRORS = [
      (2, 10, 5)),
     (parse_pattern, "pattern p\nrole A : Agent\nrole A : Effect",
      SemanticError, "role 'A' declared twice", (3, 6, 1)),
-    (parse_pattern, "pattern p\nrole A : Accountable\nrole B : Accountable",
-     SemanticError, "a pattern allows at most one Accountable role", (3, 6, 1)),
+    (parse_pattern, "pattern p\nrole A : Accountable\nrole B : Accountable\nrole E : Effect",
+     SemanticError, "pattern 'p' allows at most one Accountable role, has 2", (3, 6, 1)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge E -> Ghost",
      SemanticError, "unknown role 'Ghost'", (3, 11, 5)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge Ghost -> E",
      SemanticError, "unknown role 'Ghost'", (3, 6, 5)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge E -> E",
-     SemanticError, "self-loop edge", (3, 6, 1)),
+     SemanticError, "template edge E -> E is a self-loop", (3, 6, 1)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge E E",
      ParseError, "expected '->'", (3, 8, 1)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge E ->",
@@ -315,10 +315,10 @@ DSL_ERRORS = [
     (parse_pattern, "pattern p\nrole A : Agent",
      SemanticError, "pattern 'p' needs exactly one Effect role, has 0", (1, 9, 1)),
     (parse_pattern, "pattern p\nrole A : Agent\nrole E : Effect\nrole F : Effect",
-     SemanticError, "pattern 'p' needs exactly one Effect role, has 2", (1, 9, 1)),
+     SemanticError, "pattern 'p' needs exactly one Effect role, has 2", (4, 6, 1)),
     (parse_pattern,
      "pattern p\nrole A : Agent\nrole B : Agent\nrole E : Effect\nedge A -> B\nedge B -> A",
-     SemanticError, "pattern 'p' template contains a cycle", (1, 9, 1)),
+     SemanticError, "pattern 'p' template contains a cycle", (6, 6, 1)),
     (parse_model, "model m\ndomain color { red, green }\ndomain red { a, b }",
      SemanticError, "'red' is already a value of domain color", (3, 8, 3)),
     (parse_model, "model m\ndomain color { red, green }\ndomain shade { color, dark }",
@@ -327,6 +327,32 @@ DSL_ERRORS = [
      SemanticError, "value 'bool' is already a domain name", (2, 12, 4)),
     (parse_model, "model m\ndomain x { y, x }",
      SemanticError, "value 'x' is already a domain name", (2, 15, 1)),
+    # the builders' refusals the readers can reach, each at the element it
+    # names: a variable's name, a body's first token, a role's name or an
+    # edge's first role; a repeat at its later declaration
+    (parse_model, "model m\nexo A : bool\nexo A : bool\nvar B : bool = A &",
+     ParseError, "expected an expression", (4, 19, 1)),
+    (parse_model, "model m\nexo A : bool\nvar B : bool = A\nvar A : bool = !B",
+     SemanticError, "node 'A' declared twice", (4, 5, 1)),
+    (parse_model, "model m\nlatent L : bool\nvar B : bool = L\nproxy P for B",
+     SemanticError, "proxy P: principal B must be latent, is endogenous", (4, 7, 1)),
+    (parse_model, "model m\ndomain speed { low, high }\nexo A : bool\nvar X : bool = low == high",
+     SemanticError, "cannot determine the domain of this comparison", (4, 16, 3)),
+    (parse_model, SPEED_HEADER + "var B : speed = S == low",
+     SemanticError, "comparison used where domain speed is expected", (4, 17, 1)),
+    (parse_model, SPEED_HEADER + "var B : speed = !S",
+     SemanticError, "boolean operator used where domain speed is expected", (4, 17, 1)),
+    (parse_pattern, "pattern p\nrole A : Accountable\nrole B : Accountable",
+     SemanticError, "pattern 'p' needs exactly one Effect role, has 0", (1, 9, 1)),
+    (parse_pattern, "pattern p\nrole E : Effect\nrole E : Effect",
+     SemanticError, "role 'E' declared twice", (3, 6, 1)),
+    (parse_pattern, "pattern p\nrole A : Agent\nrole A : Agent\nrole E : Effect\nrole F : Effect",
+     SemanticError, "role 'A' declared twice", (3, 6, 1)),
+    (parse_pattern,
+     "pattern p\nrole A : Agent\nrole M : Mediator\nrole E : Effect\nedge E -> A\nedge A -> M\nedge M -> E",
+     SemanticError, "pattern 'p' template contains a cycle", (5, 6, 1)),
+    (parse_pattern, "pattern p\nrole E : Effect\nedge E -> E\nedge E -> E",
+     SemanticError, "template edge E -> E is a self-loop", (4, 6, 1)),
 ]
 
 
@@ -738,7 +764,7 @@ class TestParsePattern:
     def test_second_accountable_rejected_at_its_line(self):
         with pytest.raises(SemanticError) as err:
             parse_pattern(
-                "pattern p\nrole A : Accountable\nrole B : Accountable"
+                "pattern p\nrole A : Accountable\nrole B : Accountable\nrole E : Effect"
             )
         assert err.value.span.line == 3
 
@@ -970,7 +996,25 @@ class TestJsonSchemaErrors:
         assert err.path.startswith("$.match.witness_paths")
 
 
+def _proxy_model():
+    """A model with a proxy P of a latent L, both of domain level, and a
+    level-valued Y; P's function is structure-only."""
+    level = Domain("level", ("low", "high"))
+    graph = build_graph(
+        [("L", "latent"), Node("P", NodeKind.ENDOGENOUS, proxy_for="L"), ("A", "exogenous"),
+         ("Y", "endogenous")],
+        [("L", "P"), ("A", "Y")],
+    )
+    functions = {
+        "P": StructuralFunction("P", ("L",), None),
+        "Y": StructuralFunction("Y", ("A",), IfThenElse(Ref("A"), Lit("low"), Lit("high"))),
+    }
+    return build_scm(graph, {"L": level, "P": level, "A": BOOL, "Y": level}, functions, "p")
+
+
 def _payload(source, uber, titus, raci, uav_weather):
+    if source == "proxy":
+        return json.loads(to_json(_proxy_model()))
     if source == "scm":
         return json.loads(to_json(titus))
     if source == "pattern":
@@ -992,6 +1036,9 @@ def _dig(payload, keys):
 TABLE_WITHOUT_OUTPUT = {"op": "table", "rows": [{"inputs": [True]}]}
 TABLE_WITH_TWO_INPUTS = {"op": "table", "rows": [{"inputs": [True, False], "output": True}]}
 NOT_WITHOUT_OPERAND = {"op": "not"}
+NOT_A = {"op": "not", "a": {"op": "ref", "name": "A"}}
+A_IS_TRUE = {"op": "eq", "a": {"op": "ref", "name": "A"}, "b": {"op": "lit", "value": True}}
+X_IS_Y = {"op": "eq", "a": {"op": "lit", "value": "x"}, "b": {"op": "lit", "value": "y"}}
 
 # (source, action, keys of the container, key, value, error path, message)
 DECODER_FAULTS = [
@@ -1024,7 +1071,7 @@ DECODER_FAULTS = [
     ("scm", "set", ("functions", 1), "body", TABLE_WITHOUT_OUTPUT,
      "$.functions[1].body.rows[0]", "missing key 'output'"),
     ("scm", "set", ("functions", 1), "body", TABLE_WITH_TWO_INPUTS,
-     "$", "table row of ED has 2 inputs for 1 parent(s)"),
+     "$.functions[1]", "table row of ED has 2 inputs for 1 parent(s)"),
     ("scm", "set", ("functions", 1), "body", NOT_WITHOUT_OPERAND,
      "$.functions[1].body", "missing key 'a'"),
     ("scm", "set", ("functions", 1, "body"), "op", 1,
@@ -1099,6 +1146,71 @@ DECODER_FAULTS = [
     ("accountability", "set", ("logging",), "format", "identification-report",
      "$.logging.format",
      "expected format 'logging-recommendation', got 'identification-report'"),
+    # the builders' refusals a document can reach, each at the element it
+    # names (titus: nodes I, TM, ED, BD; raci: roles Accountable, Responsible,
+    # Consulted, Discussion, Mediator, Effect, Informed); at `$` where it
+    # names none
+    ("scm", "append", ("nodes",), None, {"name": "TM", "kind": "exogenous", "domain": "bool"},
+     "$.nodes[4]", "node 'TM' declared twice"),
+    ("scm", "set", ("nodes", 2), "name", "",
+     "$.nodes[2]", "invalid node name ''"),
+    ("scm", "set", ("edges", 1), 1, "Z",
+     "$.edges[1]", "edge TM -> Z: unknown node 'Z'"),
+    ("scm", "set", ("edges", 1), 1, "TM",
+     "$.edges[1]", "graph contains a cycle: TM -> TM"),
+    ("scm", "set", ("edges", 2), 1, "I",
+     "$.edges[2]", "edge ED -> I: I is exogenous and takes no incoming edges"),
+    ("scm", "set", ("edges",), 0, ["BD", "TM"],
+     "$.edges[0]", "graph contains a cycle: TM -> ED -> BD -> TM"),
+    ("scm", "set", ("nodes", 3), "proxy_for", "Z",
+     "$.nodes[3]", "proxy BD: unknown principal 'Z'"),
+    ("scm", "set", ("nodes", 3), "proxy_for", "ED",
+     "$.nodes[3]", "proxy BD: principal ED must be latent, is endogenous"),
+    ("scm", "pop", ("functions",), 2, None,
+     "$", "no function for BD"),
+    ("scm", "append", ("functions",), None, {"target": "I", "parents": [], "body": None},
+     "$", "function attached to non-endogenous variable I"),
+    ("scm", "set", ("functions", 1), "parents", ["I"],
+     "$.functions[1]", "parents of ED disagree with the graph: function has (I), graph has (TM)"),
+    ("scm", "set", ("functions", 1), "parents", ["TM", "TM"],
+     "$.functions[1]", "function of ED repeats a parent"),
+    ("scm", "set", ("functions", 1, "body"), "name", "I",
+     "$.functions[1]", "function of ED references non-parents: I"),
+    ("scm", "set", ("functions", 1), "body", {"op": "lit", "value": "x"},
+     "$.functions[1]", "value 'x' does not belong to domain bool"),
+    ("scm", "set", ("functions", 1), "body", X_IS_Y,
+     "$.functions[1]", "cannot determine the domain of this comparison"),
+    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": ["x"], "output": True}]},
+     "$.functions[1]", "table of ED: 'x' is not in domain bool of parent TM"),
+    ("scm", "set", ("functions", 1), "body",
+     {"op": "table", "rows": [{"inputs": [True], "output": True}, {"inputs": [True], "output": False}]},
+     "$.functions[1]", "table of ED repeats a row"),
+    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": [True], "output": "x"}]},
+     "$.functions[1]", "table of ED outputs a value outside domain bool"),
+    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": [True], "output": True}]},
+     "$.functions[1]", "table of ED covers 1 of 2 parent combinations"),
+    ("proxy", "append", ("edges",), None, ["A", "P"],
+     "$.nodes[1]", "proxy P must have exactly one incoming edge, from L"),
+    ("proxy", "set", ("nodes", 1), "domain", "bool",
+     "$.nodes[1]", "proxy P must share the domain of L"),
+    ("proxy", "set", ("nodes", 0), "kind", "exogenous",
+     "$.nodes[1]", "proxy P: principal L must be latent, is exogenous"),
+    ("proxy", "set", ("functions", 1), "body", NOT_A,
+     "$.functions[1]", "boolean operator used where domain level is expected"),
+    ("proxy", "set", ("functions", 1), "body", A_IS_TRUE,
+     "$.functions[1]", "comparison used where domain level is expected"),
+    ("pattern", "set", ("roles", 6), "name", "Consulted",
+     "$.roles[6]", "role 'Consulted' declared twice"),
+    ("pattern", "set", ("roles", 6), "kind", "Effect",
+     "$.roles[6]", "pattern 'raci' needs exactly one Effect role, has 2"),
+    ("pattern", "set", ("roles", 2), "kind", "Accountable",
+     "$.roles[2]", "pattern 'raci' allows at most one Accountable role, has 2"),
+    ("pattern", "set", ("edges", 5), 1, "Nobody",
+     "$.edges[5]", "template edge Effect -> Nobody: unknown role 'Nobody'"),
+    ("pattern", "set", ("edges", 5), 1, "Effect",
+     "$.edges[5]", "template edge Effect -> Effect is a self-loop"),
+    ("pattern", "set", ("edges", 5), 1, "Accountable",
+     "$.edges[5]", "pattern 'raci' template contains a cycle"),
 ]
 
 

@@ -242,6 +242,12 @@ class TestNestingLimit:
         (lambda: build_pattern("p", [("A", "weird"), ("E", "Effect")], []),
          InvalidRoleSpec, PatternError, "('A', 'weird')"),
         (lambda: build_pattern("p", [("A", "Agent"), "E"], []), InvalidRoleSpec, PatternError, "'E'"),
+        # a label must be a string, or `to_dot` and `to_dsl` fail on it and
+        # `from_json` refuses what `to_json` writes
+        (lambda: build_graph([("A", "exogenous", 5)], []),
+         InvalidNodeSpec, GraphError, "('A', 'exogenous', 5)"),
+        (lambda: build_graph([Node("A", NodeKind.EXOGENOUS, 5)], []),
+         InvalidNodeSpec, GraphError, "Node(name='A', kind=<NodeKind.EXOGENOUS: 'exogenous'>, label=5"),
     ],
 )
 def test_malformed_node_and_role_specs_are_refused(build, error, base, spec):
