@@ -374,7 +374,7 @@ def _decode_scm(raw: Any, path: str) -> Scm:
         graph = build_graph(nodes, fields["edges"])
         return build_scm(graph, node_domains, functions, fields["name"])
     except CausalAccountError as err:
-        names = [n.name for n in nodes]  # `functions` holds no target twice
+        names = [n.name for n in nodes]  # `functions` keeps the document's order, no repeat
         raise _placed(err, path, node=names, edge=fields["edges"], function=functions) from None
 
 

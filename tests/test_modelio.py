@@ -349,7 +349,8 @@ DSL_ERRORS = [
     (parse_pattern, "pattern p\nrole A : Agent\nrole A : Agent\nrole E : Effect\nrole F : Effect",
      SemanticError, "role 'A' declared twice", (3, 6, 1)),
     (parse_pattern,
-     "pattern p\nrole A : Agent\nrole M : Mediator\nrole E : Effect\nedge E -> A\nedge A -> M\nedge M -> E",
+     "pattern p\nrole A : Agent\nrole M : Mediator\nrole E : Effect\n"
+     "edge E -> A\nedge A -> M\nedge M -> E",
      SemanticError, "pattern 'p' template contains a cycle", (5, 6, 1)),
     (parse_pattern, "pattern p\nrole E : Effect\nedge E -> E\nedge E -> E",
      SemanticError, "template edge E -> E is a self-loop", (4, 6, 1)),
@@ -1040,6 +1041,12 @@ NOT_A = {"op": "not", "a": {"op": "ref", "name": "A"}}
 A_IS_TRUE = {"op": "eq", "a": {"op": "ref", "name": "A"}, "b": {"op": "lit", "value": True}}
 X_IS_Y = {"op": "eq", "a": {"op": "lit", "value": "x"}, "b": {"op": "lit", "value": "y"}}
 
+
+def table(*rows):
+    """A JSON table body of (inputs, output) rows."""
+    return {"op": "table", "rows": [{"inputs": i, "output": o} for i, o in rows]}
+
+
 # (source, action, keys of the container, key, value, error path, message)
 DECODER_FAULTS = [
     ("identification", "set", (), "status", "Maybe",
@@ -1180,14 +1187,13 @@ DECODER_FAULTS = [
      "$.functions[1]", "value 'x' does not belong to domain bool"),
     ("scm", "set", ("functions", 1), "body", X_IS_Y,
      "$.functions[1]", "cannot determine the domain of this comparison"),
-    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": ["x"], "output": True}]},
+    ("scm", "set", ("functions", 1), "body", table((["x"], True)),
      "$.functions[1]", "table of ED: 'x' is not in domain bool of parent TM"),
-    ("scm", "set", ("functions", 1), "body",
-     {"op": "table", "rows": [{"inputs": [True], "output": True}, {"inputs": [True], "output": False}]},
+    ("scm", "set", ("functions", 1), "body", table(([True], True), ([True], False)),
      "$.functions[1]", "table of ED repeats a row"),
-    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": [True], "output": "x"}]},
+    ("scm", "set", ("functions", 1), "body", table(([True], "x")),
      "$.functions[1]", "table of ED outputs a value outside domain bool"),
-    ("scm", "set", ("functions", 1), "body", {"op": "table", "rows": [{"inputs": [True], "output": True}]},
+    ("scm", "set", ("functions", 1), "body", table(([True], True)),
      "$.functions[1]", "table of ED covers 1 of 2 parent combinations"),
     ("proxy", "append", ("edges",), None, ["A", "P"],
      "$.nodes[1]", "proxy P must have exactly one incoming edge, from L"),

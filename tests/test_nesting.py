@@ -247,7 +247,7 @@ class TestNestingLimit:
         (lambda: build_graph([("A", "exogenous", 5)], []),
          InvalidNodeSpec, GraphError, "('A', 'exogenous', 5)"),
         (lambda: build_graph([Node("A", NodeKind.EXOGENOUS, 5)], []),
-         InvalidNodeSpec, GraphError, "Node(name='A', kind=<NodeKind.EXOGENOUS: 'exogenous'>, label=5"),
+         InvalidNodeSpec, GraphError, "label=5, proxy_for=None)"),
     ],
 )
 def test_malformed_node_and_role_specs_are_refused(build, error, base, spec):
