@@ -9,6 +9,10 @@ field:
     scm | pattern | identification-report | logging-recommendation
     | accountability-report
 
+and the layout in a `version` field, the integer 2; `from_json` reads that
+version only. An expression is an object whose `op` names its form, and a
+chain (`a | b | c`) is one object however long: `{"op": "or", "terms": [...]}`.
+
 Each format is stated once, as a codec: a pair of an encoder, from object to
 JSON data, and a decoder, from JSON data at a path back to the object. Codecs
 are built from a few combinators (strings, values, optionals, arrays, name
@@ -20,7 +24,6 @@ between their parts; `_placed` reports a builder's error at its subject.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from typing import Any, Callable, Container, Iterable
 
 from ..errors import CausalAccountError, SchemaError
@@ -206,19 +209,18 @@ _PATH = _record(Path, nodes=_STRS, directions=_tuple_of((_same, _decode_directio
 # -- expressions -----------------------------------------------------------
 
 # op -> (class, JSON keys): a literal or a reference holds its field under its
-# key, every other node its operands, `children()`, under its keys in order
+# key, a chain its two or more terms under `terms`, every other node its
+# operands, `children()`, under its keys in order
 _EXPRS: dict[str, tuple[type, tuple[str, ...]]] = {
     "lit": (Lit, ("value",)),
     "ref": (Ref, ("name",)),
     "not": (Not, ("a",)),
-    "and": (And, ("a", "b")),
-    "or": (Or, ("a", "b")),
-    "eq": (Eq, ("a", "b")),
+    "and": (And, ("terms",)),
+    "or": (Or, ("terms",)),
+    "eq": (Eq, ("terms",)),
     "if": (IfThenElse, ("cond", "then", "else")),
 }
 _LEAVES = {"value": _VALUE, "name": _STR}
-_CHAINS = (And, Or, Eq)
-_EXPR_KEYS = {"op", "rows"}.union(*(keys for _, keys in _EXPRS.values()))
 
 
 def _encode_row(row: tuple[tuple, Any]) -> dict[str, Any]:
@@ -246,37 +248,35 @@ def _encode_expr(e: Expr | Table) -> dict[str, Any]:
     if keys[0] in _LEAVES:
         return {"op": op, keys[0]: getattr(e, keys[0])}
     operands = [_encode_expr(child) for child in e.children()]
-    if isinstance(e, _CHAINS):
-        # a chain is written as the left-nested binary tree it stands for
-        return reduce(lambda a, b: {"op": op, "a": a, "b": b}, operands)
-    return {"op": op, **dict(zip(keys, operands))}
+    return {"op": op, **({"terms": operands} if keys == ("terms",) else dict(zip(keys, operands)))}
 
 
 def _decode_expr(raw: Any, path: str, depth: int = MAX_EXPR_DEPTH) -> Expr | Table:
     """Decode the expression at `path`, which may nest `depth` more levels; a
-    table only as a whole function body, where `depth` is the limit."""
-    obj = _obj(raw, path, _EXPR_KEYS)
-    op = _STR[1](_get(obj, "op", path), f"{path}.op")
+    table only as a whole function body, where `depth` is the limit. A chain
+    is one level, however many terms it has."""
+    op = _STR[1](_get(_expect(raw, dict, "an object", path), "op", path), f"{path}.op")
     if op == "table":
         # a table is a function body of its own; it cannot nest
         if depth < MAX_EXPR_DEPTH:
             raise SchemaError("a table cannot nest inside an expression", path)
-        return Table(_ROWS[1](_get(obj, "rows", path), f"{path}.rows"))
+        return Table(_ROWS[1](_get(_obj(raw, path, ("op", "rows")), "rows", path), f"{path}.rows"))
     if op not in _EXPRS:
         raise SchemaError(f"unknown expression op {op!r}", f"{path}.op")
     cls, keys = _EXPRS[op]
+    obj = _obj(raw, path, ("op", *keys))
     if keys[0] in _LEAVES:
         return cls(_LEAVES[keys[0]][1](_get(obj, keys[0], path), f"{path}.{keys[0]}"))
     if depth == 0:
         raise SchemaError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels", path)
-    spine = [(obj, path)]  # a chain's objects of this op down its `a` side
-    while cls in _CHAINS and _obj(_get(obj, "a", path), f"{path}.a", _EXPR_KEYS).get("op") == op:
-        obj, path = obj["a"], f"{path}.a"
-        spine.append((obj, path))
-    operands = [_decode_expr(_get(obj, key, path), f"{path}.{key}", depth - 1) for key in keys]
-    for obj, path in reversed(spine[:-1]):
-        operands.append(_decode_expr(_get(obj, "b", path), f"{path}.b", depth - 1))
-    return cls(*operands)
+    if keys == ("terms",):
+        terms = _get(obj, "terms", path)
+        if not isinstance(terms, list) or len(terms) < 2:
+            raise SchemaError("expected an array of two or more terms", f"{path}.terms")
+        operands = [(term, f"{path}.terms[{i}]") for i, term in enumerate(terms)]
+    else:
+        operands = [(_get(obj, key, path), f"{path}.{key}") for key in keys]
+    return cls(*(_decode_expr(item, at, depth - 1) for item, at in operands))
 
 
 _EXPR: Codec = (_encode_expr, _decode_expr)
@@ -484,26 +484,14 @@ _FORMATS: dict[str, tuple[type, Callable[[Any], Any], Callable[[Any, str], Any]]
     "accountability-report": (AccountabilityReport, *_ACCOUNTABILITY),
 }
 FORMATS = tuple(_FORMATS)
-
-
-def _dumps(data: Any) -> str | None:
-    """Canonical JSON text of `data`; None where `json` recurses too deep."""
-    try:
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    except RecursionError:
-        return None
+VERSION = 2  # of the document layout, the one `to_json` writes and `from_json` reads
 
 
 def to_json(obj: object) -> str:
     """Serialize a supported object to canonical JSON text."""
     for cls, encode, _ in _FORMATS.values():
         if isinstance(obj, cls):
-            if (text := _dumps(data := encode(obj))) is not None:
-                return text
-            # `json` recurses once per nested object, a chain once per term,
-            # and only the functions of a model nest that deep
-            deep = (f["target"] for f in data["functions"] if not _dumps({"f": [f]}))
-            raise SchemaError(f"function of {next(deep)} nests too deep for JSON")
+            return json.dumps({**encode(obj), "version": VERSION}, indent=2, sort_keys=True) + "\n"
     raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -515,9 +503,13 @@ def from_json(text: str) -> object:
         raise SchemaError(f"invalid JSON: {err}") from None
     except RecursionError:
         raise SchemaError("JSON nests too deep to read") from None
-    fmt = _STR[1](_get(_expect(raw, dict, "an object", "$"), "format", "$"), "$.format")
+    obj = _expect(raw, dict, "an object", "$")
+    fmt = _STR[1](_get(obj, "format", "$"), "$.format")
     if fmt not in _FORMATS:
         raise SchemaError(
             f"unknown format {fmt!r}, expected one of " + ", ".join(FORMATS), "$.format"
         )
-    return _FORMATS[fmt][2](raw, "$")
+    version = obj.pop("version", None)
+    if type(version) is not int or version != VERSION:
+        raise SchemaError(f"expected version {VERSION}, got {version!r}", "$.version")
+    return _FORMATS[fmt][2](obj, "$")

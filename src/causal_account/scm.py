@@ -174,8 +174,8 @@ class Not(Expr):
 class _Chain(Expr):
     """A run of one left-associative operator over two or more terms, stored
     flat. A first term of the same class is absorbed, so
-    `Or(Or(a, b), c) == Or(a, b, c)`; `a` and `b` are the operands of the
-    binary tree the chain stands for."""
+    `Or(Or(a, b), c) == Or(a, b, c)`. `a` and `b`, the operands of the binary
+    tree the chain stands for, remain only for the reference oracles."""
 
     terms: tuple[Expr, ...]
 
@@ -405,17 +405,19 @@ class Scm:
         return all(f.specified for f in self.functions.values())
 
 
-def _check_keys(keys: Iterable[str], names: Iterable[str], missing: str, extra: str) -> None:
+def _check_keys(
+    keys: Iterable[str], names: Iterable[str], missing: str, extra: str, kind: str
+) -> None:
     """Refuse `keys` unless they are exactly `names`, listing the names that
-    lack a key after `missing` and the keys that name none after `extra`."""
+    lack a key after `missing` and the keys that name none after `extra`. The
+    subject is the first name listed: ("node", name) for a name without a key,
+    else (`kind`, key)."""
     keys, names = set(keys), set(names)
-    problem = [
-        f"{what} " + ", ".join(sorted(stray))
-        for what, stray in ((missing, names - keys), (extra, keys - names))
-        if stray
-    ]
-    if problem:
-        raise SemanticError("; ".join(problem))
+    lacking, stray = sorted(names - keys), sorted(keys - names)
+    if lacking or stray:
+        parts = ((missing, lacking), (extra, stray))
+        message = "; ".join(f"{what} " + ", ".join(listed) for what, listed in parts if listed)
+        raise SemanticError(message, subject=("node", lacking[0]) if lacking else (kind, stray[0]))
 
 
 def build_scm(
@@ -429,11 +431,12 @@ def build_scm(
     Every node needs a domain; endogenous nodes need exactly one function whose parents
     equal the node's graph parents; expression bodies must type-check against parent
     domains; table bodies must cover the parent combinations exactly once; proxies share
-    their principal's domain. An error's `subject` names the function or proxy at fault.
+    their principal's domain. An error's `subject` names the node or function at fault.
     """
-    _check_keys(domains, graph.names, "missing domain for", "domain for unknown variable")
+    _check_keys(domains, graph.names, "missing domain for", "domain for unknown variable", "node")
     endo = [n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS]
-    _check_keys(functions, endo, "no function for", "function attached to non-endogenous variable")
+    extra = "function attached to non-endogenous variable"
+    _check_keys(functions, endo, "no function for", extra, "function")
 
     known = list(dict.fromkeys(domains.values()))
     for name_, f in functions.items():

@@ -58,6 +58,7 @@ def _json_model(nodes: list[tuple], edges: list[list[str]], functions=()) -> str
     return json.dumps(
         {
             "format": "scm",
+            "version": 2,
             "name": "g",
             "domains": [{"name": "bool", "values": [False, True]}],
             "nodes": [
@@ -75,6 +76,7 @@ def _json_pattern(roles: list[tuple[str, str]], edges: list[list[str]]) -> str:
     return json.dumps(
         {
             "format": "pattern",
+            "version": 2,
             "name": "bad",
             "roles": [{"name": name, "kind": kind} for name, kind in roles],
             "edges": edges,
@@ -124,6 +126,7 @@ FILES = {
     "cycle_pat.json": json.dumps(
         {
             "format": "pattern",
+            "version": 2,
             "name": "loop",
             "roles": [{"name": "Agent", "kind": "Agent"}, {"name": "Effect", "kind": "Effect"}],
             "edges": [["Agent", "Effect"], ["Effect", "Agent"]],
@@ -197,6 +200,7 @@ FILES = {
     "proxy_domain.json": json.dumps(
         {
             "format": "scm",
+            "version": 2,
             "name": "g",
             "domains": [
                 {"name": "bool", "values": [False, True]},
@@ -215,6 +219,7 @@ FILES = {
     "unused_domain.json": json.dumps(
         {
             "format": "scm",
+            "version": 2,
             "name": "bad",
             "domains": [
                 {"name": "bool", "values": [False, True]},
@@ -231,8 +236,7 @@ FILES = {
                     "parents": [],
                     "body": {
                         "op": "eq",
-                        "a": {"op": "lit", "value": "slow"},
-                        "b": {"op": "lit", "value": "slow"},
+                        "terms": [{"op": "lit", "value": "slow"}, {"op": "lit", "value": "slow"}],
                     },
                 }
             ],

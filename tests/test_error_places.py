@@ -107,6 +107,7 @@ def model_json(nodes, edges, functions):
     return json.dumps(
         {
             "format": "scm",
+            "version": 2,
             "name": "m",
             "domains": [{"name": "bool", "values": [False, True]}],
             "nodes": [
@@ -187,6 +188,7 @@ def pattern_json(roles, edges):
     return json.dumps(
         {
             "format": "pattern",
+            "version": 2,
             "name": "p",
             "roles": [{"name": name, "kind": kind} for name, kind in roles],
             "edges": [list(edge) for edge in edges],

@@ -802,7 +802,7 @@ class TestJsonModels:
         assert text.endswith("\n")
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert payload["format"] == "scm"
+        assert payload["format"] == "scm" and payload["version"] == 2
 
     def test_structure_only_and_tables_round_trip(self):
         m = parse_model("model m\nexo A : bool\nvar B : bool <- A")
@@ -1038,8 +1038,9 @@ TABLE_WITHOUT_OUTPUT = {"op": "table", "rows": [{"inputs": [True]}]}
 TABLE_WITH_TWO_INPUTS = {"op": "table", "rows": [{"inputs": [True, False], "output": True}]}
 NOT_WITHOUT_OPERAND = {"op": "not"}
 NOT_A = {"op": "not", "a": {"op": "ref", "name": "A"}}
-A_IS_TRUE = {"op": "eq", "a": {"op": "ref", "name": "A"}, "b": {"op": "lit", "value": True}}
-X_IS_Y = {"op": "eq", "a": {"op": "lit", "value": "x"}, "b": {"op": "lit", "value": "y"}}
+A_IS_TRUE = {"op": "eq", "terms": [{"op": "ref", "name": "A"}, {"op": "lit", "value": True}]}
+X_IS_Y = {"op": "eq", "terms": [{"op": "lit", "value": "x"}, {"op": "lit", "value": "y"}]}
+TM = {"op": "ref", "name": "TM"}
 
 
 def table(*rows):
@@ -1153,6 +1154,34 @@ DECODER_FAULTS = [
     ("accountability", "set", ("logging",), "format", "identification-report",
      "$.logging.format",
      "expected format 'logging-recommendation', got 'identification-report'"),
+    # every document states version 2, the integer, at its top level only
+    ("scm", "pop", (), "version", None,
+     "$.version", "expected version 2, got None"),
+    ("pattern", "set", (), "version", 1,
+     "$.version", "expected version 2, got 1"),
+    ("identification", "set", (), "version", True,
+     "$.version", "expected version 2, got True"),
+    ("logging", "set", (), "version", 2.0,
+     "$.version", "expected version 2, got 2.0"),
+    ("accountability", "set", (), "version", "2",
+     "$.version", "expected version 2, got '2'"),
+    ("accountability", "set", ("identification",), "version", 2,
+     "$.identification", "unexpected key 'version'"),
+    # a chain is one object holding two or more terms
+    ("scm", "set", ("functions", 1), "body", {"op": "or", "terms": [TM]},
+     "$.functions[1].body.terms", "expected an array of two or more terms"),
+    ("scm", "set", ("functions", 1), "body", {"op": "and", "terms": []},
+     "$.functions[1].body.terms", "expected an array of two or more terms"),
+    ("scm", "set", ("functions", 1), "body", {"op": "eq", "terms": TM},
+     "$.functions[1].body.terms", "expected an array of two or more terms"),
+    ("scm", "set", ("functions", 1), "body", {"op": "or"},
+     "$.functions[1].body", "missing key 'terms'"),
+    ("scm", "set", ("functions", 1), "body", {"op": "or", "terms": [TM, {"op": "lit"}]},
+     "$.functions[1].body.terms[1]", "missing key 'value'"),
+    ("scm", "set", ("functions", 1), "body", {"op": "or", "a": TM, "b": TM},
+     "$.functions[1].body", "unexpected key 'a'"),
+    ("scm", "set", ("functions", 1), "body", {"op": "not", "a": TM, "terms": [TM, TM]},
+     "$.functions[1].body", "unexpected key 'terms'"),
     # the builders' refusals a document can reach, each at the element it
     # names (titus: nodes I, TM, ED, BD; raci: roles Accountable, Responsible,
     # Consulted, Discussion, Mediator, Effect, Informed); at `$` where it
@@ -1174,9 +1203,9 @@ DECODER_FAULTS = [
     ("scm", "set", ("nodes", 3), "proxy_for", "ED",
      "$.nodes[3]", "proxy BD: principal ED must be latent, is endogenous"),
     ("scm", "pop", ("functions",), 2, None,
-     "$", "no function for BD"),
+     "$.nodes[3]", "no function for BD"),
     ("scm", "append", ("functions",), None, {"target": "I", "parents": [], "body": None},
-     "$", "function attached to non-endogenous variable I"),
+     "$.functions[3]", "function attached to non-endogenous variable I"),
     ("scm", "set", ("functions", 1), "parents", ["I"],
      "$.functions[1]", "parents of ED disagree with the graph: function has (I), graph has (TM)"),
     ("scm", "set", ("functions", 1), "parents", ["TM", "TM"],

@@ -87,7 +87,8 @@ def json_not(depth: int) -> str:
     without `json`, which would recurse once per object."""
     body = '{"op": "not", "a": ' * depth + '{"op": "ref", "name": "a"}' + "}" * depth
     return (
-        '{"format": "scm", "name": "g", "domains": [{"name": "bool", "values": [false, true]}], '
+        '{"format": "scm", "version": 2, "name": "g", '
+        '"domains": [{"name": "bool", "values": [false, true]}], '
         '"nodes": [{"name": "a", "kind": "exogenous", "domain": "bool"}, '
         '{"name": "y", "kind": "endogenous", "domain": "bool"}], "edges": [["a", "y"]], '
         f'"functions": [{{"target": "y", "parents": ["a"], "body": {body}}}]}}'
@@ -144,18 +145,22 @@ class TestLongChains:
         assert code == 0 and out.splitlines()[-1] == f"y={'true' if want else 'false'}"
         m = parse_model(text)
         assert parse_model(to_dsl(m)) == m
-        code, out, err = run(tmp_path, "g.scm.txt", text, "export", "--format", "json")
-        if code == 0:
-            assert run(tmp_path, "g.json", out, "validate")[0] == 0
-        else:
-            assert code == 2 and "function of y nests too deep for JSON" in err
+        code, out, _ = run(tmp_path, "g.scm.txt", text, "export", "--format", "json")
+        assert code == 0
+        assert run(tmp_path, "g.json", out, "validate", "--format", "json") == (0, out, "")
 
-    def test_json_reads_back_chains_up_to_500_terms(self):
-        # each level of a chain's JSON indents two more spaces, so the text
-        # grows with the square of its length: sample the lengths
-        for n in [*range(2, 500, 23), 329, 500]:
-            m = parse_model(chain("|", n))
-            assert from_json(to_json(m)) == m, n
+    @pytest.mark.parametrize("op", ["|", "&", "=="])
+    def test_json_of_a_chain_reads_back_and_grows_linearly(self, op):
+        # a chain is one object whatever its length, so each term adds the
+        # same bytes: one `ref` object two levels deep
+        sizes = {}
+        for n in (100, 1_000, 10_000):
+            m = parse_model(chain(op, n))
+            text = to_json(m)
+            assert from_json(text) == m, n
+            sizes[n] = len(text)
+        # 9,000 terms more add ten times the bytes of 900 terms more
+        assert sizes[10_000] - sizes[1_000] == 10 * (sizes[1_000] - sizes[100])
 
 
 class TestNestingLimit:
@@ -193,6 +198,28 @@ class TestNestingLimit:
         with pytest.raises(SemanticError, match=f"function of y nests deeper than {L} levels") as err:
             parse_model(right_nested(L))
         assert (err.value.span.line, err.value.span.column) == (4, BODY_COLUMN)
+
+    def test_the_deepest_json_a_body_makes_exports_and_validates(self, tmp_path):
+        # `a | (a & (... (a & b)))`: L chain levels alternating `&` and `|`, so
+        # none absorbs the next; each is an object holding an array of terms
+        def alternating(levels: int) -> str:
+            body = "a & b"
+            for i in range(levels - 1):
+                body = f"a {'|&'[i % 2]} ({body})"
+            return HEAD + body + "\n"
+
+        with pytest.raises(SemanticError, match=f"nests deeper than {L} levels"):
+            parse_model(alternating(L + 1))
+        text = alternating(L)
+        code, out, _ = run(tmp_path, "g.scm.txt", text, "export", "--format", "json")
+        assert code == 0 and from_json(out) == parse_model(text)
+        assert run(tmp_path, "g.json", out, "validate", "--format", "json") == (0, out, "")
+        # two JSON levels per expression level, plus the document's own
+        depth = deepest = 0
+        for char in out:
+            depth += (char in "[{") - (char in "]}")
+            deepest = max(deepest, depth)
+        assert 2 * L < deepest < 2 * L + 10
 
     def test_json_at_the_limit_answers(self, tmp_path):
         code, out, _ = run(tmp_path, "g.json", json_not(L), "eval", "--set", "a=true")
@@ -264,11 +291,14 @@ def test_lists_and_labels_still_make_node_and_role_specs():
     assert [r.name for r in p.roles] == ["A", "E"]
 
 
-def test_a_chain_keeps_its_nested_binary_json_form():
+def test_a_chain_is_one_flat_json_object():
     body = IfThenElse(Eq(Ref("a"), Lit(True)), Not(Ref("b")), And(Ref("a"), Ref("b"), Ref("a")))
     m = model_of(body, ("a", "b"))
-    body = json.loads(to_json(m))["functions"][0]["body"]
-    assert body["cond"] == {"op": "eq", "a": {"op": "ref", "name": "a"}, "b": {"op": "lit", "value": True}}
-    assert body["else"]["op"] == "and" and body["else"]["a"]["op"] == "and"
-    assert body["else"]["b"] == {"op": "ref", "name": "a"}
+    a, b = {"op": "ref", "name": "a"}, {"op": "ref", "name": "b"}
+    assert json.loads(to_json(m))["functions"][0]["body"] == {
+        "op": "if",
+        "cond": {"op": "eq", "terms": [a, {"op": "lit", "value": True}]},
+        "then": {"op": "not", "a": b},
+        "else": {"op": "and", "terms": [a, b, a]},
+    }
     assert from_json(to_json(m)) == m
