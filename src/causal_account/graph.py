@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -30,7 +30,6 @@ from .errors import (
     CycleError,
     DuplicateNode,
     EdgeIntoExogenous,
-    EnumerationLimit,
     InvalidNodeName,
     InvalidNodeSpec,
     InvalidPath,
@@ -39,7 +38,7 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
-from .limits import DEFAULT_PATH_LIMIT, ENV_VAR, _over_cap
+from .limits import DEFAULT_PATH_CAP, _countable, _over_cap, _refusal, enumeration_cap
 
 FORWARD: Literal["forward"] = "forward"
 BACKWARD: Literal["backward"] = "backward"
@@ -272,17 +271,17 @@ NodeSpec = Node | tuple[str, "NodeKind | str"] | tuple[str, "NodeKind | str", "s
 
 
 def _normalize_node(spec: NodeSpec) -> Node:
-    if isinstance(spec, Node):
-        node = spec
-    else:
-        try:
+    node = spec
+    try:
+        if not isinstance(spec, Node):
             name, kind, *label = spec if isinstance(spec, (tuple, list)) and len(spec) < 4 else ()
-            kind = kind if isinstance(kind, NodeKind) else NodeKind(str(kind).lower())
-        except ValueError:
-            raise InvalidNodeSpec(
-                f"node spec {spec!r} is no Node and no (name, kind[, label]) of a known kind"
-            ) from None
-        node = Node(name, kind, *label)
+            node = Node(name, kind, *label)
+        if not isinstance(node.kind, NodeKind):
+            node = replace(node, kind=NodeKind(str(node.kind).lower()))
+    except ValueError:
+        raise InvalidNodeSpec(
+            f"node spec {spec!r} is no Node or (name, kind[, label]) of a known kind"
+        ) from None
     if not node.name or not isinstance(node.name, str):
         raise InvalidNodeName(f"invalid node name {node.name!r}", subject=("node", node.name))
     if node.label is not None and not isinstance(node.label, str):
@@ -296,9 +295,9 @@ def build_graph(
     """Validate and build a CausalGraph.
 
     Nodes may be Node objects, (name, kind) pairs, or (name, kind, label)
-    triples; kind may be a NodeKind or its string value. Edges are ordered
-    pairs of names. Duplicate edges collapse (edges form a set); everything
-    else invalid raises, naming the node or edge at fault as `subject`:
+    triples; in each, kind may be a NodeKind or its string value. Edges are
+    ordered pairs of names. Duplicate edges collapse (edges form a set);
+    everything else invalid raises, naming the node or edge at fault as `subject`:
     DuplicateNode, UnknownEndpoint, EdgeIntoExogenous, or CycleError.
     """
     normalized = [_normalize_node(s) for s in nodes]
@@ -501,8 +500,7 @@ def _minimal_separators(
     seen, todo = {first}, [first]
     while todo:
         if _over_cap(len(seen), cap):
-            message = f"more than 2^{cap} minimal sets (override with {ENV_VAR})"
-            raise EnumerationLimit(message)
+            raise _refusal(cap, "minimal sets")
         separator = todo.pop()
         x_side = _component(succ, x, separator)
         for bit in _bits(separator):
@@ -525,22 +523,17 @@ def _require_endpoints(g: CausalGraph, x: str, y: str, message: str) -> None:
         raise OverlapError(message)
 
 
-def all_paths(
-    g: CausalGraph,
-    x: str,
-    y: str,
-    directed: bool = False,
-    limit: int = DEFAULT_PATH_LIMIT,
-) -> list[Path]:
+def all_paths(g: CausalGraph, x: str, y: str, directed: bool = False) -> list[Path]:
     """Enumerate simple paths between `x` and `y`.
 
     With directed=False, paths run through the skeleton and each step carries
     its edge orientation; with directed=True only forward steps are taken.
     Paths come out in lexicographic order of their node sequences (by
-    declaration order). Raises EnumerationLimit past `limit` paths.
+    declaration order). Raises EnumerationLimit past 2^N paths (N from
+    `limits.enumeration_cap`).
     """
     _require_endpoints(g, x, y, "path endpoints must differ")
-    return list(simple_paths(g, x, y, g._steps[directed][x], directed, limit))
+    return list(simple_paths(g, x, y, g._steps[directed][x], directed))
 
 
 def simple_paths(
@@ -549,17 +542,18 @@ def simple_paths(
     y: str,
     first: Iterable[tuple[str, Direction]],
     directed: bool = False,
-    limit: int = DEFAULT_PATH_LIMIT,
 ) -> Iterator[Path]:
     """The paths of `all_paths` whose first step out of `x` is in `first`,
     yielded as they are found.
 
     `first` holds (neighbour, direction) pairs; paths that start otherwise are
     never walked. The endpoints must be distinct known nodes. Finding a path
-    past `limit` raises EnumerationLimit, so a caller that stops early only
-    pays for what it took.
+    past the cap, read when the walk starts, raises EnumerationLimit, so a
+    caller that stops early only pays for what it took.
     """
     steps = g._steps[directed]
+    cap = enumeration_cap(DEFAULT_PATH_CAP)
+    limit = _countable(cap)
     found = 0
     nodes_on_stack = {x}
     stack_nodes = [x]
@@ -571,9 +565,7 @@ def simple_paths(
         for nxt, direction in pending[-1]:
             if nxt == y:
                 if found >= limit:
-                    raise EnumerationLimit(
-                        f"more than {limit} paths between {x} and {y}"
-                    )
+                    raise _refusal(cap, f"paths between {x} and {y}")
                 found += 1
                 yield _path((*stack_nodes, y), (*stack_dirs, direction))
                 continue
@@ -643,16 +635,15 @@ def d_separated_paths(
     x: Iterable[str],
     y: Iterable[str],
     z: Iterable[str],
-    limit: int = DEFAULT_PATH_LIMIT,
 ) -> bool:
     """d-separation by brute-force path enumeration, stopping at the first
-    open path; raises EnumerationLimit after `limit` blocked paths between
-    one pair of endpoints."""
+    open path; raises EnumerationLimit after 2^N blocked paths between one
+    pair of endpoints."""
     xs, ys, zs = _check_query_sets(g, x, y, z)
     zmask = _mask(g, zs)
     for a in g.sort_names(xs):
         for b in g.sort_names(ys):
-            for path in simple_paths(g, a, b, g._steps[False][a], limit=limit):
+            for path in simple_paths(g, a, b, g._steps[False][a]):
                 if not _blocked(g, path, zs, zmask):
                     return False
     return True

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EnumerationLimit, NotIdentifiable, OverlapError
+from .errors import NotIdentifiable, OverlapError
 from .graph import (
     BACKWARD,
     CausalGraph,
@@ -55,7 +55,7 @@ from .graph import (
     d_connected,
     simple_paths,
 )
-from .limits import DEFAULT_SET_CAP, ENV_VAR, _over_cap, enumeration_cap
+from .limits import DEFAULT_SET_CAP, _over_cap, _refusal, enumeration_cap
 
 
 class IdentificationStatus(enum.Enum):
@@ -203,8 +203,7 @@ def _backdoor_sets(
             stand_ins.setdefault(bit, []).append(name)
     choices = [[stand_ins[bit] for bit in _bits(s)] for s in separators]
     if _over_cap(sum(math.prod(map(len, lists)) for lists in choices), cap):
-        message = f"more than 2^{cap} candidate sets (override with {ENV_VAR})"
-        raise EnumerationLimit(message)
+        raise _refusal(cap, "candidate sets")
     candidates = {
         frozenset(names) for lists in choices for names in itertools.product(*lists)
     }

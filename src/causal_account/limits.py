@@ -1,10 +1,10 @@
 """Enumeration caps and the expression nesting limit.
 
 Exhaustive search is fine at desk scale but every enumeration here has an
-exponential worst case, so each one is capped. The caps measured as a power of
-two (the root combinations of world enumeration, the sets a back-door or
-front-door listing finds) can be overridden with the CAUSAL_ACCOUNT_MAX_ENUM
-environment variable; the others are per-call arguments.
+exponential worst case, so each one is capped at 2^N of what it counts. The
+CAUSAL_ACCOUNT_MAX_ENUM environment variable sets N for all four caps; no
+function takes a cap of its own. Each cap is read through `enumeration_cap`,
+and every refusal names the variable.
 
 MAX_EXPR_DEPTH is no cap on work, and nothing overrides it: it bounds how
 deeply a function body nests, so that no walker over a body reaches Python's
@@ -15,19 +15,15 @@ from __future__ import annotations
 
 import os
 
-from .errors import InvalidSetting
+from .errors import EnumerationLimit, InvalidSetting
 
 ENV_VAR = "CAUSAL_ACCOUNT_MAX_ENUM"
 
-# log2 of the number of root-variable combinations consistent_worlds will visit
-DEFAULT_WORLD_CAP = 20
-# log2 of how many sets a back-door or front-door listing may find, each in
-# polynomial time
-DEFAULT_SET_CAP = 16
-# number of simple paths all_paths may produce
-DEFAULT_PATH_LIMIT = 100_000
-# complete role bindings the pattern matcher may examine
-DEFAULT_MATCH_CAP = 10_000
+# the default N of each cap, which allows 2^N
+DEFAULT_WORLD_CAP = 20  # root combinations a world enumeration visits
+DEFAULT_SET_CAP = 16  # sets a back-door or front-door listing finds
+DEFAULT_PATH_CAP = 17  # simple paths listed between two nodes
+DEFAULT_MATCH_CAP = 14  # complete role bindings the pattern matcher examines
 # levels a function body may nest, each walker recursing once per level
 MAX_EXPR_DEPTH = 100
 
@@ -49,3 +45,14 @@ def enumeration_cap(default: int) -> int:
 def _over_cap(count: int, cap: int) -> bool:
     """Whether `count` exceeds 2^cap, without building 2^cap when `count` is shorter."""
     return count.bit_length() > cap and count > 1 << cap
+
+
+def _countable(cap: int) -> int:
+    """2^cap as a bound on a count that grows by one: no such count reaches
+    2^63, so a huge cap builds no huge number."""
+    return 1 << min(cap, 63)
+
+
+def _refusal(cap: int, what: str) -> EnumerationLimit:
+    """The refusal of an enumeration that found more than 2^cap of `what`."""
+    return EnumerationLimit(f"more than 2^{cap} {what} (override with {ENV_VAR})")

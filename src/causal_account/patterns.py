@@ -29,13 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    EnumerationLimit,
-    InvalidMatch,
-    InvalidRoleSpec,
-    PatternArityError,
-    SemanticError,
-)
+from .errors import InvalidMatch, InvalidRoleSpec, PatternArityError, SemanticError
 from .graph import FORWARD, CausalGraph, Path, _cycle, _neighbourhood, _path, between, kahn
 from .identify import (
     IdentificationReport,
@@ -46,7 +40,7 @@ from .identify import (
     _report,
     backdoor_paths,
 )
-from .limits import DEFAULT_MATCH_CAP
+from .limits import DEFAULT_MATCH_CAP, _countable, _refusal, enumeration_cap
 
 # (role, its template neighbours) pairs, roles given by declaration position
 Arcs = tuple[tuple[int, tuple[int, ...]], ...]
@@ -128,18 +122,19 @@ def build_pattern(
     `subject` names the role (a second one of a name or kind) or the edge at fault.
     """
     normalized: list[Role] = []
-    for r in roles:
-        if isinstance(r, Role):
-            normalized.append(r)
-        else:
-            try:
-                rname, kind = r if isinstance(r, (tuple, list)) else ()
-                kind = kind if isinstance(kind, RoleKind) else RoleKind(str(kind))
-            except ValueError:
-                raise InvalidRoleSpec(
-                    f"role spec {r!r} is no Role and no (name, kind) of a known kind"
-                ) from None
-            normalized.append(Role(rname, kind))
+    for spec in roles:
+        role = spec
+        try:
+            if not isinstance(spec, Role):
+                rname, kind = spec if isinstance(spec, (tuple, list)) else ()
+                role = Role(rname, kind)
+            if not isinstance(role.kind, RoleKind):
+                role = Role(role.name, RoleKind(str(role.kind)))
+        except ValueError:
+            raise InvalidRoleSpec(
+                f"role spec {spec!r} is no Role or (name, kind) of a known kind"
+            ) from None
+        normalized.append(role)
     names = [r.name for r in normalized]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
@@ -274,10 +269,7 @@ def validate_match(g: CausalGraph, p: Pattern, m: PatternMatch) -> None:
 
 
 def iter_matches(
-    g: CausalGraph,
-    p: Pattern,
-    hints: Mapping[str, str] | None = None,
-    limit: int = DEFAULT_MATCH_CAP,
+    g: CausalGraph, p: Pattern, hints: Mapping[str, str] | None = None
 ) -> Iterator[PatternMatch]:
     """The matches of `p` in `g` extending `hints`, lazily, in deterministic order.
 
@@ -293,7 +285,7 @@ def iter_matches(
     intersected with De of each bound template in-neighbour and An of each
     bound out-neighbour. So every complete binding reached has each
     template edge reachable, and these are the bindings that count against
-    `limit`, the same ones as without the narrowing, before their witness
+    the cap, the same ones as without the narrowing, before their witness
     paths are searched. Within one call, witness paths are cached by their
     endpoints s, t and the bound nodes in De(s) & An(t): no other bound
     node can lie on an s -> t path. An unbindable pattern yields nothing
@@ -301,8 +293,9 @@ def iter_matches(
 
     Raises PatternArityError for hints naming roles the pattern does not
     have and UnknownNode for hint targets missing from the graph, both at
-    the call; the iterator raises EnumerationLimit past `limit` complete
-    candidate bindings.
+    the call, as is a malformed cap setting; the iterator raises
+    EnumerationLimit past 2^N complete candidate bindings (N from
+    `limits.enumeration_cap`, read at the call).
     """
     hints = dict(hints or {})
     roles = p.role_names()
@@ -313,11 +306,11 @@ def iter_matches(
                 + ", ".join(roles)
             )
         g.require(node)
-    return _search(g, p, hints, limit)
+    return _search(g, p, hints, enumeration_cap(DEFAULT_MATCH_CAP))
 
 
 def _search(
-    g: CausalGraph, p: Pattern, hints: dict[str, str], limit: int
+    g: CausalGraph, p: Pattern, hints: dict[str, str], cap: int
 ) -> Iterator[PatternMatch]:
     names = g.names
     de, an, observable = g._reach_bits
@@ -360,6 +353,7 @@ def _search(
     last = len(roles) - 1
     untried = [domain[0]] + [0] * last
     used = level = examined = 0
+    limit = _countable(cap)
     while True:
         candidates = untried[level]
         if not candidates:
@@ -383,9 +377,7 @@ def _search(
             continue
         examined += 1
         if examined > limit:
-            raise EnumerationLimit(
-                f"more than {limit} candidate bindings for pattern {p.name}"
-            )
+            raise _refusal(cap, f"candidate bindings for pattern {p.name}")
         bound = used | low
         witnesses: dict[tuple[str, str], Path] = {}
         for edge, i, j in edges:
@@ -403,13 +395,10 @@ def _search(
 
 
 def match_pattern(
-    g: CausalGraph,
-    p: Pattern,
-    hints: Mapping[str, str] | None = None,
-    limit: int = DEFAULT_MATCH_CAP,
+    g: CausalGraph, p: Pattern, hints: Mapping[str, str] | None = None
 ) -> list[PatternMatch]:
     """All matches of `p` in `g` extending `hints`: `iter_matches` as a list."""
-    return list(iter_matches(g, p, hints, limit))
+    return list(iter_matches(g, p, hints))
 
 
 class Verdict(enum.Enum):

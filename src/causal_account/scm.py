@@ -175,7 +175,7 @@ class _Chain(Expr):
     """A run of one left-associative operator over two or more terms, stored
     flat. A first term of the same class is absorbed, so
     `Or(Or(a, b), c) == Or(a, b, c)`. `a` and `b`, the operands of the binary
-    tree the chain stands for, remain only for the reference oracles."""
+    tree the chain stands for, remain only for the benchmark's oracle."""
 
     terms: tuple[Expr, ...]
 
@@ -431,14 +431,22 @@ def build_scm(
     Every node needs a domain; endogenous nodes need exactly one function whose parents
     equal the node's graph parents; expression bodies must type-check against parent
     domains; table bodies must cover the parent combinations exactly once; proxies share
-    their principal's domain. An error's `subject` names the node or function at fault.
+    their principal's domain; no two unequal domains share a name, and one named `bool`
+    is BOOL. An error's `subject` names the node or function at fault.
     """
     _check_keys(domains, graph.names, "missing domain for", "domain for unknown variable", "node")
     endo = [n.name for n in graph.nodes if n.kind is NodeKind.ENDOGENOUS]
     extra = "function attached to non-endogenous variable"
     _check_keys(functions, endo, "no function for", extra, "function")
-
     known = list(dict.fromkeys(domains.values()))
+    # the model files hold one domain per name, and `bool` is predefined
+    named = {"bool": BOOL}
+    for d in known:
+        if named.setdefault(d.name, d) != d:
+            node = next(name for name in graph.names if domains[name] == d)
+            clash = "is predefined as [false, true]" if d.name == "bool" else "names two domains"
+            raise SemanticError(f"domain {d.name!r} of {node} {clash}", subject=("node", node))
+
     for name_, f in functions.items():
         try:
             if f.target != name_:

@@ -18,7 +18,9 @@ does all three in one walk and must refuse with the same message.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import re
 
@@ -59,7 +61,7 @@ from causal_account import (
     intervene,
     satisfies_frontdoor,
 )
-from causal_account.limits import DEFAULT_MATCH_CAP, DEFAULT_PATH_LIMIT, MAX_EXPR_DEPTH
+from causal_account.limits import DEFAULT_MATCH_CAP, DEFAULT_PATH_CAP, ENV_VAR, MAX_EXPR_DEPTH
 
 
 def to_networkx(g: CausalGraph) -> nx.DiGraph:
@@ -290,14 +292,25 @@ def _brute_witness(g: CausalGraph, start: str, goal: str, bound: frozenset[str])
     return Path(nodes, tuple([FORWARD] * (len(nodes) - 1)))
 
 
+def _refusal(limit: int, what: str) -> EnumerationLimit:
+    """The library's refusal past `limit` = 2^N of `what`, which names N."""
+    cap = limit.bit_length() - 1
+    return EnumerationLimit(f"more than 2^{cap} {what} (override with {ENV_VAR})")
+
+
 def brute_simple_paths(
-    g: CausalGraph, x: str, y: str, first, directed: bool = False, limit: int = DEFAULT_PATH_LIMIT
+    g: CausalGraph,
+    x: str,
+    y: str,
+    first,
+    directed: bool = False,
+    limit: int = 1 << DEFAULT_PATH_CAP,
 ) -> list[Path]:
     """The simple x-y paths whose first step out of x is in `first`, as
     (neighbour, direction) pairs, in the order the library lists them: a
     depth-first walk that tries neighbours in declaration order and collects
     a list, each path built through the checking `Path` constructor. Past
-    `limit` paths it raises the library's message."""
+    `limit` paths, a power of two, it raises the library's message."""
     def moves(name: str):
         if directed:
             return [(c, FORWARD) for c in g.children(name)]
@@ -314,7 +327,7 @@ def brute_simple_paths(
         for nxt, direction in pending[-1]:
             if nxt == y:
                 if len(out) >= limit:
-                    raise EnumerationLimit(f"more than {limit} paths between {x} and {y}")
+                    raise _refusal(limit, f"paths between {x} and {y}")
                 out.append(Path(tuple(stack_nodes) + (y,), tuple(stack_dirs) + (direction,)))
                 continue
             if nxt in nodes_on_stack:
@@ -378,13 +391,13 @@ def brute_bindings(g: CausalGraph, p, hints=None):
 
 
 def brute_match_pattern(
-    g: CausalGraph, p, hints=None, limit: int = DEFAULT_MATCH_CAP, out=None
+    g: CausalGraph, p, hints=None, limit: int = 1 << DEFAULT_MATCH_CAP, out=None
 ):
     """`match_pattern` over `brute_bindings`.
 
-    Each complete binding counts against `limit` before its witness paths
-    are searched. Matches are appended to `out` when given, so a caller
-    still sees those found before an EnumerationLimit.
+    Each complete binding counts against `limit`, a power of two, before its
+    witness paths are searched. Matches are appended to `out` when given, so
+    a caller still sees those found before an EnumerationLimit.
     """
     hints = dict(hints or {})
     role_names = set(p.role_names())
@@ -399,9 +412,7 @@ def brute_match_pattern(
     matches: list = [] if out is None else out
     for examined, binding in enumerate(brute_bindings(g, p, hints), 1):
         if examined > limit:
-            raise EnumerationLimit(
-                f"more than {limit} candidate bindings for pattern {p.name}"
-            )
+            raise _refusal(limit, f"candidate bindings for pattern {p.name}")
         bound = frozenset(binding.values())
         witnesses = {}
         for a, b in p.template_edges:
@@ -646,12 +657,10 @@ def _brute_value(e, env):
         return env[e.name]
     if isinstance(e, Not):
         return not _brute_value(e.a, env)
-    if isinstance(e, And):
-        return _brute_value(e.a, env) and _brute_value(e.b, env)
-    if isinstance(e, Or):
-        return _brute_value(e.a, env) or _brute_value(e.b, env)
-    if isinstance(e, Eq):
-        return _brute_value(e.a, env) == _brute_value(e.b, env)
+    if isinstance(e, (And, Or, Eq)):
+        # a left fold over the terms: `a == b == c` is `(a == b) == c`
+        op = {And: operator.and_, Or: operator.or_, Eq: operator.eq}[type(e)]
+        return functools.reduce(op, (_brute_value(term, env) for term in e.terms))
     if isinstance(e, IfThenElse):
         branch = e.then if _brute_value(e.cond, env) else e.orelse
         return _brute_value(branch, env)

@@ -24,7 +24,8 @@ probability 0.3, latent probability 0.2) passed through
   without `trust_proxies`, and `logging_set` with a random `allowed` and a
   random `trust_proxies`;
 - `check_accountability` on the first match of `lindberg` and of `raci`;
-- a prefix of `iter_matches` of one pattern under a small limit;
+- a prefix of `iter_matches` of one pattern under a small cap, 2^N
+  bindings with N from 0 to 4, set through `CAUSAL_ACCOUNT_MAX_ENUM`;
 - `build_graph` on the graph with one edge added against the order, which is
   often a cycle, and `build_pattern` on random roles and template edges.
 
@@ -42,9 +43,11 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import os
 import random
 import zlib
 from pathlib import Path
+from unittest import mock
 
 from causal_account import (
     AccountabilityReport,
@@ -64,6 +67,7 @@ from causal_account import (
     iter_matches,
     logging_set,
 )
+from causal_account.limits import ENV_VAR
 from causal_account.modelio import parse_model, to_dsl, to_json
 from causal_account.scm import consistent_world_count
 
@@ -116,8 +120,9 @@ def _check(g, case: dict):
 
 
 def _matches(g, case: dict) -> list:
-    found = iter_matches(g, builtin_pattern(case["pattern"]), limit=case["limit"])
-    return [list(m.binding.values()) for m in itertools.islice(found, case["count"])]
+    with mock.patch.dict(os.environ, {ENV_VAR: str(case["cap"])}):
+        found = iter_matches(g, builtin_pattern(case["pattern"]))
+        return [list(m.binding.values()) for m in itertools.islice(found, case["count"])]
 
 
 def _values(m, answer: dict) -> dict:
@@ -192,7 +197,8 @@ def graph_cases(rng: random.Random):
         "call": "iter_matches",
         "graph": text,
         "pattern": rng.choice(PATTERNS),
-        "limit": rng.randint(1, 30),
+        # a draw of 1 to 30 bindings, rounded down to a power of two
+        "cap": rng.randint(1, 30).bit_length() - 1,
         "count": rng.randint(1, 4),
     }
     # one edge against the declaration order: a cycle when a path runs the

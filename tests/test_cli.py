@@ -922,20 +922,30 @@ class TestCheck:
             "note: controls restricted to {Uber, Developers, Manuals, Police}\n"
         )
 
-    def test_judges_the_first_match_where_listing_refuses(self, runner, tmp_path):
-        # a complete DAG of 45 nodes has C(45, 3) = 14,190 lindberg bindings,
-        # past the default cap of 10,000; the first match needs none of them
+    def test_judges_the_first_match_where_listing_refuses(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # a complete DAG of 48 nodes has C(48, 3) = 17,296 lindberg bindings,
+        # past the default cap of 2^14; the first match needs none of them
         path = tmp_path / "dense.scm.txt"
         path.write_text(
             "model dense\nexo n1 : bool\n"
             + "".join(
                 f"var n{k} : bool <- " + ", ".join(f"n{i}" for i in range(1, k)) + "\n"
-                for k in range(2, 46)
+                for k in range(2, 49)
             )
         )
         res = invoke(runner, "match", str(path), "--pattern", "lindberg")
         assert res.exit_code == 1
-        assert res.stderr == "Error: more than 10000 candidate bindings for pattern lindberg\n"
+        assert res.stderr == (
+            "Error: more than 2^14 candidate bindings for pattern lindberg "
+            "(override with CAUSAL_ACCOUNT_MAX_ENUM)\n"
+        )
+        monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "15")
+        res = invoke(runner, "match", str(path), "--pattern", "lindberg")
+        assert res.exit_code == 0
+        assert res.stdout.count("match:") == 17_296
+        monkeypatch.delenv("CAUSAL_ACCOUNT_MAX_ENUM")
         res = invoke(runner, "check", str(path), "--pattern", "lindberg")
         assert res.exit_code == 0
         assert res.stdout.startswith(
@@ -1155,3 +1165,45 @@ class TestExport:
         res = invoke(runner, "export", "uav_attacker", "--format", "dot")
         assert res.exit_code == 0
         assert "Attacker [style=dashed];" in res.stdout
+
+
+# x <- L_i -> y under three latents, each with three proxies: trusting them,
+# 27 candidate sets stand in for the one separator {L0, L1, L2}
+FAN = (
+    "model fan\n"
+    + "".join(f"latent L{i} : bool\n" for i in range(3))
+    + "var x : bool <- L0, L1, L2\nvar y : bool <- x, L0, L1, L2\n"
+    + "".join(f"proxy p{i}_{j} for L{i}\n" for i in range(3) for j in range(3))
+)
+# the complete DAG on n1..n6: more than 2^4 back-door paths from n5 to n6
+DENSE = "model dense\nexo n1 : bool\n" + "".join(
+    f"var n{k} : bool <- " + ", ".join(f"n{i}" for i in range(1, k)) + "\n" for k in range(2, 7)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, cap, head",
+    [
+        (("worlds", "uav_weather"), 1, "4 root combinations exceed the cap of 2^1 "),
+        (("backdoor", "uber", "--x", "Driver", "--y", "Accident"), 1, "more than 2^1 minimal sets "),
+        (("identify", FAN, "--x", "x", "--y", "y", "--trust-proxies"), 4,
+         "more than 2^4 candidate sets "),
+        (("identify", DENSE, "--x", "n5", "--y", "n6"), 4, "more than 2^4 paths between n5 and n6 "),
+        (("match", "titus", "--pattern", "lindberg"), 1,
+         "more than 2^1 candidate bindings for pattern lindberg "),
+    ],
+    ids=["worlds", "minimal-sets", "candidate-sets", "paths", "bindings"],
+)
+def test_every_cap_yields_to_the_one_override(runner, tmp_path, monkeypatch, argv, cap, head):
+    command, model, *rest = argv
+    if "\n" in model:
+        (tmp_path / "m.scm.txt").write_text(model, encoding="utf-8")
+        model = str(tmp_path / "m.scm.txt")
+    monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", str(cap))
+    res = invoke(runner, command, model, *rest)
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr.startswith("Error: " + head)
+    assert res.stderr.endswith("(override with CAUSAL_ACCOUNT_MAX_ENUM)\n")
+    monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", str(cap + 2))
+    res = invoke(runner, command, model, *rest)
+    assert res.exit_code == 0 and res.stdout

@@ -37,6 +37,7 @@ from causal_account import (
 )
 from causal_account import graph as graph_module
 from causal_account.graph import d_connected
+from causal_account.limits import ENV_VAR
 
 from oracles import (
     brute_simple_paths,
@@ -327,9 +328,10 @@ class TestPaths:
         with pytest.raises(OverlapError):
             all_paths(diamond(), "A", "A")
 
-    def test_limit(self):
+    def test_limit(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "0")
         with pytest.raises(EnumerationLimit):
-            all_paths(diamond(), "A", "D", limit=1)
+            all_paths(diamond(), "A", "D")
 
     @settings(max_examples=200, deadline=None)
     @given(dags_with_pair())
@@ -343,19 +345,23 @@ class TestPaths:
         assert backdoor_paths(g, x, y) == brute_simple_paths(g, x, y, into)
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_limit_boundary(self, directed):
+    def test_limit_boundary(self, directed, monkeypatch):
+        # 16 directed paths fill 2^4 exactly; 65 skeleton paths pass 2^6 by one
         g = complete_dag(6)
         full = all_paths(g, "n1", "n6", directed=directed)
         n = len(full)
         assert n == (65 if not directed else 16)
-        assert all_paths(g, "n1", "n6", directed=directed, limit=n) == full
-        message = f"more than {n - 1} paths between n1 and n6"
+        cap = (n - 1).bit_length()  # the least N with n <= 2^N
+        monkeypatch.setenv(ENV_VAR, str(cap))
+        assert all_paths(g, "n1", "n6", directed=directed) == full
+        monkeypatch.setenv(ENV_VAR, str(cap - 1))
+        message = f"more than 2^{cap - 1} paths between n1 and n6 (override with {ENV_VAR})"
         with pytest.raises(EnumerationLimit) as err:
-            all_paths(g, "n1", "n6", directed=directed, limit=n - 1)
+            all_paths(g, "n1", "n6", directed=directed)
         assert str(err.value) == message
         first = first_steps(g, "n1", directed)
         with pytest.raises(EnumerationLimit) as err:
-            brute_simple_paths(g, "n1", "n6", first, directed, limit=n - 1)
+            brute_simple_paths(g, "n1", "n6", first, directed, limit=1 << (cap - 1))
         assert str(err.value) == message
 
     def test_walker_built_paths_equal_checked_paths(self, uav_weather, titus):
@@ -485,15 +491,19 @@ class TestDSeparation:
             g, {x}, {y}, z
         )
 
-    def test_paths_stop_at_the_first_open_path(self):
+    def test_paths_stop_at_the_first_open_path(self, monkeypatch):
         # A -> B -> D is open given nothing, so the second path is never walked
-        assert not d_separated_paths(diamond(), {"A"}, {"D"}, set(), limit=1)
+        monkeypatch.setenv(ENV_VAR, "0")
+        assert not d_separated_paths(diamond(), {"A"}, {"D"}, set())
 
-    def test_path_limit_counts_blocked_paths(self):
+    def test_path_limit_counts_blocked_paths(self, monkeypatch):
         g = diamond()
-        with pytest.raises(EnumerationLimit, match="^more than 1 paths between A and D$"):
-            d_separated_paths(g, {"A"}, {"D"}, {"B", "C"}, limit=1)
-        assert d_separated_paths(g, {"A"}, {"D"}, {"B", "C"}, limit=2)
+        monkeypatch.setenv(ENV_VAR, "0")
+        message = rf"^more than 2\^0 paths between A and D \(override with {ENV_VAR}\)$"
+        with pytest.raises(EnumerationLimit, match=message):
+            d_separated_paths(g, {"A"}, {"D"}, {"B", "C"})
+        monkeypatch.setenv(ENV_VAR, "1")
+        assert d_separated_paths(g, {"A"}, {"D"}, {"B", "C"})
 
     @given(dags_with_node_sets())
     def test_node_sets_agree_with_networkx(self, case):

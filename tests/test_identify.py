@@ -14,6 +14,7 @@ from causal_account import (
     NodeKind,
     NotIdentifiable,
     OverlapError,
+    all_paths,
     ancestors,
     backdoor_paths,
     build_graph,
@@ -21,6 +22,7 @@ from causal_account import (
     consistent_worlds,
     identify,
     logging_set,
+    match_pattern,
     minimal_backdoor_sets,
     satisfies_backdoor,
     satisfies_frontdoor,
@@ -380,15 +382,20 @@ class TestMinimalBackdoorSets:
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "5")
         assert len(minimal_backdoor_sets(g, "x", "y", trust_proxies=True)) == 27
 
-    def test_a_huge_cap_is_never_built(self, uber, monkeypatch):
+    def test_a_huge_cap_is_never_built(self, uber, lindberg, monkeypatch):
         # 2^cap takes cap/8 bytes, 12.5 MB here; the world cap, the separator
-        # cap and the candidate cap compare bit lengths first
+        # cap and the candidate cap compare bit lengths first, and the path
+        # and binding caps count to at most 2^63
+        paths = all_paths(uber.graph, "Driver", "Accident")
+        matches = match_pattern(uber.graph, lindberg)
         monkeypatch.setenv("CAUSAL_ACCOUNT_MAX_ENUM", "100000000")
         g = latent_fan(3, 3)
         tracemalloc.start()
         try:
             assert len(consistent_worlds(uber, {})) == 2 ** len(uber.root_names)
             assert len(minimal_backdoor_sets(g, "x", "y", trust_proxies=True)) == 27
+            assert all_paths(uber.graph, "Driver", "Accident") == paths
+            assert match_pattern(uber.graph, lindberg) == matches
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -27,6 +27,8 @@ from causal_account import (
     Not,
     Or,
     Ref,
+    Role,
+    RoleKind,
     StructuralFunction,
     Table,
     build_graph,
@@ -35,6 +37,7 @@ from causal_account import (
     evaluate,
     from_json,
     parse_model,
+    to_dot,
     to_dsl,
     to_json,
 )
@@ -48,6 +51,8 @@ from causal_account.errors import (
     SemanticError,
 )
 from causal_account.limits import MAX_EXPR_DEPTH
+
+from oracles import brute_evaluate
 
 HEAD = "model g\nexo a : bool\nexo b : bool\nvar y : bool = "
 BODY_COLUMN = len(HEAD.splitlines()[-1]) + 1
@@ -129,10 +134,13 @@ class TestChainNodes:
     @pytest.mark.parametrize("op, fold", [("|", or_), ("&", and_), ("==", eq)])
     def test_a_chain_evaluates_as_the_left_fold(self, op, fold):
         m = parse_model(HEAD + f" {op} ".join("abba") + "\n")
+        # the reference evaluator folds too, past Python's recursion limit
+        long = parse_model(chain(op, 2_000))
         for a in (False, True):
             for b in (False, True):
                 want = reduce(fold, (a, b, b, a))
                 assert evaluate(m, {"a": a, "b": b})["y"] == want
+                assert brute_evaluate(long, {"a": a, "b": b}) == evaluate(long, {"a": a, "b": b})
 
 
 class TestLongChains:
@@ -269,6 +277,10 @@ class TestNestingLimit:
         (lambda: build_pattern("p", [("A", "weird"), ("E", "Effect")], []),
          InvalidRoleSpec, PatternError, "('A', 'weird')"),
         (lambda: build_pattern("p", [("A", "Agent"), "E"], []), InvalidRoleSpec, PatternError, "'E'"),
+        # a Node or Role object is held to the same kinds as a tuple
+        (lambda: build_graph([Node("a", "weird")], []), InvalidNodeSpec, GraphError, "kind='weird'"),
+        (lambda: build_pattern("p", [Role("A", "weird"), ("E", "Effect")], []),
+         InvalidRoleSpec, PatternError, "kind='weird'"),
         # a label must be a string, or `to_dot` and `to_dsl` fail on it and
         # `from_json` refuses what `to_json` writes
         (lambda: build_graph([("A", "exogenous", 5)], []),
@@ -289,6 +301,13 @@ def test_lists_and_labels_still_make_node_and_role_specs():
     assert g.nodes[0] == Node("a", NodeKind.EXOGENOUS, "A label")
     p = build_pattern("p", [["A", "Agent"], ("E", "Effect")], [("A", "E")])
     assert [r.name for r in p.roles] == ["A", "E"]
+    # a Node or Role object may give its kind as a string too
+    g = build_graph([Node("a", "Exogenous", "A label"), ("y", "endogenous")], [("a", "y")])
+    assert g.nodes[0] == Node("a", NodeKind.EXOGENOUS, "A label")
+    assert to_dot(g).startswith("digraph ")
+    p = build_pattern("p", [Role("A", "Agent"), Role("E", RoleKind.EFFECT)], [("A", "E")])
+    assert p.roles == (Role("A", RoleKind.AGENT), Role("E", RoleKind.EFFECT))
+    assert from_json(to_json(p)) == p
 
 
 def test_a_chain_is_one_flat_json_object():

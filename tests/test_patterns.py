@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from causal_account import (
     validate_match,
 )
 from causal_account import patterns as patterns_module
+from causal_account.limits import ENV_VAR
 
 from oracles import (
     brute_bindings,
@@ -260,14 +263,16 @@ class TestMatchPattern:
         assert len(matches) == 1
         assert str(matches[0].witness_paths[("A", "E")]) == "a -> e"
 
-    def test_binding_cap(self, titus, lindberg):
+    def test_binding_cap(self, titus, lindberg, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "0")
         with pytest.raises(EnumerationLimit):
-            match_pattern(titus.graph, lindberg, limit=1)
+            match_pattern(titus.graph, lindberg)
 
-    def test_iter_matches_is_lazy(self, titus, lindberg):
+    def test_iter_matches_is_lazy(self, titus, lindberg, monkeypatch):
         # the first match comes out before the cap is reached
-        first = next(iter_matches(titus.graph, lindberg, limit=1))
-        assert first == match_pattern(titus.graph, lindberg)[0]
+        want = match_pattern(titus.graph, lindberg)[0]
+        monkeypatch.setenv(ENV_VAR, "0")
+        assert next(iter_matches(titus.graph, lindberg)) == want
 
     def test_iter_matches_checks_hints_at_the_call(self, titus, lindberg):
         with pytest.raises(PatternArityError):
@@ -390,39 +395,44 @@ class TestMatchOracle:
             role: rng.choice(g.names)
             for role in rng.sample(roles, rng.choice((0, 0, 1, 2)))
         }
-        limit = rng.choice((1, 5, 20, 200))
+        cap = rng.choice((0, 2, 4, 8))
 
         def ours(found):
-            found.extend(iter_matches(g, p, hints, limit))
+            found.extend(iter_matches(g, p, hints))
 
         def brute(found):
-            brute_match_pattern(g, p, hints, limit, out=found)
+            brute_match_pattern(g, p, hints, 1 << cap, out=found)
 
-        mine, theirs = outcome(ours), outcome(brute)
+        with mock.patch.dict(os.environ, {ENV_VAR: str(cap)}):
+            mine, theirs = outcome(ours), outcome(brute)
+            if mine[1] is None:
+                assert match_pattern(g, p, hints) == mine[0]
         assert mine == theirs
         for m, b in zip(mine[0], theirs[0]):
             assert list(m.binding.items()) == list(b.binding.items())
             assert list(m.witness_paths.items()) == list(b.witness_paths.items())
-        if mine[1] is None:
-            assert match_pattern(g, p, hints, limit) == mine[0]
 
     @pytest.mark.parametrize("name", ["lindberg", "raci"])
     @pytest.mark.parametrize("density", [0.2, 0.3])
     @pytest.mark.parametrize("seed", range(6))
-    def test_agrees_with_brute_force_at_benchmark_size(self, name, density, seed):
+    def test_agrees_with_brute_force_at_benchmark_size(
+        self, name, density, seed, monkeypatch
+    ):
         # the audit benchmark's graph size, past the Hypothesis test's 12
-        # nodes; the limit is set to the exact number of complete bindings,
-        # then to one less, where the last binding must raise
+        # nodes; the cap is set to the least N with 2^N complete bindings or
+        # more, then to N - 1, where a binding past 2^(N - 1) must raise
         g = random_dag(random.Random(seed), 16, density)
         p = builtin_pattern(name)
         bindings = sum(1 for _ in brute_bindings(g, p))
-        for limit in (bindings, bindings - 1) if bindings else (0,):
-            mine = outcome(lambda found: found.extend(iter_matches(g, p, limit=limit)))
+        least = (bindings - 1).bit_length() if bindings else 0
+        for cap in (least, least - 1) if least else (0,):
+            monkeypatch.setenv(ENV_VAR, str(cap))
+            mine = outcome(lambda found: found.extend(iter_matches(g, p)))
             theirs = outcome(
-                lambda found: brute_match_pattern(g, p, limit=limit, out=found)
+                lambda found: brute_match_pattern(g, p, limit=1 << cap, out=found)
             )
             assert mine == theirs
-            assert (mine[1] is None) == (limit == bindings)
+            assert (mine[1] is None) == (cap == least)
             for m, b in zip(mine[0], theirs[0]):
                 assert list(m.binding.items()) == list(b.binding.items())
                 assert list(m.witness_paths.items()) == list(b.witness_paths.items())

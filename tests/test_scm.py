@@ -105,6 +105,16 @@ BUILD_SCM_ERRORS = [
      {"a": BOOL, "b": BOOL},
      {"b": StructuralFunction("b", ("a",), Foo())},
      "unsupported expression node Foo"),
+    # a model file holds one domain per name, and `bool` is predefined; the
+    # last two rows name node b as their subject
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": Domain("lvl", ("lo", "hi")), "b": Domain("lvl", ("lo", "mid", "hi"))},
+     {"b": StructuralFunction("b", ("a",), None)},
+     "domain 'lvl' of b names two domains"),
+    ([("a", "exogenous"), ("b", "endogenous")], [("a", "b")],
+     {"a": BOOL, "b": Domain("bool", ("yes", "no"))},
+     {"b": StructuralFunction("b", ("a",), None)},
+     "domain 'bool' of b is predefined as [false, true]"),
 ]
 
 
@@ -373,6 +383,8 @@ class TestBuildScm:
         with pytest.raises(SemanticError) as err:
             build_scm(build_graph(nodes, edges), domains, functions)
         assert str(err.value) == message
+        if message.startswith("domain "):
+            assert err.value.subject == ("node", "b")
 
     def test_model_maps_are_read_only(self):
         graph = build_graph(
