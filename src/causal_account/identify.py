@@ -167,14 +167,11 @@ def _backdoor_sets(
     A minimal separator of allowed vertices is a minimal separator, so these are
     the full listing's sets inside `allowed`, and only they count to the cap."""
     order = g._order
-    de, an, observable = g._reach_bits
     xbit, ybit = 1 << order[x], 1 << order[y]
-    relevant = an[order[x]] | an[order[y]] | xbit | ybit
-    excluded = de[order[x]] | xbit | ybit
+    relevant, excluded, pool = _backdoor_pool(g, x, y)
     adj = _moral_bits(g, xbit, relevant)
     cap = enumeration_cap(DEFAULT_SET_CAP)
     if not trust_proxies:
-        pool = observable & relevant & ~excluded
         if allowed is not None:
             pool &= _mask(g, allowed)
         separators = _minimal_separators(adj, adj, xbit, ybit, pool, cap)
@@ -220,6 +217,17 @@ def _backdoor_sets(
         return True
 
     return [zset for zset in _by_size(g, candidates) if needs_every_member(zset)]
+
+
+def _backdoor_pool(g: CausalGraph, x: str, y: str) -> tuple[int, int, int]:
+    """Masks of A = An({x, y}) ∪ {x, y}, of the nodes no back-door set of
+    (x, y) may hold, De(x) ∪ {x, y}, and of the strict candidates: the
+    observable nodes of A outside the second."""
+    de, an, observable = g._reach_bits
+    i, j = g._order[x], g._order[y]
+    relevant = an[i] | an[j] | 1 << i | 1 << j
+    excluded = de[i] | 1 << i | 1 << j
+    return relevant, excluded, observable & relevant & ~excluded
 
 
 def _by_size(g: CausalGraph, sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
@@ -279,13 +287,11 @@ def _identifiable_by_criteria(g: CausalGraph, x: str, y: str) -> bool:
     """Whether a strict back-door or a front-door set exists, listing none: more
     deleted vertices never reconnect x and y, so the whole back-door pool is
     one, or the nodes of De(x) ∩ An(y) that pass `_frontdoor_member` are one."""
-    de, an, observable = g._reach_bits
-    i, j = g._order[x], g._order[y]
-    pool = (an[i] | an[j]) & observable & ~(de[i] | 1 << i | 1 << j)
-    if satisfies_backdoor(g, _names(g, pool), x, y):
+    if not d_connected(g, (x,), {y}, _names(g, _backdoor_pool(g, x, y)[2]), cut={x}):
         return True
-    members = [m for m in between(g, x, y) if _frontdoor_member(g, m, x, y)]
-    return satisfies_frontdoor(g, members, x, y)
+    # they intercept every directed x to y path when removing them cuts y off from x
+    members = _mask(g, (m for m in between(g, x, y) if _frontdoor_member(g, m, x, y)))
+    return not _component(g._edge_bits[1], 1 << g._order[x], members) >> g._order[y] & 1
 
 
 def _report(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 from ..errors import CausalAccountError, ParseError, SemanticError
 from ..graph import Node, NodeKind, build_graph
@@ -579,80 +580,70 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# what `_TOKEN_RE` reads as one identifier
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def _writable(name: object, described: str) -> None:
-    """Refuse a name or value, `described` for the message, that the DSL
-    would not read back as itself."""
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise SemanticError(f"cannot serialize: {described} is not a DSL identifier")
-    if name in KEYWORDS:
-        raise SemanticError(f"cannot serialize: {described} is a reserved word")
+def _as_written(f: StructuralFunction, body: Expr | None) -> tuple:
+    """`f` with `body` in place of its own, as the DSL states it: an
+    expression's parents only as a set, since the reader lists them in the
+    order the body first names them."""
+    return (frozenset(f.parents) if body is not None else f.parents), body
 
 
 def to_dsl(m: Scm) -> str:
-    """Serialize a model back to its DSL form.
+    """Serialize a model to DSL text that `parse_model` reads back as `m`.
 
-    Expression and structure-only functions round-trip exactly. A table body
-    has no DSL syntax, so it is rewritten as an equivalent conditional
-    expression: same semantics, different body representation. Models whose
-    names collide across the DSL's single namespace (a variable named like a
-    domain or one of its values) cannot be written down unambiguously and are
-    rejected, as are names that are no DSL identifier or a reserved word,
-    values of a domain other than `bool` that are not strings, labels that
-    hold a line break, and tables whose rewrite would nest deeper than
-    MAX_EXPR_DEPTH levels.
+    Expressions round-trip up to the order of their parents, which the reader
+    takes from the body. A table body has no DSL syntax, so it is written as
+    an equivalent conditional expression, refused if that would nest deeper
+    than MAX_EXPR_DEPTH levels. Any other model the text would not give back
+    is refused with a SemanticError: with the reader's own message and the
+    line it refused, or naming the first declaration that reads back
+    differently and the part that differs (node, domain or function).
     """
-    _writable(m.name, f"model name {m.name!r}")
-    for node in m.graph.nodes:
-        _writable(node.name, f"variable {node.name!r}")
-        # a DSL string has no escape for any boundary `splitlines` splits on
-        if node.label is not None and len(f"{node.label}.".splitlines()) > 1:
-            raise SemanticError(f"cannot serialize: label of {node.name} holds a line break")
-    taken: dict[str, str] = {node.name: "variable" for node in m.graph.nodes}
-    # `bool` is predefined, so its name is taken even where no node uses it
+    # `bool` is predefined, so it takes no line
     domains = list(dict.fromkeys([BOOL, *(m.domains[name] for name in m.graph.names)]))
-    for domain in domains:
-        if domain.name in taken:
-            raise SemanticError(
-                f"cannot serialize: domain name {domain.name!r} collides "
-                f"with a {taken[domain.name]}"
-            )
-        taken[domain.name] = "domain name"
-        if domain == BOOL:
-            continue
-        _writable(domain.name, f"domain name {domain.name!r}")
-        for value in domain.values:
-            _writable(value, f"value {value!r} of domain {domain.name}")
-            if value in taken:
-                raise SemanticError(
-                    f"cannot serialize: value {value!r} of domain "
-                    f"{domain.name} collides with a {taken[value]}"
-                )
-            taken[value] = f"value of domain {domain.name}"
     out = [f"model {m.name}", ""]
     out += [f"domain {d.name} {{ " + ", ".join(map(str, d.values)) + " }" for d in domains[1:]]
     if len(domains) > 1:
         out.append("")
 
     keywords = {NodeKind.EXOGENOUS: "exo", NodeKind.LATENT: "latent", NodeKind.ENDOGENOUS: "var"}
+    written: dict[str, tuple | None] = {}  # each function as the text states it
     for node in m.graph.nodes:
-        label = f" label {_quote(node.label)}" if node.label is not None else ""
-        if node.proxy_for is not None:
-            out.append(f"proxy {node.name} for {node.proxy_for}{label}")
-            continue
-        line = f"{keywords[node.kind]} {node.name} : {m.domains[node.name].name}{label}"
         f = m.functions.get(node.name)
         body = f and f.body
         if isinstance(body, Table):
             body = _table_to_expr(f.parents, dict(body.rows), m.domains)
             what = f"cannot serialize: function of {node.name}"
             check_expr(body, m.domains[node.name], m.domains, domains, what)
+        written[node.name] = f and _as_written(f, body)
+        label = f" label {_quote(node.label)}" if node.label is not None else ""
+        if node.proxy_for is not None:
+            out.append(f"proxy {node.name} for {node.proxy_for}{label}")
+            continue
+        line = f"{keywords[node.kind]} {node.name} : {m.domains[node.name].name}{label}"
         if body is not None:
             line += " = " + _render_expr(body, 0)
         elif f is not None and f.parents:
             line += " <- " + ", ".join(f.parents)
         out.append(line)
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+
+    try:
+        back = parse_model(text)
+    except (ParseError, SemanticError) as err:  # the reader places every refusal
+        line = text.splitlines()[err.span.line - 1]
+        raise SemanticError(f"cannot serialize: {err} in {line[:80]!r}") from None
+    if back.name != m.name:
+        raise SemanticError(f"cannot serialize: the name of model {m.name!r} reads back differently")
+    for mine, theirs in zip_longest(m.graph.nodes, back.graph.nodes):
+        name = (mine or theirs).name
+        f = back.functions.get(name)
+        for part, ours, read in (
+            ("node", mine, theirs),
+            ("domain", m.domains.get(name), back.domains.get(name)),
+            ("function", written.get(name), f and _as_written(f, f.body)),
+        ):
+            if ours != read:
+                raise SemanticError(
+                    f"cannot serialize: the {part} of variable {name!r} reads back differently"
+                )
+    return text

@@ -92,14 +92,10 @@ class Domain:
             return False
 
     def parse(self, text: str) -> Value:
-        """Turn CLI/DSL text into a domain value."""
-        if self.name == "bool":
-            if text == "true":
-                return True
-            if text == "false":
-                return False
-        elif text in self.values:
-            return text
+        """The value that `render` writes as `text`, for CLI input."""
+        for value in self.values:
+            if self.render(value) == text:
+                return value
         raise ValueOutOfDomain(
             f"{text!r} is not a value of domain {self.name} "
             f"({', '.join(self.render(v) for v in self.values)})"

@@ -20,7 +20,12 @@ from click.testing import CliRunner
 import causal_account
 from causal_account import (
     AccountabilityReport,
+    Domain,
     IdentificationReport,
+    Ref,
+    StructuralFunction,
+    build_graph,
+    build_scm,
     builtin_pattern,
     check_accountability,
     from_json,
@@ -218,6 +223,23 @@ class TestEval:
         res = invoke(runner, "eval", str(path), "--set", "S=high")
         assert res.exit_code == 0
         assert res.stdout == "S=high\nFast=true\n"
+
+    def test_bool_valued_domain_of_another_name(self, runner, tmp_path):
+        # values are read by the text they are written as, whatever the domain's name
+        flag = Domain("flag", (False, True))
+        graph = build_graph([("S", "exogenous"), ("Y", "endogenous")], [("S", "Y")])
+        m = build_scm(graph, {"S": flag, "Y": flag}, {"Y": StructuralFunction("Y", ("S",), Ref("S"))})
+        path = tmp_path / "flag.json"
+        path.write_text(to_json(m))
+        res = invoke(runner, "worlds", str(path))
+        assert (res.exit_code, res.stdout) == (0, "worlds: 2\nS=false Y=false\nS=true Y=true\n")
+        res = invoke(runner, "eval", str(path), "--set", "S=true")
+        assert (res.exit_code, res.stdout) == (0, "S=true\nY=true\n")
+        res = invoke(runner, "cf", str(path), "--evidence", "Y=true", "--query", "S")
+        assert (res.exit_code, res.stdout) == (0, "S=true\n")
+        res = invoke(runner, "eval", str(path), "--set", "S=True")
+        assert res.exit_code == 2
+        assert "'True' is not a value of domain flag (false, true)" in res.stderr
 
     def test_non_root_is_usage_error(self, runner):
         res = invoke(runner, "eval", "titus", "--set", "I=true", "--set", "TM=false")

@@ -589,6 +589,100 @@ class TestExpressions:
         assert "already a value" in str(err)
 
 
+def _renamed(m, old, new):
+    """`m` with every variable, domain or value named `old` renamed `new`."""
+    return from_json(to_json(m).replace(json.dumps(old), json.dumps(new)))
+
+
+def _add_bool_nodes(payload, *nodes):
+    """Append (name, kind, principal) variables of domain bool to a model payload."""
+    if all(d["name"] != "bool" for d in payload["domains"]):
+        payload["domains"].append({"name": "bool", "values": [False, True]})
+    payload["nodes"] += [
+        {"domain": "bool", "kind": kind, "label": None, "name": name, "proxy_for": principal}
+        for name, kind, principal in nodes
+    ]
+
+
+def _colliding(rng, m):
+    """`m` with a variable named like a domain or a value, or a value named
+    like a variable."""
+    domains = [d for d in dict.fromkeys(m.domains.values()) if d != BOOL]
+    if domains and rng.random() < 0.5:
+        return _renamed(m, rng.choice(rng.choice(domains).values), rng.choice(m.graph.names))
+    names = ["bool", *(d.name for d in domains), *(v for d in domains for v in d.values)]
+    return _renamed(m, rng.choice(m.graph.names), rng.choice(names))
+
+
+def _line_broken_label(rng, m):
+    def edit(payload):
+        brk = rng.choice(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+        rng.choice(payload["nodes"])["label"] = f"a{brk}b"
+
+    return from_json(mutate(m, edit))
+
+
+def _bool_valued_domain(rng, m):
+    """`m` with a root of a domain `flag` holding false and true."""
+    def edit(payload):
+        payload["domains"].append({"name": "flag", "values": [False, True]})
+        node = {"domain": "flag", "kind": "exogenous", "label": None, "name": "nflag", "proxy_for": None}
+        payload["nodes"].insert(rng.randint(0, len(payload["nodes"])), node)
+
+    return from_json(mutate(m, edit))
+
+
+def _proxy_not_copying(rng, m):
+    """`m` with a proxy whose function is the negation of its principal, or
+    structure-only."""
+    def edit(payload):
+        _add_bool_nodes(payload, ("lat", "latent", None), ("prx", "endogenous", "lat"))
+        body = rng.choice([{"op": "not", "a": {"op": "ref", "name": "lat"}}, None])
+        payload["edges"].append(["lat", "prx"])
+        payload["functions"].append({"body": body, "parents": ["lat"], "target": "prx"})
+
+    return from_json(mutate(m, edit))
+
+
+def _unreferenced_parent(rng, m):
+    """`m` with a root declared before an expression-bodied variable added to
+    its parents but not to its body, or with such a variable appended."""
+    def edit(payload):
+        kinds = {node["name"]: node["kind"] for node in payload["nodes"]}
+        proxies = {node["name"] for node in payload["nodes"] if node["proxy_for"]}
+        order = list(kinds)
+        for f in payload["functions"]:
+            if f["body"] is None or f["body"]["op"] == "table" or f["target"] in proxies:
+                continue
+            spare = [
+                name for name in order[: order.index(f["target"])]
+                if kinds[name] != "endogenous" and name not in f["parents"]
+            ]
+            if spare:
+                f["parents"].append(spare[0])
+                payload["edges"].append([spare[0], f["target"]])
+                return
+        _add_bool_nodes(payload, ("ua", "exogenous", None), ("ub", "exogenous", None),
+                        ("uy", "endogenous", None))
+        payload["edges"] += [["ua", "uy"], ["ub", "uy"]]
+        body = {"op": "ref", "name": "ua"}
+        payload["functions"].append({"body": body, "parents": ["ua", "ub"], "target": "uy"})
+
+    return from_json(mutate(m, edit))
+
+
+# each makes a valid model that the DSL cannot state
+_UNWRITABLE = (
+    lambda rng, m: _renamed(m, rng.choice(m.graph.names), rng.choice(sorted(dsl.KEYWORDS))),
+    lambda rng, m: _renamed(m, rng.choice(m.graph.names), rng.choice(["n 1", "n-1", "1n", "n#1"])),
+    _colliding,
+    _line_broken_label,
+    _bool_valued_domain,
+    _proxy_not_copying,
+    _unreferenced_parent,
+)
+
+
 class TestToDsl:
     DEMO = (
         "model demo\n"
@@ -693,12 +787,16 @@ class TestToDsl:
     @pytest.mark.parametrize(
         "name, domain, message",
         [
-            ("if", BOOL, "cannot serialize: variable 'if' is a reserved word"),
-            ("my var", BOOL, "cannot serialize: variable 'my var' is not a DSL identifier"),
+            ("if", BOOL,
+             "cannot serialize: line 3, column 5: 'if' is a reserved word in 'exo if : bool'"),
+            ("my var", BOOL,
+             "cannot serialize: line 3, column 8: expected ':' in 'exo my var : bool'"),
+            # written `domain flag { False, True }`, which holds two strings
             ("S", Domain("flag", (False, True)),
-             "cannot serialize: value False of domain flag is not a DSL identifier"),
+             "cannot serialize: the domain of variable 'S' reads back differently"),
             ("bool", Domain("speed", ("low", "high")),
-             "cannot serialize: domain name 'bool' collides with a variable"),
+             "cannot serialize: line 5, column 5: 'bool' is already a domain name "
+             "in 'exo bool : speed'"),
         ],
     )
     def test_unreadable_names_and_values_refused(self, name, domain, message):
@@ -708,14 +806,79 @@ class TestToDsl:
             to_dsl(m)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("label", ["two\nlines", "page\x0cbreak", "line\u2028separator"])
-    def test_line_broken_label_refused(self, label):
+    @pytest.mark.parametrize(
+        "label, written",
+        [("two\nlines", "two"), ("page\x0cbreak", "page"), ("line\u2028separator", "line")],
+    )
+    def test_line_broken_label_refused(self, label, written):
         # the line would be read back as two, and the DSL's strings have no
         # escape for a line break
         m = build_scm(build_graph([("A", "exogenous", label)], []), {"A": BOOL}, {})
         with pytest.raises(SemanticError) as err:
             to_dsl(m)
-        assert str(err.value) == "cannot serialize: label of A holds a line break"
+        assert str(err.value) == (
+            "cannot serialize: line 3, column 20: unexpected character '\"' "
+            f"in 'exo A : bool label \"{written}'"
+        )
+
+    @pytest.mark.parametrize("body", [Not(Ref("L")), None])
+    def test_proxy_that_does_not_copy_its_principal_refused(self, body):
+        # `proxy P for L` would read back as P = L
+        graph = build_graph(
+            [("L", "latent"), Node("P", NodeKind.ENDOGENOUS, proxy_for="L")], [("L", "P")]
+        )
+        m = build_scm(graph, {"L": BOOL, "P": BOOL}, {"P": StructuralFunction("P", ("L",), body)})
+        with pytest.raises(SemanticError) as err:
+            to_dsl(m)
+        assert str(err.value) == (
+            "cannot serialize: the function of variable 'P' reads back differently"
+        )
+
+    def test_unreferenced_parent_refused(self):
+        # `var y : bool = a` would read back without the edge b -> y
+        graph = build_graph(
+            [("a", "exogenous"), ("b", "exogenous"), ("y", "endogenous")], [("a", "y"), ("b", "y")]
+        )
+        f = StructuralFunction("y", ("a", "b"), Ref("a"))
+        m = build_scm(graph, dict.fromkeys("aby", BOOL), {"y": f})
+        with pytest.raises(SemanticError) as err:
+            to_dsl(m)
+        assert str(err.value) == (
+            "cannot serialize: the function of variable 'y' reads back differently"
+        )
+
+    def test_expression_parents_read_back_in_the_order_the_body_names_them(self):
+        graph = build_graph(
+            [("a", "exogenous"), ("b", "exogenous"), ("y", "endogenous")], [("a", "y"), ("b", "y")]
+        )
+        f = StructuralFunction("y", ("a", "b"), And(Ref("b"), Ref("a")))
+        m = build_scm(graph, dict.fromkeys("aby", BOOL), {"y": f})
+        back = parse_model(to_dsl(m))
+        assert back.functions["y"] == StructuralFunction("y", ("b", "a"), f.body)
+        assert back.graph == m.graph
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_models_that_read_back_are_written(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            m = random_scm(rng, max_nodes=6)
+            text = to_dsl(m)
+            back = parse_model(text)
+            assert to_dsl(back) == text
+            assert (back.name, back.graph, back.domains) == (m.name, m.graph, m.domains)
+            for name, f in m.functions.items():
+                g = back.functions[name]
+                assert set(g.parents) == set(f.parents)
+                if not isinstance(f.body, Table):
+                    assert g.body == f.body
+                    continue
+                for inputs, output in f.body.rows:  # the rewrite answers each row alike
+                    env = {p: {v: 1} for p, v in zip(f.parents, inputs)}
+                    assert g.masks(env, 1).get(output) == 1
+            for mutation in _UNWRITABLE:
+                mutated = mutation(rng, m)
+                with pytest.raises(SemanticError, match="^cannot serialize: "):
+                    to_dsl(mutated)
 
     @given(st.integers(0, 10_000))
     def test_serialize_parse_serialize_is_stable(self, seed):
